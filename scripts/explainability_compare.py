@@ -16,16 +16,9 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from bench import rae_config, rdae_config, spiked_sine  # noqa: E402
+from bench import ROBUSTNESS_METHODS, robustness_runs  # noqa: E402
 
-from robustae import (  # noqa: E402
-    es_prm,
-    es_ssa,
-    train_nonrobust,
-    train_rae,
-    train_rdae,
-    znormalize,
-)
+from robustae import es_prm, es_ssa, znormalize  # noqa: E402
 
 N_MAX = 9
 
@@ -47,15 +40,7 @@ def main() -> int:
 
     rows = []
     for seed in range(1, args.seeds + 1):
-        ts = spiked_sine(seed)
-        rae_cfg = rae_config(seed + 1000)
-        rdae_cfg = rdae_config(seed + 1000)
-        for method, dec in (
-            ("rae", train_rae(ts, rae_cfg)),
-            ("nrae", train_nonrobust(ts, rae_cfg, "n-rae")),
-            ("rdae", train_rdae(ts, rdae_cfg)),
-            ("nrdae", train_nonrobust(ts, rdae_cfg, "n-rdae")),
-        ):
+        for method, dec in robustness_runs(seed):
             prm, ssa = scores(dec, args.gamma)
             rows.append({"seed": seed, "method": method, "es_prm": prm, "es_ssa": ssa})
         print(f"seed {seed}: done", flush=True)
@@ -67,7 +52,7 @@ def main() -> int:
         writer.writeheader()
         writer.writerows(rows)
     print(f"wrote {out}  (score {N_MAX + 1} = not explainable within {N_MAX})")
-    for method in ("rae", "nrae", "rdae", "nrdae"):
+    for method in ROBUSTNESS_METHODS:
         prm = np.median([r["es_prm"] for r in rows if r["method"] == method])
         ssa = np.median([r["es_ssa"] for r in rows if r["method"] == method])
         print(f"{method:6s} median ES_PRM={prm:g} ES_SSA={ssa:g}")

@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from bench import rae_config, rdae_config, spiked_sine  # noqa: E402
+from bench import ROBUSTNESS_METHODS, robustness_runs, spiked_sine  # noqa: E402
 
-from robustae import evaluate, outlier_scores, train_nonrobust, train_rae, train_rdae  # noqa: E402
+from robustae import evaluate, outlier_scores  # noqa: E402
 
 
 def main() -> int:
@@ -31,17 +31,10 @@ def main() -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     rows = []
     for seed in range(1, args.seeds + 1):
-        ts = spiked_sine(seed)
-        rae_cfg = rae_config(seed + 1000)
-        rdae_cfg = rdae_config(seed + 1000)
+        labels = spiked_sine(seed).labels
         started = time.time()
-        for method, dec in (
-            ("rae", train_rae(ts, rae_cfg)),
-            ("nrae", train_nonrobust(ts, rae_cfg, "n-rae")),
-            ("rdae", train_rdae(ts, rdae_cfg)),
-            ("nrdae", train_nonrobust(ts, rdae_cfg, "n-rdae")),
-        ):
-            res = evaluate(outlier_scores(dec), ts.labels)
+        for method, dec in robustness_runs(seed):
+            res = evaluate(outlier_scores(dec), labels)
             rows.append({"seed": seed, "method": method, "pr": res.pr_auc, "roc": res.roc_auc})
         print(f"seed {seed}: done in {time.time() - started:.0f}s", flush=True)
 
@@ -51,7 +44,7 @@ def main() -> int:
         writer.writerows(rows)
 
     print(f"\nwrote {out}")
-    for method in ("rae", "nrae", "rdae", "nrdae"):
+    for method in ROBUSTNESS_METHODS:
         pr = np.median([r["pr"] for r in rows if r["method"] == method])
         roc = np.median([r["roc"] for r in rows if r["method"] == method])
         print(f"{method:6s} median PR={pr:.4f} ROC={roc:.4f}")

@@ -47,7 +47,7 @@ from .hankel import (
 )
 from .metrics import EvalResult, evaluate, pr_auc, roc_auc
 from .nn import AutoencoderConfig, AutoencoderModel, gradient_check
-from .prox import hard_threshold, soft_threshold
+from .prox import soft_threshold
 
 __version__ = "0.1.0"
 
@@ -75,7 +75,6 @@ __all__ = [
     "generate_synthetic",
     "gradient_check",
     "hankelize",
-    "hard_threshold",
     "load_csv",
     "load_decomposition",
     "load_model",

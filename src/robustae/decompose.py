@@ -1,20 +1,27 @@
 """Robust decomposition trainers and outlier scoring.
 
 Each trainer splits a series T into clean + outlier parts under the
-constraint T = clean + outlier, alternating between gradient refits of a
-reconstruction network on the outlier-subtracted view and an l1 proximal
-shrinkage of the residual:
+constraint T = clean + outlier. Every trainer is built from one kernel,
+``_alternate``: refit a reconstruction network on T - S, take its
+reconstruction L, then l1-shrink the residual T - L into the next S. This
+is the robust deep autoencoder of Zhou & Paffenroth (KDD 2017). Without a
+shrinkage weight the same kernel is the plain reconstruction baseline: S
+stays zero and the loop stops once L stops changing.
 
-* ``train_rae``: a single windowed autoencoder on the series view.
-* ``train_rdae``: a dual scheme: an inner autoencoder decomposes the
-  lagged-matrix view (after a learned smoothing transform), Hankelization
-  maps the matrix split back to series form, and an outer windowed network
-  refines the series split. An enclosing loop feeds the refined outlier
-  part back into the lagged view until its norm stabilizes.
-* ``train_nonrobust``: the same architectures with the shrinkage and
-  alternation removed (reconstruction-error baselines).
-* ``ablation_variant``: the dual scheme with the smoothing transform
-  and/or the series-view refinement replaced by identity.
+* ``train_rae``: the kernel on flat windows of the series.
+* ``train_rdae``: a dual scheme. Each pass of an enclosing loop embeds
+  T - S as a lagged matrix, applies a learned smoothing network, runs the
+  kernel on the matrix columns, maps the matrix split back to series form
+  by Hankel averaging, and runs the kernel again on windows of the series.
+  The loop stops once the norm of the outlier part stabilizes.
+* ``train_nonrobust``: the same architectures without shrinkage, in a
+  single pass where each stage trains until its reconstruction stabilizes.
+* ``ablation_variant``: the dual scheme with the smoothing network and/or
+  the series stage replaced by identity.
+
+``loss_trace`` records the reconstruction RMSE of each kernel iteration of
+the last stage: the series stage for rae, nrae, rdae, rdae-f1 and nrdae,
+and the matrix stage for rdae-f2 and rdae-f1f2.
 
 Inputs are z-normalized internally; outputs are returned in the original
 units with the normalization stats attached.
@@ -198,11 +205,11 @@ def _column_batch(planes: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(planes.transpose(2, 1, 0).reshape(k, b * d))
 
 
-def _batch_to_planes(batch: np.ndarray, dims: int, window_len: int) -> np.ndarray:
+def _batch_to_series(batch: np.ndarray, dims: int, window_len: int) -> np.ndarray:
+    """(K, B*D) window columns -> (C, D) series by anti-diagonal averaging."""
     k = batch.shape[0]
-    return np.ascontiguousarray(
-        batch.reshape(k, window_len, dims).transpose(2, 1, 0)
-    )
+    planes = np.ascontiguousarray(batch.reshape(k, window_len, dims).transpose(2, 1, 0))
+    return matrix_to_series(hankelize(LaggedMatrix(planes))).values
 
 
 def _child_seeds(seed: int, n: int) -> list[int]:
@@ -235,11 +242,64 @@ def _guarded_train(model: AutoencoderModel, batch, target, context: str) -> None
         raise NumericalError(f"{context}: {exc}") from exc
 
 
-def _log(verbose: bool, tag: str, it: int, loss: float, c1: float, c2: float) -> None:
-    if verbose:
-        sys.stderr.write(
-            f"[{tag}] iter={it} loss={loss:.6f} cond1={c1:.3e} cond2={c2:.3e}\n"
-        )
+def _identity(a: np.ndarray) -> np.ndarray:
+    return a
+
+
+def _alternate(
+    x: np.ndarray,
+    s: np.ndarray,
+    model: AutoencoderModel,
+    lam: float | None,
+    eps: float,
+    cap: int,
+    norm: float,
+    stage: str,
+    verbose: bool,
+    to_batch=_identity,
+    from_batch=_identity,
+) -> tuple[np.ndarray, np.ndarray, int, list[float]]:
+    """Refit ``model`` on x - S and shrink the residual into S, up to ``cap`` times.
+
+    ``to_batch``/``from_batch`` map between the layout of x and the
+    network's (n, width) batches. With ``lam`` set, each iteration takes the
+    reconstruction L, sets S = soft_threshold(x - L, lam), and stops once
+    condition 1 (||x - L - S||) or condition 2 (the change of L + S), both
+    relative to ``norm``, drops below ``eps``. With ``lam=None`` S stays as
+    given (zero) and the loop stops once the change of L drops below
+    ``eps``; with no previous L that change is inf, so it never stops on
+    its first iteration. Returns (L, S, iterations, the reconstruction RMSE
+    of each iteration).
+    """
+    losses: list[float] = []
+    star = x  # the previous L + S, or the previous L without shrinkage
+    for it in range(1, cap + 1):
+        target = x - s
+        batch = to_batch(target)
+        _guarded_train(model, batch, batch, f"{stage} iteration {it}")
+        recon = from_batch(model.forward(batch))
+        losses.append(rmse(target, recon))
+        if lam is None:
+            cond1 = 0.0
+            cond2 = np.inf if it == 1 else frobenius_norm(recon - star) / norm
+            star = recon
+            done = cond2 < eps
+        else:
+            s = soft_threshold(x - recon, lam)
+            if not np.all(np.isfinite(s)):
+                raise NumericalError(f"non-finite iterate at {stage} iteration {it}")
+            cond1 = frobenius_norm(x - recon - s) / norm
+            cond2 = frobenius_norm(star - recon - s) / norm
+            star = recon + s
+            done = cond1 < eps or cond2 < eps
+        if verbose:
+            sys.stderr.write(
+                f"[{stage}] iter={it} loss={losses[-1]:.6f} "
+                f"cond1={cond1:.3e} cond2={cond2:.3e}\n"
+            )
+        if done:
+            break
+    return recon, s, it, losses
 
 
 def _zero_decomposition(ts: TimeSeries, stats: NormalizationStats) -> Decomposition:
@@ -251,26 +311,61 @@ def _zero_decomposition(ts: TimeSeries, stats: NormalizationStats) -> Decomposit
 
 def _finish(
     values: np.ndarray,
-    t_s: np.ndarray,
+    recon: np.ndarray,
+    s: np.ndarray,
+    robust: bool,
     t_norm: float,
-    t_star: np.ndarray,
     iterations: int,
     trace: list[float],
     stats: NormalizationStats,
     models: dict[str, AutoencoderModel],
 ) -> Decomposition:
-    # the loop's own constraint-enforcement step, applied once at exit so
-    # the returned pair satisfies T = clean + outlier
-    t_l = values - t_s
-    cond1 = frobenius_norm(values - t_l - t_s) / t_norm
-    cond2 = frobenius_norm(t_star - t_l - t_s) / t_norm
-    clean = denormalize(TimeSeries(t_l), stats)
-    outlier = TimeSeries(t_s * stats.std)
-    return Decomposition(clean, outlier, iterations, (cond1, cond2), trace, stats, models)
+    if robust:
+        # the loop's own constraint-enforcement step, applied once at exit so
+        # the returned pair satisfies T = clean + outlier
+        clean = values - s
+        residuals = (
+            frobenius_norm(values - clean - s) / t_norm,
+            frobenius_norm(recon + s - clean - s) / t_norm,
+        )
+    else:
+        # T - (T - L) is not bit-equal to L, so the baseline keeps L itself
+        clean, s = recon, values - recon
+        residuals = (0.0, 0.0)
+    return Decomposition(
+        denormalize(TimeSeries(clean), stats),
+        TimeSeries(s * stats.std),
+        iterations,
+        residuals,
+        trace,
+        stats,
+        models,
+    )
 
 
 # ---------------------------------------------------------------------------
 # trainers
+
+
+def _train_series(
+    ts: TimeSeries, cfg: RaeConfig, robust: bool, verbose: bool
+) -> Decomposition:
+    norm_ts, stats = znormalize(ts)
+    values = norm_ts.values
+    c, d = values.shape
+    t_norm = frobenius_norm(values)
+    if t_norm == 0.0:
+        return _zero_decomposition(ts, stats)
+    windower = _SeriesWindower(c, d, cfg.window_len, cfg.stride)
+    model = AutoencoderModel(
+        _resolve_ae(cfg.ae, windower.input_dim, _child_seeds(cfg.seed, 1)[0])
+    )
+    recon, s, iterations, trace = _alternate(
+        values, np.zeros_like(values), model, cfg.lam if robust else None, cfg.epsilon,
+        cfg.max_outer_iters, t_norm, "rae" if robust else "nrae", verbose,
+        windower.batch, windower.fold,
+    )
+    return _finish(values, recon, s, robust, t_norm, iterations, trace, stats, {"ae": model})
 
 
 def train_rae(ts: TimeSeries, cfg: RaeConfig, verbose: bool = False) -> Decomposition:
@@ -280,37 +375,7 @@ def train_rae(ts: TimeSeries, cfg: RaeConfig, verbose: bool = False) -> Decompos
     autoencoder, take the residual, shrink it, then stop once the
     constraint violation or the iterate change drops below epsilon.
     """
-    norm_ts, stats = znormalize(ts)
-    values = norm_ts.values
-    c, d = values.shape
-    t_norm = frobenius_norm(values)
-    if t_norm == 0.0:
-        return _zero_decomposition(ts, stats)
-    windower = _SeriesWindower(c, d, cfg.window_len, cfg.stride)
-    ae_cfg = _resolve_ae(cfg.ae, windower.input_dim, _child_seeds(cfg.seed, 1)[0])
-    model = AutoencoderModel(ae_cfg)
-    t_s = np.zeros_like(values)
-    t_star = values.copy()
-    trace: list[float] = []
-    iterations = 0
-    for it in range(1, cfg.max_outer_iters + 1):
-        iterations = it
-        t_l = values - t_s
-        batch = windower.batch(t_l)
-        _guarded_train(model, batch, batch, f"outer iteration {it}")
-        recon = windower.fold(model.forward(batch))
-        trace.append(rmse(t_l, recon))
-        t_l = recon
-        t_s = soft_threshold(values - t_l, cfg.lam)
-        if not np.all(np.isfinite(t_s)):
-            raise NumericalError(f"non-finite iterate at outer iteration {it}")
-        cond1 = frobenius_norm(values - t_l - t_s) / t_norm
-        cond2 = frobenius_norm(t_star - t_l - t_s) / t_norm
-        t_star = t_l + t_s
-        _log(verbose, "rae", it, trace[-1], cond1, cond2)
-        if cond1 < cfg.epsilon or cond2 < cfg.epsilon:
-            break
-    return _finish(values, t_s, t_norm, t_star, iterations, trace, stats, {"ae": model})
+    return _train_series(ts, cfg, robust=True, verbose=verbose)
 
 
 def _resolve_lagged_window(cfg: RdaeConfig, length: int) -> int:
@@ -324,11 +389,12 @@ def _resolve_lagged_window(cfg: RdaeConfig, length: int) -> int:
     return b
 
 
-def _train_rdae_impl(
+def _train_dual(
     ts: TimeSeries,
     cfg: RdaeConfig,
     use_f1: bool,
     use_f2: bool,
+    robust: bool,
     verbose: bool,
 ) -> Decomposition:
     norm_ts, stats = znormalize(ts)
@@ -338,101 +404,81 @@ def _train_rdae_impl(
     t_norm = frobenius_norm(values)
     if t_norm == 0.0:
         return _zero_decomposition(ts, stats)
-    k = c - b + 1
-    col_dim = b * d
     seeds = _child_seeds(cfg.seed, 3)
-    f1_model = (
-        AutoencoderModel(_resolve_ae(cfg.f1, col_dim, seeds[0], thin=True))
+    f1 = (
+        AutoencoderModel(_resolve_ae(cfg.f1, b * d, seeds[0], thin=True))
         if use_f1
         else None
     )
-    inner_model = AutoencoderModel(_resolve_ae(cfg.inner_ae, col_dim, seeds[1]))
-    windower = f2_model = None
+    inner = AutoencoderModel(_resolve_ae(cfg.inner_ae, b * d, seeds[1]))
+    windower = f2 = None
     if use_f2:
         windower = _SeriesWindower(c, d, cfg.window_len, cfg.stride)
-        f2_model = AutoencoderModel(_resolve_ae(cfg.f2, windower.input_dim, seeds[2]))
+        f2 = AutoencoderModel(_resolve_ae(cfg.f2, windower.input_dim, seeds[2]))
 
-    s_planes = np.zeros((d, b, k))
+    tag = "rdae" if robust else "nrdae"
+    lam1, lam2 = (cfg.lam1, cfg.lam2) if robust else (None, None)
+    # the baseline makes one pass and trains each stage until its
+    # reconstruction stabilizes, under a cap matching the robust nested loops
+    passes, cap = (
+        (cfg.max_while_iters, cfg.max_outer_iters)
+        if robust
+        else (1, cfg.max_while_iters * cfg.max_outer_iters)
+    )
     t_s = np.zeros_like(values)
+    s_batch = np.zeros((c - b + 1, b * d))
     trace: list[float] = []
     prev_outlier_norm: float | None = None
-    while_iters = 0
-    t_star = values.copy()
-    for wit in range(1, cfg.max_while_iters + 1):
-        while_iters = wit
-        t_l = values - t_s
-        lagged = embed_lagged(TimeSeries(t_l), b)
-        m_batch = _column_batch(lagged.planes)
-        if use_f1:
-            _guarded_train(f1_model, m_batch, m_batch, f"while iteration {wit} (smoothing)")
-            mhat_batch = f1_model.forward(m_batch)
+    for wit in range(1, passes + 1):
+        m_batch = _column_batch(embed_lagged(TimeSeries(values - t_s), b).planes)
+        if f1 is None:
+            mhat = m_batch
+        elif robust:
+            _guarded_train(f1, m_batch, m_batch, f"rdae/smoothing iteration {wit}")
+            mhat = f1.forward(m_batch)
         else:
-            mhat_batch = m_batch
-        mhat = _batch_to_planes(mhat_batch, d, b)
+            mhat, _, _, _ = _alternate(
+                m_batch, np.zeros_like(m_batch), f1, None, cfg.epsilon, cap,
+                frobenius_norm(m_batch), "nrdae/smoothing", verbose,
+            )
         mhat_norm = frobenius_norm(mhat)
         if mhat_norm == 0.0:
-            l_planes = np.zeros_like(mhat)
-            s_planes = np.zeros_like(mhat)
+            l_batch = s_batch = np.zeros_like(mhat)
         else:
-            mhat_star = mhat.copy()
-            for iit in range(1, cfg.max_outer_iters + 1):
-                l_planes = mhat - s_planes
-                l_batch = _column_batch(l_planes)
-                _guarded_train(
-                    inner_model, l_batch, l_batch, f"while {wit}, matrix iteration {iit}"
-                )
-                recon_batch = inner_model.forward(l_batch)
-                l_planes = _batch_to_planes(recon_batch, d, b)
-                s_planes = soft_threshold(mhat - l_planes, cfg.lam1)
-                inner_loss = rmse(l_batch, recon_batch)
-                if not use_f2:
-                    trace.append(inner_loss)
-                cond1 = frobenius_norm(mhat - l_planes - s_planes) / mhat_norm
-                cond2 = frobenius_norm(mhat_star - l_planes - s_planes) / mhat_norm
-                mhat_star = l_planes + s_planes
-                _log(verbose, "rdae/matrix", iit, inner_loss, cond1, cond2)
-                if cond1 < cfg.epsilon or cond2 < cfg.epsilon:
-                    break
-        t_l = matrix_to_series(hankelize(LaggedMatrix(l_planes))).values
-        t_s = matrix_to_series(hankelize(LaggedMatrix(s_planes))).values
-        if use_f2:
-            t_star = values.copy()
-            for oit in range(1, cfg.max_outer_iters + 1):
-                t_l = values - t_s
-                batch = windower.batch(t_l)
-                _guarded_train(f2_model, batch, batch, f"while {wit}, series iteration {oit}")
-                recon = windower.fold(f2_model.forward(batch))
-                trace.append(rmse(t_l, recon))
-                t_l = recon
-                t_s = soft_threshold(values - t_l, cfg.lam2)
-                cond1 = frobenius_norm(values - t_l - t_s) / t_norm
-                cond2 = frobenius_norm(t_star - t_l - t_s) / t_norm
-                t_star = t_l + t_s
-                _log(verbose, "rdae/series", oit, trace[-1], cond1, cond2)
-                if cond1 < cfg.epsilon or cond2 < cfg.epsilon:
-                    break
-        else:
-            t_star = t_l + t_s
-        if not np.all(np.isfinite(t_s)):
-            raise NumericalError(f"non-finite iterate at while iteration {wit}")
+            l_batch, s_batch, _, losses = _alternate(
+                mhat, s_batch, inner, lam1, cfg.epsilon, cap, mhat_norm,
+                f"{tag}/matrix", verbose,
+            )
+            if f2 is None:
+                trace += losses
+        t_l = _batch_to_series(l_batch, d, b)
+        t_s = _batch_to_series(s_batch, d, b)
+        if f2 is not None:
+            t_l, t_s, series_iters, losses = _alternate(
+                values if robust else t_l, t_s, f2, lam2, cfg.epsilon, cap, t_norm,
+                f"{tag}/series", verbose, windower.batch, windower.fold,
+            )
+            trace += losses
         outlier_norm = frobenius_norm(t_s)
         if prev_outlier_norm is not None:
             change = abs(outlier_norm - prev_outlier_norm) / max(prev_outlier_norm, 1e-12)
-            if change < cfg.epsilon or (outlier_norm == 0.0 and prev_outlier_norm == 0.0):
+            if change < cfg.epsilon:
                 break
         prev_outlier_norm = outlier_norm
-    models = {"inner_ae": inner_model}
-    if f1_model is not None:
-        models["f1"] = f1_model
-    if f2_model is not None:
-        models["f2"] = f2_model
-    return _finish(values, t_s, t_norm, t_star, while_iters, trace, stats, models)
+    models = {
+        role: model
+        for role, model in (("inner_ae", inner), ("f1", f1), ("f2", f2))
+        if model is not None
+    }
+    # a robust run counts passes, the baseline its series-stage iterations
+    iterations = wit if robust else series_iters
+    return _finish(values, t_l, t_s, robust, t_norm, iterations, trace, stats, models)
 
 
 def train_rdae(ts: TimeSeries, cfg: RdaeConfig, verbose: bool = False) -> Decomposition:
     """Dual-view trainer: lagged-matrix decomposition coupled to the series
     view through Hankelization, each view alternating refits with shrinkage."""
-    return _train_rdae_impl(ts, cfg, use_f1=True, use_f2=True, verbose=verbose)
+    return _train_dual(ts, cfg, use_f1=True, use_f2=True, robust=True, verbose=verbose)
 
 
 def ablation_variant(
@@ -448,129 +494,7 @@ def ablation_variant(
     if drop not in flags:
         raise ParameterError(f"drop must be one of f1, f2, f1f2, got {drop!r}")
     use_f1, use_f2 = flags[drop]
-    return _train_rdae_impl(ts, cfg, use_f1=use_f1, use_f2=use_f2, verbose=verbose)
-
-
-def _train_nrae(ts: TimeSeries, cfg: RaeConfig, verbose: bool) -> Decomposition:
-    norm_ts, stats = znormalize(ts)
-    values = norm_ts.values
-    c, d = values.shape
-    t_norm = frobenius_norm(values)
-    if t_norm == 0.0:
-        return _zero_decomposition(ts, stats)
-    windower = _SeriesWindower(c, d, cfg.window_len, cfg.stride)
-    model = AutoencoderModel(
-        _resolve_ae(cfg.ae, windower.input_dim, _child_seeds(cfg.seed, 1)[0])
-    )
-    batch = windower.batch(values)
-    prev_recon = None
-    trace: list[float] = []
-    recon = np.zeros_like(values)
-    iterations = 0
-    for it in range(1, cfg.max_outer_iters + 1):
-        iterations = it
-        _guarded_train(model, batch, batch, f"epoch {it}")
-        recon = windower.fold(model.forward(batch))
-        trace.append(rmse(values, recon))
-        change = (
-            frobenius_norm(recon - prev_recon) / t_norm
-            if prev_recon is not None
-            else np.inf
-        )
-        _log(verbose, "nrae", it, trace[-1], 0.0, change)
-        prev_recon = recon
-        if change < cfg.epsilon:
-            break
-    t_l = recon
-    t_s = values - t_l
-    clean = denormalize(TimeSeries(t_l), stats)
-    outlier = TimeSeries(t_s * stats.std)
-    return Decomposition(clean, outlier, iterations, (0.0, 0.0), trace, stats, {"ae": model})
-
-
-def _train_nrdae(ts: TimeSeries, cfg: RdaeConfig, verbose: bool) -> Decomposition:
-    norm_ts, stats = znormalize(ts)
-    values = norm_ts.values
-    c, d = values.shape
-    b = _resolve_lagged_window(cfg, c)
-    t_norm = frobenius_norm(values)
-    if t_norm == 0.0:
-        return _zero_decomposition(ts, stats)
-    col_dim = b * d
-    seeds = _child_seeds(cfg.seed, 3)
-    f1_model = AutoencoderModel(_resolve_ae(cfg.f1, col_dim, seeds[0], thin=True))
-    inner_model = AutoencoderModel(_resolve_ae(cfg.inner_ae, col_dim, seeds[1]))
-    windower = _SeriesWindower(c, d, cfg.window_len, cfg.stride)
-    f2_model = AutoencoderModel(_resolve_ae(cfg.f2, windower.input_dim, seeds[2]))
-
-    lagged = embed_lagged(TimeSeries(values), b)
-    m_batch = _column_batch(lagged.planes)
-    m_norm = frobenius_norm(m_batch)
-    # every stage trains until its reconstruction stabilizes, under a cap
-    # matching the robust variant's nested loops
-    epoch_cap = cfg.max_while_iters * cfg.max_outer_iters
-    prev = None
-    mhat_batch = m_batch
-    for it in range(1, epoch_cap + 1):
-        _guarded_train(f1_model, m_batch, m_batch, f"smoothing epoch {it}")
-        mhat_batch = f1_model.forward(m_batch)
-        change = (
-            frobenius_norm(mhat_batch - prev) / max(m_norm, 1e-12)
-            if prev is not None
-            else np.inf
-        )
-        prev = mhat_batch
-        if change < cfg.epsilon:
-            break
-    mhat_norm = frobenius_norm(mhat_batch)
-    prev = None
-    l_batch = np.zeros_like(mhat_batch)
-    for it in range(1, epoch_cap + 1):
-        _guarded_train(inner_model, mhat_batch, mhat_batch, f"matrix epoch {it}")
-        l_batch = inner_model.forward(mhat_batch)
-        change = (
-            frobenius_norm(l_batch - prev) / max(mhat_norm, 1e-12)
-            if prev is not None
-            else np.inf
-        )
-        prev = l_batch
-        if change < cfg.epsilon:
-            break
-    l_planes = _batch_to_planes(l_batch, d, b)
-    inner_series = matrix_to_series(hankelize(LaggedMatrix(l_planes))).values
-
-    batch = windower.batch(inner_series)
-    prev_recon = None
-    trace: list[float] = []
-    recon = np.zeros_like(values)
-    iterations = 0
-    for it in range(1, epoch_cap + 1):
-        iterations = it
-        _guarded_train(f2_model, batch, batch, f"series epoch {it}")
-        recon = windower.fold(f2_model.forward(batch))
-        trace.append(rmse(inner_series, recon))
-        change = (
-            frobenius_norm(recon - prev_recon) / t_norm
-            if prev_recon is not None
-            else np.inf
-        )
-        _log(verbose, "nrdae", it, trace[-1], 0.0, change)
-        prev_recon = recon
-        if change < cfg.epsilon:
-            break
-    t_l = recon
-    t_s = values - t_l
-    clean = denormalize(TimeSeries(t_l), stats)
-    outlier = TimeSeries(t_s * stats.std)
-    return Decomposition(
-        clean,
-        outlier,
-        iterations,
-        (0.0, 0.0),
-        trace,
-        stats,
-        {"f1": f1_model, "inner_ae": inner_model, "f2": f2_model},
-    )
+    return _train_dual(ts, cfg, use_f1, use_f2, robust=True, verbose=verbose)
 
 
 def train_nonrobust(
@@ -587,11 +511,11 @@ def train_nonrobust(
     if key in ("n-rae", "nrae"):
         if not isinstance(cfg, RaeConfig):
             raise ParameterError("n-rae requires a RaeConfig")
-        return _train_nrae(ts, cfg, verbose)
+        return _train_series(ts, cfg, robust=False, verbose=verbose)
     if key in ("n-rdae", "nrdae"):
         if not isinstance(cfg, RdaeConfig):
             raise ParameterError("n-rdae requires an RdaeConfig")
-        return _train_nrdae(ts, cfg, verbose)
+        return _train_dual(ts, cfg, use_f1=True, use_f2=True, robust=False, verbose=verbose)
     raise ParameterError(f"unknown non-robust variant {variant!r}")
 
 

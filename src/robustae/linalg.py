@@ -16,19 +16,12 @@ __all__ = [
     "svd",
     "least_squares",
     "make_rng",
-    "rng_uniform",
-    "rng_normal",
 ]
-
-
-def as_matrix(x) -> np.ndarray:
-    """Coerce to a float64 ndarray without copying when possible."""
-    return np.asarray(x, dtype=np.float64)
 
 
 def frobenius_norm(m) -> float:
     """Square root of the sum of squared entries; 0 for an empty matrix."""
-    m = as_matrix(m)
+    m = np.asarray(m, dtype=np.float64)
     if m.size == 0:
         return 0.0
     return float(np.sqrt(np.sum(m * m)))
@@ -36,8 +29,8 @@ def frobenius_norm(m) -> float:
 
 def rmse(a, b) -> float:
     """Root mean squared element-wise difference of two same-shape arrays."""
-    a = as_matrix(a)
-    b = as_matrix(b)
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise DimensionError(f"rmse: shape mismatch {a.shape} vs {b.shape}")
     if a.size == 0:
@@ -53,7 +46,7 @@ def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     columns. V is returned as a matrix of right singular vectors in
     columns (not transposed).
     """
-    m = as_matrix(m)
+    m = np.asarray(m, dtype=np.float64)
     try:
         u, s, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -66,8 +59,8 @@ def least_squares(design, targets) -> np.ndarray:
 
     Rank-deficient designs are handled by the SVD pseudoinverse.
     """
-    design = as_matrix(design)
-    targets = as_matrix(targets)
+    design = np.asarray(design, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
     if design.ndim != 2:
         raise DimensionError("least_squares: design must be 2-D")
     if targets.shape[0] != design.shape[0]:
@@ -82,13 +75,3 @@ def least_squares(design, targets) -> np.ndarray:
 def make_rng(seed: int) -> np.random.Generator:
     """Deterministic random generator; identical seeds yield identical draws."""
     return np.random.default_rng(seed)
-
-
-def rng_uniform(rng: np.random.Generator, shape) -> np.ndarray:
-    """Uniform draws in [0, 1)."""
-    return rng.random(shape)
-
-
-def rng_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """Standard normal draws."""
-    return rng.standard_normal(shape)

@@ -1,8 +1,7 @@
-"""Proximal operators for the sparse penalties.
+"""Proximal operator for the sparse penalty.
 
 ``soft_threshold`` is the exact element-wise minimizer of
-0.5*(z - x)**2 + lam*|z| (l1 penalty); ``hard_threshold`` is the exact
-minimizer under the l0 penalty, kept as an optional un-relaxed mode.
+0.5*(z - x)**2 + lam*|z| (l1 penalty).
 """
 
 from __future__ import annotations
@@ -11,25 +10,13 @@ import numpy as np
 
 from .errors import ParameterError
 
-__all__ = ["soft_threshold", "hard_threshold"]
-
-
-def _check_lam(lam: float) -> float:
-    lam = float(lam)
-    if lam < 0 or not np.isfinite(lam):
-        raise ParameterError(f"threshold must be a finite nonnegative real, got {lam}")
-    return lam
+__all__ = ["soft_threshold"]
 
 
 def soft_threshold(x, lam: float) -> np.ndarray:
     """Shrink each element toward zero by lam: sign(x) * max(|x| - lam, 0)."""
-    lam = _check_lam(lam)
+    lam = float(lam)
+    if lam < 0 or not np.isfinite(lam):
+        raise ParameterError(f"threshold must be a finite nonnegative real, got {lam}")
     x = np.asarray(x, dtype=np.float64)
     return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
-
-
-def hard_threshold(x, lam: float) -> np.ndarray:
-    """Keep elements with |x| > sqrt(2*lam), zero the rest."""
-    lam = _check_lam(lam)
-    x = np.asarray(x, dtype=np.float64)
-    return np.where(np.abs(x) > np.sqrt(2.0 * lam), x, 0.0)

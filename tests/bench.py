@@ -14,6 +14,7 @@ from robustae import (
     SynthConfig,
     TimeSeries,
     generate_synthetic,
+    train,
     znormalize,
 )
 
@@ -21,6 +22,7 @@ NOISE_STD = 0.5
 SERIES_LEN = 2000
 OUTLIER_RATIO = 0.05
 OUTLIER_MAGNITUDE = 5.0
+ROBUSTNESS_METHODS = ("rae", "nrae", "rdae", "nrdae")
 
 
 def spiked_sine(seed: int, length: int = SERIES_LEN, noise: float = NOISE_STD) -> TimeSeries:
@@ -98,6 +100,18 @@ def rdae_config(
         inner_ae=inner,
         f2=f2,
     )
+
+
+def robustness_runs(seed: int):
+    """Yield (method, decomposition) of the robust-vs-non-robust comparison.
+
+    Each trainer in ROBUSTNESS_METHODS runs on spiked_sine(seed), with
+    network seeds offset by 1000 from the series seed.
+    """
+    ts = spiked_sine(seed)
+    configs = {"rae": rae_config(seed + 1000), "rdae": rdae_config(seed + 1000)}
+    for method in ROBUSTNESS_METHODS:
+        yield method, train(ts, method, configs[method.removeprefix("n")])
 
 
 def median(values):

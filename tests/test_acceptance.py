@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from bench import median, rae_config, rdae_config, spiked_sine
+from bench import ROBUSTNESS_METHODS, median, rae_config, robustness_runs, spiked_sine
 from test_metrics import brute_force_roc, exhaustive_threshold_ap
 
 from robustae import (
@@ -30,9 +30,7 @@ from robustae import (
     save_model,
     soft_threshold,
     ssa_decompose,
-    train_nonrobust,
     train_rae,
-    train_rdae,
     znormalize,
 )
 from robustae.cli import main as cli_main
@@ -55,18 +53,11 @@ def report(num: int, description: str, ok: bool, detail: str = "") -> None:
 def bench_runs():
     """Ten-seed benchmark decompositions for the four trainers."""
     start = time.time()
-    runs = {"rae": [], "nrae": [], "rdae": [], "nrdae": []}
+    runs = {name: [] for name in ROBUSTNESS_METHODS}
     for seed in SEEDS:
-        ts = spiked_sine(seed)
-        rae_cfg = rae_config(seed + 1000)
-        rdae_cfg = rdae_config(seed + 1000)
-        for name, dec in (
-            ("rae", train_rae(ts, rae_cfg)),
-            ("nrae", train_nonrobust(ts, rae_cfg, "n-rae")),
-            ("rdae", train_rdae(ts, rdae_cfg)),
-            ("nrdae", train_nonrobust(ts, rdae_cfg, "n-rdae")),
-        ):
-            result = evaluate(outlier_scores(dec), ts.labels)
+        labels = spiked_sine(seed).labels
+        for name, dec in robustness_runs(seed):
+            result = evaluate(outlier_scores(dec), labels)
             runs[name].append(
                 {"seed": seed, "decomposition": dec, "pr": result.pr_auc, "roc": result.roc_auc}
             )

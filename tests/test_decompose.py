@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from bench import spiked_sine
 from robustae import (
+    TRAIN_METHODS,
     AutoencoderConfig,
     RaeConfig,
     RdaeConfig,
@@ -230,6 +233,30 @@ def test_lagged_window_out_of_range():
     )
     with pytest.raises(ParameterError, match="lagged_window"):
         train_rdae(ts, bad)
+
+
+# (iterations_run, len(loss_trace)) per method at epsilon 1e-5, 0.1 and 0.5.
+# At 1e-5 every stage runs to its cap; the larger epsilons reach the stop
+# rules. nrae and nrdae never stop on their first iteration, where the
+# change of the reconstruction is undefined.
+STOP_RULE_EXPECTED = {
+    "rae": ((12, 12), (1, 1), (1, 1)),
+    "nrae": ((12, 12), (2, 2), (2, 2)),
+    "rdae": ((2, 12), (2, 2), (2, 2)),
+    "nrdae": ((12, 12), (2, 2), (2, 2)),
+    "rdae-f1": ((2, 12), (2, 2), (2, 2)),
+    "rdae-f2": ((2, 12), (2, 4), (2, 2)),
+    "rdae-f1f2": ((2, 12), (2, 5), (2, 3)),
+}
+
+
+@pytest.mark.parametrize("epsilon_index, epsilon", enumerate((1e-5, 0.1, 0.5)))
+@pytest.mark.parametrize("method", TRAIN_METHODS)
+def test_stop_rules(method, epsilon_index, epsilon):
+    cfg = quick_rae() if method in ("rae", "nrae") else quick_rdae()
+    d = train(quick_ts(), method, replace(cfg, epsilon=epsilon))
+    got = (d.iterations_run, len(d.loss_trace))
+    assert got == STOP_RULE_EXPECTED[method][epsilon_index]
 
 
 def test_numerical_error_carries_iteration():

@@ -9,8 +9,6 @@ from robustae.linalg import (
     least_squares,
     make_rng,
     rmse,
-    rng_normal,
-    rng_uniform,
     svd,
 )
 
@@ -149,18 +147,6 @@ def test_least_squares_residual_orthogonality(seed, rows, cols):
 
 
 def test_rng_determinism():
-    a = rng_normal(make_rng(42), (100,))
-    b = rng_normal(make_rng(42), (100,))
+    a = make_rng(42).standard_normal(100)
+    b = make_rng(42).standard_normal(100)
     assert np.array_equal(a, b)
-
-
-def test_rng_normal_moments():
-    draws = rng_normal(make_rng(7), (10_000,))
-    assert abs(draws.mean()) < 0.05
-    assert abs(draws.var() - 1.0) < 0.1
-
-
-def test_rng_uniform_range():
-    draws = rng_uniform(make_rng(9), (10_000,))
-    assert np.all(draws >= 0.0)
-    assert np.all(draws < 1.0)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from robustae.errors import ParameterError
 from robustae.linalg import frobenius_norm
-from robustae.prox import hard_threshold, soft_threshold
+from robustae.prox import soft_threshold
 
 
 def grid_prox_l1(x: float, lam: float) -> float:
@@ -79,34 +79,3 @@ def test_soft_sign_preservation(seed, lam):
     x = np.random.default_rng(seed).standard_normal(20)
     assert np.all(soft_threshold(x, lam) * x >= 0.0)
 
-
-def test_hard_zero_lambda_keeps_nonzero():
-    x = np.array([-1.5, 0.0, 0.3])
-    out = hard_threshold(x, 0.0)
-    assert np.array_equal(out, x)
-
-
-def test_hard_keeps_large():
-    # 1.0 > sqrt(0.8)
-    assert hard_threshold(np.array(1.0), 0.4) == 1.0
-
-
-def test_hard_zeroes_small():
-    # 0.5^2/2 = 0.125 < 0.4: zeroing beats paying the penalty
-    assert hard_threshold(np.array(0.5), 0.4) == 0.0
-
-
-def test_hard_negative_lambda_rejected():
-    with pytest.raises(ParameterError):
-        hard_threshold(np.zeros(2), -1e-9)
-
-
-@given(seed=st.integers(0, 2**32 - 1), lam=st.floats(0.0, 2.0))
-@settings(max_examples=50, deadline=None)
-def test_hard_is_exact_l0_prox(seed, lam):
-    # per element: keeping costs lam, zeroing costs x^2/2
-    x = np.random.default_rng(seed).standard_normal(20)
-    out = hard_threshold(x, lam)
-    keep = np.abs(x) > np.sqrt(2 * lam)
-    assert np.array_equal(out != 0, keep & (x != 0))
-    assert np.array_equal(out[keep], x[keep])
