@@ -13,11 +13,9 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from bench import rae_config, spiked_sine  # noqa: E402
+from bench import LAMBDAS, rae_config, spiked_sine  # noqa: E402
 
 from robustae import train_rae  # noqa: E402
-
-LAMBDAS = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
 
 
 def main() -> int:

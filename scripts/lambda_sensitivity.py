@@ -16,11 +16,9 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from bench import rae_config, spiked_sine  # noqa: E402
+from bench import LAMBDAS, lambda_runs, spiked_sine  # noqa: E402
 
-from robustae import evaluate, outlier_scores, train_rae  # noqa: E402
-
-LAMBDAS = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
+from robustae import evaluate, outlier_scores  # noqa: E402
 
 
 def main() -> int:
@@ -33,10 +31,9 @@ def main() -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     rows = []
     for seed in range(1, args.seeds + 1):
-        ts = spiked_sine(seed)
-        for lam in LAMBDAS:
-            dec = train_rae(ts, rae_config(seed + 2000, lam=lam, outer=30))
-            res = evaluate(outlier_scores(dec), ts.labels)
+        labels = spiked_sine(seed).labels
+        for lam, dec in lambda_runs(seed):
+            res = evaluate(outlier_scores(dec), labels)
             rows.append(
                 {
                     "seed": seed,

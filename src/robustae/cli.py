@@ -6,10 +6,12 @@ series and score it), ``eval`` (PR/ROC AUC from a scores+labels CSV),
 ``sweep`` (random hyperparameter search reporting the median result), and
 ``replay`` (re-run a recorded manifest).
 
-Every producing run writes a manifest next to its outputs with the fully
-resolved configuration and seed, so replaying it reproduces the outputs
-byte for byte. Exit codes: 0 success, 2 usage/config error, 3 numerical
-failure, 4 I/O error.
+Every command is one request, ``{command, config, seed, inputs, outputs}``.
+The command line builds it, or ``replay`` reads it from a manifest; either
+way ``_execute`` runs it and writes its manifest next to the outputs, with
+the fully resolved configuration and seed, so replaying the manifest
+reproduces the outputs byte for byte. Exit codes: 0 success, 2
+usage/config error, 3 numerical failure, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -77,91 +79,61 @@ _USAGE_ERRORS = (
 _IO_ERRORS = (OSError, IntegrityError, UpgradeError)
 
 
-def _default_out_dir(value: str | None) -> Path:
-    if value:
-        return Path(value)
-    return Path(os.environ.get(OUT_DIR_ENV, "."))
-
-
-def _read_json(path) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
+def _load_object(path) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        try:
             doc = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top-level JSON object expected")
     return doc
 
 
-def _build_ae_config(doc: dict | None) -> AutoencoderConfig | None:
-    if doc is None:
-        return None
+def _read_json(path) -> dict:
     try:
-        doc = dict(doc)
-        doc["layer_dims"] = tuple(doc["layer_dims"])
-        return AutoencoderConfig(**doc)
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"bad network config: {exc}") from None
+        return _load_object(path)
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
 
 
-def _build_train_config(method: str, doc: dict, seed: int | None):
-    doc = dict(doc)
-    if seed is not None:
-        doc["seed"] = seed
-    try:
-        if method in ("rae", "nrae"):
-            doc["ae"] = _build_ae_config(doc.get("ae"))
-            return RaeConfig(**doc)
-        for key in ("f1", "inner_ae", "f2"):
-            doc[key] = _build_ae_config(doc.get(key))
-        return RdaeConfig(**doc)
-    except TypeError as exc:
-        raise ConfigError(f"bad {method} config: {exc}") from None
-
-
-def _config_snapshot(cfg) -> dict:
-    # asdict resolves nested network configs; tuples become lists in JSON
-    return asdict(cfg)
-
-
-def _write_manifest(
-    path: Path, command: str, config: dict, seed: int, inputs: dict, outputs: dict, started: float
-) -> None:
-    doc = {
-        "command": command,
-        "config": config,
-        "seed": seed,
-        "inputs": inputs,
-        "outputs": outputs,
-        "duration_seconds": time.time() - started,
-        "library_version": __version__,
-    }
+def _write_json(path: Path, doc: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _write_loss_trace(path: Path, trace) -> None:
+def _write_rows(path: Path, header: list, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iteration", "loss"])
-        for i, loss in enumerate(trace, start=1):
-            writer.writerow([str(i), repr(float(loss))])
-
-
-def _write_scores(path: Path, scores, labels) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = ["t", "score"] + (["label"] if labels is not None else [])
         writer.writerow(header)
-        for i, s in enumerate(scores):
-            row = [str(i), repr(float(s))]
-            if labels is not None:
-                row.append("1" if labels[i] else "0")
-            writer.writerow(row)
+        writer.writerows(rows)
+
+
+def _sidecar(path: Path) -> Path:
+    return path.with_name(path.name + ".manifest.json")
+
+
+def _with_seed(doc: dict, seed: int | None) -> dict:
+    return doc if seed is None else {**doc, "seed": seed}
+
+
+def _build_train_config(method: str, doc: dict):
+    series = method in ("rae", "nrae")
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{method} config must be a JSON object")
+    try:
+        nets = {
+            key: AutoencoderConfig(**doc[key])
+            for key in (("ae",) if series else ("f1", "inner_ae", "f2"))
+            if doc.get(key) is not None
+        }
+    except TypeError as exc:
+        raise ConfigError(f"bad network config: {exc}") from None
+    try:
+        return (RaeConfig if series else RdaeConfig)(**{**doc, **nets})
+    except TypeError as exc:
+        raise ConfigError(f"bad {'rae' if series else 'rdae'} config: {exc}") from None
 
 
 def _read_scores_csv(path):
@@ -182,158 +154,109 @@ def _read_scores_csv(path):
                 continue
             try:
                 scores.append(float(row[score_col]))
-                labels.append(int(row[label_col]) == 1)
+                label = row[label_col].strip()
             except (ValueError, IndexError) as exc:
                 raise ParseError(f"{path}:{lineno}: bad row ({exc})") from None
+            if label not in ("0", "1"):
+                raise ParseError(f"{path}:{lineno}: label must be 0 or 1, got {label!r}")
+            labels.append(label == "1")
     return np.array(scores), np.array(labels)
 
 
 # ---------------------------------------------------------------------------
-# command implementations (also used by replay)
+# commands: each takes (config, seed, inputs, outputs, out_dir, verbose), with
+# inputs and outputs as paths, and returns (result, manifest path or None, the
+# manifest fields it resolved)
 
 
-def _run_synth(config: dict, out_csv: Path, seed: int | None) -> dict:
-    started = time.time()
+def _synth(config, seed, inputs, outputs, out_dir, verbose):
     try:
-        cfg_doc = dict(config)
-        if seed is not None:
-            cfg_doc["seed"] = seed
-        cfg = SynthConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in cfg_doc.items()})
+        cfg = SynthConfig(**_with_seed(config, seed))
     except TypeError as exc:
         raise ConfigError(f"bad synth config: {exc}") from None
     ts = generate_synthetic(cfg)
+    out_csv = outputs["csv"]
     out_csv.parent.mkdir(parents=True, exist_ok=True)
     save_csv(ts, out_csv)
-    manifest = out_csv.with_name(out_csv.name + ".manifest.json")
-    _write_manifest(
-        manifest,
-        "synth",
-        asdict(cfg),
-        cfg.seed,
-        {},
-        {"csv": out_csv.name},
-        started,
-    )
-    return {"csv": str(out_csv), "manifest": str(manifest)}
+    manifest = _sidecar(out_csv)
+    result = {"csv": str(out_csv), "manifest": str(manifest)}
+    return result, manifest, {"config": asdict(cfg), "seed": cfg.seed}
 
 
-def _run_train(
-    method: str,
-    input_csv: Path,
-    config: dict,
-    out_dir: Path,
-    seed: int | None,
-    verbose: bool,
-) -> dict:
-    started = time.time()
+def _train(config, seed, inputs, outputs, out_dir, verbose):
+    method = config["method"]
     if method not in TRAIN_METHODS:
         raise ConfigError(f"method must be one of {TRAIN_METHODS}, got {method!r}")
-    ts = load_csv(input_csv)
-    cfg_key = "rae" if method in ("rae", "nrae") else "rdae"
-    cfg = _build_train_config(cfg_key, config, seed)
+    ts = load_csv(inputs["csv"])
+    cfg = _build_train_config(method, _with_seed(config["train"], seed))
     decomposition = train(ts, method, cfg, verbose=verbose)
     out_dir.mkdir(parents=True, exist_ok=True)
-    files = {}
-    dec_path = out_dir / "decomposition.csv"
-    save_decomposition(decomposition, dec_path)
-    files["decomposition"] = dec_path.name
-    scores = outlier_scores(decomposition)
-    scores_path = out_dir / "scores.csv"
-    _write_scores(scores_path, scores, ts.labels)
-    files["scores"] = scores_path.name
-    trace_path = out_dir / "loss_trace.csv"
-    _write_loss_trace(trace_path, decomposition.loss_trace)
-    files["loss_trace"] = trace_path.name
+    files = {"decomposition": "decomposition.csv", "scores": "scores.csv",
+             "loss_trace": "loss_trace.csv"}
+    save_decomposition(decomposition, out_dir / files["decomposition"])
+    scores = ([str(i), repr(float(s))] for i, s in enumerate(outlier_scores(decomposition)))
+    if ts.labels is None:
+        _write_rows(out_dir / files["scores"], ["t", "score"], scores)
+    else:
+        _write_rows(
+            out_dir / files["scores"],
+            ["t", "score", "label"],
+            (row + ["1" if label else "0"] for row, label in zip(scores, ts.labels)),
+        )
+    _write_rows(
+        out_dir / files["loss_trace"],
+        ["iteration", "loss"],
+        ([str(i), repr(float(loss))] for i, loss in enumerate(decomposition.loss_trace, start=1)),
+    )
     for role, model in decomposition.models.items():
         name = "model.json" if role == "ae" else f"model_{role}.json"
         save_model(model, out_dir / name)
         files[f"model:{role}"] = name
-    _write_manifest(
-        out_dir / "manifest.json",
-        "train",
-        {"method": method, "train": _config_snapshot(cfg)},
-        cfg.seed,
-        {"csv": str(input_csv)},
-        files,
-        started,
-    )
     if verbose:
         c1, c2 = decomposition.final_residuals
         sys.stderr.write(
             f"[train] method={method} iterations={decomposition.iterations_run} "
             f"cond1={c1:.3e} cond2={c2:.3e}\n"
         )
-    return {"out_dir": str(out_dir), **files}
+    record = {"config": {"method": method, "train": asdict(cfg)}, "seed": cfg.seed,
+              "outputs": files}
+    return {"out_dir": str(out_dir), **files}, out_dir / "manifest.json", record
 
 
-def _run_eval(scores_csv: Path, out_file: Path | None) -> dict:
-    started = time.time()
-    scores, labels = _read_scores_csv(scores_csv)
-    result = evaluate(scores, labels)
-    doc = {
-        "pr_auc": result.pr_auc,
-        "roc_auc": result.roc_auc,
-        "n_positives": result.n_positives,
-        "n_negatives": result.n_negatives,
-    }
-    if out_file is not None:
-        out_file.parent.mkdir(parents=True, exist_ok=True)
-        with open(out_file, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        _write_manifest(
-            out_file.with_name(out_file.name + ".manifest.json"),
-            "eval",
-            {},
-            0,
-            {"csv": str(scores_csv)},
-            {"json": out_file.name},
-            started,
-        )
-    return doc
+def _report(doc: dict, config: dict, outputs: dict):
+    """Write an eval or explain result to its JSON file, if the request names one."""
+    out_file = outputs.get("json")
+    if out_file is None:
+        return doc, None, None
+    out_file.parent.mkdir(parents=True, exist_ok=True)
+    _write_json(out_file, doc)
+    return doc, _sidecar(out_file), {"config": config, "seed": 0}
 
 
-def _run_explain(
-    decomposition_csv: Path,
-    method: str,
-    gamma: float,
-    n_max: int,
-    window_len: int | None,
-    normalize: bool,
-    out_file: Path | None,
-) -> dict:
+def _eval(config, seed, inputs, outputs, out_dir, verbose):
+    result = evaluate(*_read_scores_csv(inputs["csv"]))
+    return _report(asdict(result), {}, outputs)
+
+
+def _explain(config, seed, inputs, outputs, out_dir, verbose):
+    method = config["method"]
     if method not in ("prm", "ssa"):
         raise ConfigError(f"explain method must be 'prm' or 'ssa', got {method!r}")
-    clean, _, _ = load_decomposition(decomposition_csv)
-    if normalize:
+    config = {
+        "method": method,
+        "gamma": float(config["gamma"]),
+        "n_max": int(config["n_max"]),
+        "window_len": config.get("window_len"),
+        "normalize": bool(config.get("normalize", False)),
+    }
+    clean, _, _ = load_decomposition(inputs["csv"])
+    if config["normalize"]:
         clean, _ = znormalize(clean)
-    started = time.time()
     if method == "prm":
-        result = es_prm(clean, gamma, n_max)
+        result = es_prm(clean, config["gamma"], config["n_max"])
     else:
-        result = es_ssa(clean, gamma, n_max, window_len)
-    doc = result.to_dict()
-    if out_file is not None:
-        out_file.parent.mkdir(parents=True, exist_ok=True)
-        with open(out_file, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        _write_manifest(
-            out_file.with_name(out_file.name + ".manifest.json"),
-            "explain",
-            {
-                "method": method,
-                "gamma": gamma,
-                "n_max": n_max,
-                "window_len": window_len,
-                "normalize": normalize,
-            },
-            0,
-            {"csv": str(decomposition_csv)},
-            {"json": out_file.name},
-            started,
-        )
-    return doc
+        result = es_ssa(clean, config["gamma"], config["n_max"], config["window_len"])
+    return _report(result.to_dict(), config, outputs)
 
 
 def _dims_from_shape(depth: int, width: int, input_dim: int) -> tuple[int, ...]:
@@ -344,46 +267,28 @@ def _dims_from_shape(depth: int, width: int, input_dim: int) -> tuple[int, ...]:
     return tuple([width] * half + [bottleneck] + [width] * half)
 
 
-def _sampled_config(method: str, base: dict, pick: dict, input_dims: int, seed: int) -> tuple:
-    doc = dict(base)
-    doc["seed"] = seed
-    depth = pick.get("depth")
-    width = pick.get("width")
-    if method in ("rae", "nrae"):
-        if "lam" in pick:
-            doc["lam"] = pick["lam"]
-        if "window_len" in pick:
-            doc["window_len"] = pick["window_len"]
-        if depth is not None and width is not None:
-            w = doc.get("window_len", RaeConfig.window_len)
-            input_dim = w * input_dims
-            doc["ae"] = {
-                "input_dim": input_dim,
-                "layer_dims": list(_dims_from_shape(depth, width, input_dim)),
-                "seed": seed,
-            }
-        return _build_train_config("rae", doc, None), doc
+def _sampled_config(method: str, base: dict, pick: dict, input_dims: int, seed: int):
+    """One sweep run's trainer config: ``base`` with the picked grid values."""
+    series = method in ("rae", "nrae")
+    doc = dict(base, seed=seed)
     if "lam" in pick:
-        doc["lam1"] = pick["lam"]
-        doc["lam2"] = pick["lam"]
-    for key in ("lagged_window", "window_len"):
-        if key in pick:
-            doc[key] = pick[key]
+        doc.update(dict.fromkeys(("lam",) if series else ("lam1", "lam2"), pick["lam"]))
+    copied = ("window_len",) if series else ("lagged_window", "window_len")
+    doc.update({key: pick[key] for key in copied if key in pick})
+    depth, width = pick.get("depth"), pick.get("width")
     if depth is not None and width is not None:
-        w = doc.get("window_len", RdaeConfig.window_len)
-        input_dim = w * input_dims
-        doc["f2"] = {
+        window_len = doc.get("window_len", (RaeConfig if series else RdaeConfig).window_len)
+        input_dim = window_len * input_dims
+        doc["ae" if series else "f2"] = {
             "input_dim": input_dim,
-            "layer_dims": list(_dims_from_shape(depth, width, input_dim)),
+            "layer_dims": _dims_from_shape(depth, width, input_dim),
             "seed": seed,
         }
-    return _build_train_config("rdae", doc, None), doc
+    return _build_train_config(method, doc)
 
 
-def _run_sweep(
-    input_csv: Path, config: dict, n_random: int, out_csv: Path, seed: int | None
-) -> dict:
-    started = time.time()
+def _sweep(config, seed, inputs, outputs, out_dir, verbose):
+    n_random = int(config["n_random"])
     if n_random < 1:
         raise ConfigError(f"n_random must be >= 1, got {n_random}")
     method = config.get("method", "rae")
@@ -392,54 +297,43 @@ def _run_sweep(
     grid = config.get("grid")
     if not isinstance(grid, dict) or not grid:
         raise ConfigError("sweep config needs a nonempty 'grid' object")
-    base = dict(config.get("base", {}))
+    not_lists = sorted(k for k, v in grid.items() if not isinstance(v, list) or not v)
+    if not_lists:
+        raise ConfigError(f"sweep grid entries must be nonempty lists: {', '.join(not_lists)}")
+    base = config.get("base", {})
+    if not isinstance(base, dict):
+        raise ConfigError("sweep 'base' must be a JSON object")
     master_seed = seed if seed is not None else int(config.get("seed", 0))
-    ts = load_csv(input_csv)
+    ts = load_csv(inputs["csv"])
     if ts.labels is None:
-        raise InputError(f"{input_csv}: sweep needs a labeled series")
+        raise InputError(f"{inputs['csv']}: sweep needs a labeled series")
     rng = np.random.default_rng(master_seed)
     run_seeds = [int(s) for s in rng.integers(0, 2**63 - 1, size=n_random)]
     grid_keys = sorted(grid)
     rows = []
     for i in range(n_random):
         pick = {k: grid[k][int(rng.integers(0, len(grid[k])))] for k in grid_keys}
-        row = {"index": i, "params": json.dumps(pick, sort_keys=True)}
+        row = {"index": str(i), "params": json.dumps(pick, sort_keys=True)}
         try:
-            cfg, _ = _sampled_config(method, base, pick, ts.dims, run_seeds[i])
+            cfg = _sampled_config(method, base, pick, ts.dims, run_seeds[i])
             decomposition = train(ts, method, cfg)
             result = evaluate(outlier_scores(decomposition), ts.labels)
-            row.update(pr_auc=result.pr_auc, roc_auc=result.roc_auc, status="ok")
+            row.update(pr_auc=repr(result.pr_auc), roc_auc=repr(result.roc_auc), status="ok")
         except (RobustAEError, ValueError) as exc:
             row.update(pr_auc="", roc_auc="", status=f"failed: {exc}")
         rows.append(row)
+    # repr is the shortest round-trip form, so float() of a cell is the exact AUC
     ok_rows = sorted(
-        (r for r in rows if r["status"] == "ok"), key=lambda r: r["pr_auc"]
+        (r for r in rows if r["status"] == "ok"), key=lambda r: float(r["pr_auc"])
     )
     median_row = ok_rows[(len(ok_rows) - 1) // 2] if ok_rows else None
+    out_csv = outputs["table"]
     out_csv.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_csv, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "params", "pr_auc", "roc_auc", "status", "is_median"])
-        for r in rows:
-            writer.writerow(
-                [
-                    str(r["index"]),
-                    r["params"],
-                    repr(r["pr_auc"]) if isinstance(r["pr_auc"], float) else "",
-                    repr(r["roc_auc"]) if isinstance(r["roc_auc"], float) else "",
-                    r["status"],
-                    "1" if r is median_row else "0",
-                ]
-            )
-    manifest = out_csv.with_name(out_csv.name + ".manifest.json")
-    _write_manifest(
-        manifest,
-        "sweep",
-        {"method": method, "base": base, "grid": grid, "n_random": n_random},
-        master_seed,
-        {"csv": str(input_csv)},
-        {"table": out_csv.name},
-        started,
+    columns = ["index", "params", "pr_auc", "roc_auc", "status"]
+    _write_rows(
+        out_csv,
+        columns + ["is_median"],
+        ([r[k] for k in columns] + ["1" if r is median_row else "0"] for r in rows),
     )
     summary = {
         "table": str(out_csv),
@@ -449,61 +343,100 @@ def _run_sweep(
     if median_row is not None:
         summary["median"] = {
             "params": json.loads(median_row["params"]),
-            "pr_auc": median_row["pr_auc"],
-            "roc_auc": median_row["roc_auc"],
+            "pr_auc": float(median_row["pr_auc"]),
+            "roc_auc": float(median_row["roc_auc"]),
         }
-    return summary
+    config = {"method": method, "base": base, "grid": grid, "n_random": n_random}
+    return summary, _sidecar(out_csv), {"config": config, "seed": master_seed}
 
 
-def _run_replay(manifest_path: Path, out_dir: Path, verbose: bool) -> dict:
-    with open(manifest_path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{manifest_path}: invalid JSON ({exc})") from None
+# name -> (command, the "field.key" entries a manifest of it must hold)
+_COMMANDS = {
+    "synth": (_synth, ["outputs.csv"]),
+    "train": (_train, ["config.method", "config.train", "inputs.csv"]),
+    "eval": (_eval, ["inputs.csv"]),
+    "explain": (_explain, ["config.method", "config.gamma", "config.n_max", "inputs.csv"]),
+    "sweep": (_sweep, ["config.method", "config.base", "config.grid", "config.n_random",
+                       "inputs.csv", "outputs.table"]),
+}
+
+
+def _execute(request: dict, out_dir: Path, verbose: bool) -> dict:
+    """Run one request and write its manifest; command-line runs and replays both land here.
+
+    Inputs are paths of their own; outputs resolve under ``out_dir``.
+    """
+    started = time.time()
+    inputs = {key: Path(value) for key, value in request["inputs"].items()}
+    outputs = {key: out_dir / value for key, value in request["outputs"].items()}
+    run = _COMMANDS[request["command"]][0]
+    result, manifest, record = run(
+        request["config"], request["seed"], inputs, outputs, out_dir, verbose
+    )
+    if manifest is not None:
+        doc = {
+            "command": request["command"],
+            "inputs": {key: str(path) for key, path in inputs.items()},
+            "outputs": {key: path.name for key, path in outputs.items()},
+            **record,
+            "duration_seconds": time.time() - started,
+            "library_version": __version__,
+        }
+        _write_json(manifest, doc)
+    return result
+
+
+def _read_manifest(path: Path) -> dict:
+    """The request a manifest records, checked to hold every field its command reads."""
+    doc = _load_object(path)
     command = doc.get("command")
-    config = doc.get("config", {})
-    seed = doc.get("seed")
-    inputs = doc.get("inputs", {})
-    outputs = doc.get("outputs", {})
-    if command == "synth":
-        out_csv = out_dir / outputs.get("csv", "synthetic.csv")
-        return _run_synth(config, out_csv, seed)
-    if command == "train":
-        return _run_train(
-            config["method"],
-            Path(inputs["csv"]),
-            config["train"],
-            out_dir,
-            seed,
-            verbose,
-        )
-    if command == "sweep":
-        return _run_sweep(
-            Path(inputs["csv"]),
-            {
-                "method": config["method"],
-                "base": config["base"],
-                "grid": config["grid"],
-                "seed": seed,
-            },
-            int(config["n_random"]),
-            out_dir / outputs.get("table", "sweep.csv"),
-            seed,
-        )
-    if command == "eval":
-        return _run_eval(Path(inputs["csv"]), out_dir / outputs.get("json", "eval.json"))
-    if command == "explain":
-        return _run_explain(
-            Path(inputs["csv"]),
-            config["method"],
-            float(config["gamma"]),
-            int(config["n_max"]),
-            config.get("window_len"),
-            bool(config.get("normalize", False)),
-            out_dir / outputs.get("json", "explain.json"),
-        )
-    raise ConfigError(f"manifest command {command!r} cannot be replayed")
+    if command not in _COMMANDS:
+        raise ConfigError(f"{path}: manifest command {command!r} cannot be replayed")
+    request = {"command": command, "seed": doc.get("seed")}
+    for field in ("config", "inputs", "outputs"):
+        request[field] = doc.get(field, {})
+        if not isinstance(request[field], dict):
+            raise ConfigError(f"{path}: '{field}' must be a JSON object")
+    for field in ("inputs", "outputs"):
+        if not all(isinstance(v, str) for v in request[field].values()):
+            raise ConfigError(f"{path}: '{field}' values must be strings")
+    fields = [name.split(".") for name in _COMMANDS[command][1]]
+    missing = [".".join(f) for f in fields if f[1] not in request[f[0]]]
+    if missing:
+        raise ConfigError(f"{path}: {command} manifest lacks {', '.join(missing)}")
+    return request
+
+
+def _request(args) -> tuple[dict, Path]:
+    """The request a command line describes, and the directory its outputs go under."""
+    out_dir = Path(args.out_dir or os.environ.get(OUT_DIR_ENV, "."))
+    if args.command == "replay":
+        return _read_manifest(Path(args.manifest)), out_dir
+    request = {"command": args.command, "seed": args.seed, "config": {}, "inputs": {},
+               "outputs": {}}
+    if args.command == "synth":
+        request.update(config=_read_json(args.config), outputs={"csv": args.out})
+        return request, out_dir
+    request["inputs"]["csv"] = args.input
+    if args.command == "train":
+        request["config"] = {"method": args.method, "train": _read_json(args.config)}
+    elif args.command == "sweep":
+        request["config"] = {**_read_json(args.config), "n_random": args.n_random}
+        request["outputs"]["table"] = args.out
+    else:
+        # eval and explain take --out as a path of its own, not under --out-dir
+        out_dir = Path()
+        if args.out:
+            request["outputs"]["json"] = args.out
+        if args.command == "explain":
+            request["config"] = {
+                "method": args.method,
+                "gamma": args.gamma,
+                "n_max": args.nmax,
+                "window_len": args.window,
+                "normalize": args.normalize,
+            }
+    return request, out_dir
 
 
 # ---------------------------------------------------------------------------
@@ -573,43 +506,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors already
         return int(exc.code) if exc.code else 0
-    out_dir = _default_out_dir(args.out_dir)
     try:
-        if args.command == "synth":
-            result = _run_synth(_read_json(args.config), out_dir / args.out, args.seed)
-        elif args.command == "train":
-            result = _run_train(
-                args.method,
-                Path(args.input),
-                _read_json(args.config),
-                out_dir,
-                args.seed,
-                args.verbose,
-            )
-        elif args.command == "eval":
-            result = _run_eval(Path(args.input), Path(args.out) if args.out else None)
-        elif args.command == "explain":
-            result = _run_explain(
-                Path(args.input),
-                args.method,
-                args.gamma,
-                args.nmax,
-                args.window,
-                args.normalize,
-                Path(args.out) if args.out else None,
-            )
-        elif args.command == "sweep":
-            result = _run_sweep(
-                Path(args.input),
-                _read_json(args.config),
-                args.n_random,
-                out_dir / args.out,
-                args.seed,
-            )
-        elif args.command == "replay":
-            result = _run_replay(Path(args.manifest), out_dir, args.verbose)
-        else:  # pragma: no cover - argparse enforces the choices
-            return EXIT_USAGE
+        result = _execute(*_request(args), args.verbose)
     except _USAGE_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

@@ -339,9 +339,7 @@ def load_model(path) -> AutoencoderModel:
     payload = {k: doc.get(k) for k in ("config", "weights", "biases")}
     if _checksum(payload) != doc.get("checksum"):
         raise IntegrityError(f"{path}: checksum mismatch")
-    cfg_dict = dict(payload["config"])
-    cfg_dict["layer_dims"] = tuple(cfg_dict["layer_dims"])
-    config = AutoencoderConfig(**cfg_dict)
+    config = AutoencoderConfig(**payload["config"])
     weights = [np.array(w, dtype=np.float64) for w in payload["weights"]]
     biases = [np.array(b, dtype=np.float64) for b in payload["biases"]]
     return AutoencoderModel(config, weights=weights, biases=biases)

@@ -34,6 +34,8 @@ def _validate(scores, labels):
         )
     if scores.size == 0:
         raise EvaluationError("empty inputs")
+    if np.isnan(scores).any():
+        raise EvaluationError("scores contain NaN, which has no rank")
     return scores, labels
 
 

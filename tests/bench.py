@@ -15,6 +15,7 @@ from robustae import (
     TimeSeries,
     generate_synthetic,
     train,
+    train_rae,
     znormalize,
 )
 
@@ -23,6 +24,7 @@ SERIES_LEN = 2000
 OUTLIER_RATIO = 0.05
 OUTLIER_MAGNITUDE = 5.0
 ROBUSTNESS_METHODS = ("rae", "nrae", "rdae", "nrdae")
+LAMBDAS = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
 
 
 def spiked_sine(seed: int, length: int = SERIES_LEN, noise: float = NOISE_STD) -> TimeSeries:
@@ -112,6 +114,17 @@ def robustness_runs(seed: int):
     configs = {"rae": rae_config(seed + 1000), "rdae": rdae_config(seed + 1000)}
     for method in ROBUSTNESS_METHODS:
         yield method, train(ts, method, configs[method.removeprefix("n")])
+
+
+def lambda_runs(seed: int):
+    """Yield (lam, decomposition) of the sparsity-weight sweep over LAMBDAS.
+
+    Each run is a 30-iteration rae on spiked_sine(seed), with the network
+    seed offset by 2000 from the series seed.
+    """
+    ts = spiked_sine(seed)
+    for lam in LAMBDAS:
+        yield lam, train_rae(ts, rae_config(seed + 2000, lam=lam, outer=30))
 
 
 def median(values):

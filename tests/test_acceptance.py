@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from bench import ROBUSTNESS_METHODS, median, rae_config, robustness_runs, spiked_sine
+from bench import LAMBDAS, ROBUSTNESS_METHODS, lambda_runs, median, robustness_runs, spiked_sine
 from test_metrics import brute_force_roc, exhaustive_threshold_ap
 
 from robustae import (
@@ -30,7 +30,6 @@ from robustae import (
     save_model,
     soft_threshold,
     ssa_decompose,
-    train_rae,
     znormalize,
 )
 from robustae.cli import main as cli_main
@@ -38,7 +37,6 @@ from robustae.linalg import rmse
 from robustae.nn import AutoencoderConfig, AutoencoderModel
 
 SEEDS = list(range(1, 11))
-LAMBDA_GRID = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
 SWEEP_SEEDS = list(range(1, 6))
 
 
@@ -69,12 +67,11 @@ def bench_runs():
 def lambda_sweep():
     """PR and outlier-support size per lambda, several seeds."""
     start = time.time()
-    table = {lam: [] for lam in LAMBDA_GRID}
+    table = {lam: [] for lam in LAMBDAS}
     for seed in SWEEP_SEEDS:
-        ts = spiked_sine(seed)
-        for lam in LAMBDA_GRID:
-            dec = train_rae(ts, rae_config(seed + 2000, lam=lam, outer=30))
-            result = evaluate(outlier_scores(dec), ts.labels)
+        labels = spiked_sine(seed).labels
+        for lam, dec in lambda_runs(seed):
+            result = evaluate(outlier_scores(dec), labels)
             table[lam].append(
                 {
                     "seed": seed,
@@ -210,14 +207,14 @@ def test_criterion_05_robustness_ordering(bench_runs):
 
 
 def test_criterion_06_lambda_sensitivity_shape(lambda_sweep):
-    med = {lam: median([r["pr"] for r in lambda_sweep[lam]]) for lam in LAMBDA_GRID}
+    med = {lam: median([r["pr"] for r in lambda_sweep[lam]]) for lam in LAMBDAS}
     interior = min(med[1e-2], med[1e-1])
     boundary = max(med[1e-4], med[1.0])
     report(
         6,
         "median PR peaks in the interior lambda band",
         interior >= boundary,
-        ", ".join(f"{lam:g}:{med[lam]:.4f}" for lam in LAMBDA_GRID)
+        ", ".join(f"{lam:g}:{med[lam]:.4f}" for lam in LAMBDAS)
         + f", {lambda_sweep['elapsed']:.0f}s",
     )
 
@@ -225,7 +222,7 @@ def test_criterion_06_lambda_sensitivity_shape(lambda_sweep):
 def test_criterion_07_sparsity_monotonicity(lambda_sweep):
     fixed_seed = SWEEP_SEEDS[0]
     counts = []
-    for lam in LAMBDA_GRID:
+    for lam in LAMBDAS:
         row = next(r for r in lambda_sweep[lam] if r["seed"] == fixed_seed)
         counts.append(row["nonzero"])
     ok = all(counts[i + 1] <= counts[i] for i in range(len(counts) - 1))

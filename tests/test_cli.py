@@ -327,3 +327,64 @@ def test_out_dir_env_default(workdir, monkeypatch, capsys):
 
 def test_usage_error_exits_2():
     assert run(["train"]) == 2
+
+
+SERIES_CSV = "t,dim_0,label\n" + "".join(f"{i},{i % 7},{int(i % 10 == 0)}\n" for i in range(40))
+REPLAY = ["replay", "--manifest", "m.json"]
+SWEEP = ["sweep", "--input", "s.csv", "--config", "c.json", "--n-random", "1"]
+EVAL = ["eval", "--input", "sc.csv"]
+SWEEP_MANIFEST = {
+    "command": "sweep",
+    "config": {"method": "rae", "base": {}, "grid": {"lam": [0.05]}, "n_random": 1},
+    "seed": 0,
+    "inputs": {"csv": "s.csv"},
+    "outputs": {"table": "t.csv"},
+}
+
+
+def _without(doc, key):
+    return {**doc, "config": {k: v for k, v in doc["config"].items() if k != key}}
+
+
+@pytest.mark.parametrize(
+    "files, args, code",
+    [
+        pytest.param(
+            {"m.json": {"command": "train", "config": {}, "inputs": {"csv": "s.csv"}}},
+            REPLAY, 2, id="train-manifest-empty-config",
+        ),
+        pytest.param({"m.json": []}, REPLAY, 2, id="manifest-top-level-list"),
+        pytest.param(
+            {"m.json": {"command": "explain", "config": {"method": "prm", "n_max": 9},
+                        "seed": 0, "inputs": {"csv": "d.csv"}, "outputs": {"json": "e.json"}}},
+            REPLAY, 2, id="explain-manifest-without-gamma",
+        ),
+        pytest.param({"m.json": _without(SWEEP_MANIFEST, "base")}, REPLAY, 2,
+                     id="sweep-manifest-without-base"),
+        pytest.param({"m.json": _without(SWEEP_MANIFEST, "n_random")}, REPLAY, 2,
+                     id="sweep-manifest-without-n_random"),
+        pytest.param({}, REPLAY, 4, id="manifest-missing"),
+        pytest.param(
+            {"s.csv": SERIES_CSV, "c.json": {"ae": "abc"}},
+            ["train", "--method", "rae", "--input", "s.csv", "--config", "c.json"],
+            2, id="train-network-config-not-object",
+        ),
+        pytest.param({"s.csv": SERIES_CSV, "c.json": {"grid": {"lam": 0.05}}}, SWEEP, 2,
+                     id="sweep-grid-entry-scalar"),
+        pytest.param({"s.csv": SERIES_CSV, "c.json": {"grid": {"lam": []}}}, SWEEP, 2,
+                     id="sweep-grid-entry-empty"),
+        pytest.param({"sc.csv": "t,score,label\n0,0.9,1\n1,0.8,2\n2,0.1,0\n"}, EVAL, 2,
+                     id="eval-label-2"),
+        pytest.param({"sc.csv": "t,score,label\n0,nan,1\n1,0.8,0\n2,0.1,0\n3,0.2,1\n"},
+                     EVAL, 2, id="eval-nan-score"),
+    ],
+)
+def test_bad_input_exits_with_documented_code(tmp_path, monkeypatch, capsys, files, args, code):
+    monkeypatch.chdir(tmp_path)
+    for name, content in files.items():
+        (tmp_path / name).write_text(content if isinstance(content, str) else json.dumps(content))
+    assert run(args + ["--out-dir", "out"]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: " if code == 4 else "error: ")
+    if args[0] == "replay":
+        assert "m.json" in err

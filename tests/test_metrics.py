@@ -145,3 +145,14 @@ def test_evaluate_counts():
     assert result.n_negatives == 2
     assert 0.0 <= result.pr_auc <= 1.0
     assert 0.0 <= result.roc_auc <= 1.0
+
+
+def test_nan_score_rejected_and_inf_ranked_highest():
+    # NaN has no rank: argsort puts it last for ROC but first for the PR sweep
+    labels = [1, 0, 0, 1]
+    for metric in (evaluate, pr_auc, roc_auc):
+        with pytest.raises(EvaluationError):
+            metric([np.nan, 0.8, 0.1, 0.2], labels)
+    result = evaluate([np.inf, 0.8, 0.1, 0.2], labels)
+    assert result.pr_auc == pytest.approx(1.0 * 0.5 + (2.0 / 3.0) * 0.5)
+    assert result.roc_auc == 0.75
