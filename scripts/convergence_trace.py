@@ -15,7 +15,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from bench import LAMBDAS, rae_config, spiked_sine  # noqa: E402
 
-from robustae import train_rae  # noqa: E402
+from robustae import train  # noqa: E402
 
 
 def main() -> int:
@@ -28,7 +28,7 @@ def main() -> int:
     ts = spiked_sine(args.seed)
     traces = {}
     for lam in LAMBDAS:
-        dec = train_rae(ts, rae_config(args.seed + 3000, lam=lam, outer=args.iters))
+        dec = train(ts, "rae", rae_config(args.seed + 3000, lam=lam, outer=args.iters))
         traces[lam] = dec.loss_trace
         print(f"lambda={lam:g}: first={dec.loss_trace[0]:.4f} last={dec.loss_trace[-1]:.4f}")
 

@@ -23,12 +23,8 @@ from .decompose import (
     RaeConfig,
     RdaeConfig,
     TRAIN_METHODS,
-    ablation_variant,
     outlier_scores,
     train,
-    train_nonrobust,
-    train_rae,
-    train_rdae,
 )
 from .explain import (
     ExplainabilityResult,
@@ -64,7 +60,6 @@ __all__ = [
     "SynthConfig",
     "TRAIN_METHODS",
     "TimeSeries",
-    "ablation_variant",
     "default_window_len",
     "denormalize",
     "embed_lagged",
@@ -88,9 +83,6 @@ __all__ = [
     "soft_threshold",
     "ssa_decompose",
     "train",
-    "train_nonrobust",
-    "train_rae",
-    "train_rdae",
     "znormalize",
     "__version__",
 ]

@@ -17,7 +17,6 @@ usage/config error, 3 numerical failure, 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -33,9 +32,11 @@ from .data import (
     generate_synthetic,
     load_csv,
     load_decomposition,
+    load_scores,
     save_csv,
     save_decomposition,
     save_model,
+    write_rows,
     znormalize,
 )
 from .decompose import (
@@ -80,13 +81,18 @@ _IO_ERRORS = (OSError, IntegrityError, UpgradeError)
 
 
 def _load_object(path) -> dict:
+    """A config file or manifest: a JSON object whose ``seed``, if set, is an integer."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
+        except UnicodeDecodeError:
+            raise ConfigError(f"{path}: not UTF-8") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top-level JSON object expected")
+    if doc.get("seed") is not None and not isinstance(doc["seed"], int):
+        raise ConfigError(f"{path}: 'seed' must be an integer, got {doc['seed']!r}")
     return doc
 
 
@@ -101,13 +107,6 @@ def _write_json(path: Path, doc: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _write_rows(path: Path, header: list, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def _sidecar(path: Path) -> Path:
@@ -134,33 +133,6 @@ def _build_train_config(method: str, doc: dict):
         return (RaeConfig if series else RdaeConfig)(**{**doc, **nets})
     except TypeError as exc:
         raise ConfigError(f"bad {'rae' if series else 'rdae'} config: {exc}") from None
-
-
-def _read_scores_csv(path):
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        try:
-            score_col = header.index("score")
-            label_col = header.index("label")
-        except ValueError:
-            raise FormatError(f"{path}: needs 'score' and 'label' columns") from None
-        scores, labels = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                scores.append(float(row[score_col]))
-                label = row[label_col].strip()
-            except (ValueError, IndexError) as exc:
-                raise ParseError(f"{path}:{lineno}: bad row ({exc})") from None
-            if label not in ("0", "1"):
-                raise ParseError(f"{path}:{lineno}: label must be 0 or 1, got {label!r}")
-            labels.append(label == "1")
-    return np.array(scores), np.array(labels)
 
 
 # ---------------------------------------------------------------------------
@@ -194,19 +166,13 @@ def _train(config, seed, inputs, outputs, out_dir, verbose):
     files = {"decomposition": "decomposition.csv", "scores": "scores.csv",
              "loss_trace": "loss_trace.csv"}
     save_decomposition(decomposition, out_dir / files["decomposition"])
-    scores = ([str(i), repr(float(s))] for i, s in enumerate(outlier_scores(decomposition)))
-    if ts.labels is None:
-        _write_rows(out_dir / files["scores"], ["t", "score"], scores)
-    else:
-        _write_rows(
-            out_dir / files["scores"],
-            ["t", "score", "label"],
-            (row + ["1" if label else "0"] for row, label in zip(scores, ts.labels)),
-        )
-    _write_rows(
-        out_dir / files["loss_trace"],
-        ["iteration", "loss"],
-        ([str(i), repr(float(loss))] for i, loss in enumerate(decomposition.loss_trace, start=1)),
+    write_rows(
+        out_dir / files["scores"], ["t", "score"], enumerate(outlier_scores(decomposition)),
+        ts.labels,
+    )
+    write_rows(
+        out_dir / files["loss_trace"], ["iteration", "loss"],
+        enumerate(decomposition.loss_trace, start=1),
     )
     for role, model in decomposition.models.items():
         name = "model.json" if role == "ae" else f"model_{role}.json"
@@ -234,7 +200,7 @@ def _report(doc: dict, config: dict, outputs: dict):
 
 
 def _eval(config, seed, inputs, outputs, out_dir, verbose):
-    result = evaluate(*_read_scores_csv(inputs["csv"]))
+    result = evaluate(*load_scores(inputs["csv"]))
     return _report(asdict(result), {}, outputs)
 
 
@@ -244,8 +210,8 @@ def _explain(config, seed, inputs, outputs, out_dir, verbose):
         raise ConfigError(f"explain method must be 'prm' or 'ssa', got {method!r}")
     config = {
         "method": method,
-        "gamma": float(config["gamma"]),
-        "n_max": int(config["n_max"]),
+        "gamma": config["gamma"],
+        "n_max": config["n_max"],
         "window_len": config.get("window_len"),
         "normalize": bool(config.get("normalize", False)),
     }
@@ -288,7 +254,7 @@ def _sampled_config(method: str, base: dict, pick: dict, input_dims: int, seed: 
 
 
 def _sweep(config, seed, inputs, outputs, out_dir, verbose):
-    n_random = int(config["n_random"])
+    n_random = config["n_random"]
     if n_random < 1:
         raise ConfigError(f"n_random must be >= 1, got {n_random}")
     method = config.get("method", "rae")
@@ -303,7 +269,7 @@ def _sweep(config, seed, inputs, outputs, out_dir, verbose):
     base = config.get("base", {})
     if not isinstance(base, dict):
         raise ConfigError("sweep 'base' must be a JSON object")
-    master_seed = seed if seed is not None else int(config.get("seed", 0))
+    master_seed = seed if seed is not None else int(config.get("seed") or 0)
     ts = load_csv(inputs["csv"])
     if ts.labels is None:
         raise InputError(f"{inputs['csv']}: sweep needs a labeled series")
@@ -330,7 +296,7 @@ def _sweep(config, seed, inputs, outputs, out_dir, verbose):
     out_csv = outputs["table"]
     out_csv.parent.mkdir(parents=True, exist_ok=True)
     columns = ["index", "params", "pr_auc", "roc_auc", "status"]
-    _write_rows(
+    write_rows(
         out_csv,
         columns + ["is_median"],
         ([r[k] for k in columns] + ["1" if r is median_row else "0"] for r in rows),
@@ -404,6 +370,16 @@ def _read_manifest(path: Path) -> dict:
     missing = [".".join(f) for f in fields if f[1] not in request[f[0]]]
     if missing:
         raise ConfigError(f"{path}: {command} manifest lacks {', '.join(missing)}")
+    # the command line types these with argparse; a manifest may hold any JSON value
+    config = request["config"]
+    for key, number in (("gamma", float), ("n_max", int), ("n_random", int)):
+        if key in config:
+            try:
+                config[key] = number(config[key])
+            except (TypeError, ValueError):
+                raise ConfigError(
+                    f"{path}: config.{key} must be a number, got {config[key]!r}"
+                ) from None
     return request
 
 

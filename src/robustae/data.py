@@ -2,9 +2,10 @@
 series, and model/decomposition persistence.
 
 CSV schema: header ``t,dim_0,...,dim_{D-1}[,label]``, rows ordered by t,
-label in {0,1}. Floats are serialized as shortest-roundtrip decimals so a
-write/read roundtrip is bit-exact. Model files are JSON with a sha256
-checksum over the payload.
+label in {0,1}. Every CSV file (series, scores, decomposition) is UTF-8
+with as many fields in each row as in its header. Floats are serialized as
+shortest-roundtrip decimals so a write/read roundtrip is bit-exact. Model
+files are JSON with a sha256 checksum over the payload.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -34,6 +35,7 @@ __all__ = [
     "SynthConfig",
     "load_csv",
     "save_csv",
+    "load_scores",
     "znormalize",
     "denormalize",
     "generate_synthetic",
@@ -44,11 +46,6 @@ __all__ = [
 ]
 
 MODEL_FORMAT_VERSION = 1
-
-
-def _fmt(x: float) -> str:
-    """Shortest decimal string that roundtrips to the same float64."""
-    return repr(float(x))
 
 
 @dataclass(frozen=True)
@@ -85,71 +82,113 @@ def denormalize(ts: TimeSeries, stats: NormalizationStats) -> TimeSeries:
 
 
 # ---------------------------------------------------------------------------
-# CSV ingestion / emission
+# CSV files: every one is read through _read_rows and written through write_rows
+
+
+def _read_rows(path):
+    """Yield the stripped header of a CSV file, then ``(line number, fields)``
+    for each non-blank row.
+
+    Raises ParseError for an empty file, a file that is not UTF-8, and a row
+    whose field count differs from the header's.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(f"{path}: empty file")
+            yield [h.strip() for h in header]
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ParseError(
+                        f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+                    )
+                yield lineno, row
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 (byte 0x{exc.object[exc.start]:02x})") from None
+
+
+def _parse_fields(path, lineno: int, fields: list[str], has_label: bool = False):
+    """The floats of ``fields`` and, with ``has_label``, the last field as a
+    0/1 label: returns (floats, label or None)."""
+    try:
+        values = list(map(float, fields[:-1] if has_label else fields))
+    except ValueError as exc:
+        raise ParseError(f"{path}:{lineno}: non-numeric value ({exc})") from None
+    if not has_label:
+        return values, None
+    label = fields[-1].strip()
+    if label not in ("0", "1"):
+        raise ParseError(f"{path}:{lineno}: label must be 0 or 1, got {label!r}")
+    return values, label == "1"
+
+
+def write_rows(path, header: list[str], rows, labels=None) -> None:
+    """Write a CSV file: ``header``, then one line per row.
+
+    A float cell is written as its shortest round-trip decimal, so reading it
+    back is bit-exact; any other cell as ``str``. With ``labels``, one bool
+    per row, a last column ``label`` of 0/1 is added.
+    """
+    if labels is not None:
+        header = header + ["label"]
+        rows = ((*row, int(label)) for row, label in zip(rows, labels))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(c)) if isinstance(c, float) else c for c in row])
 
 
 def load_csv(path) -> TimeSeries:
     """Read a series from the documented CSV schema."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if not header or header[0] != "t":
-            raise FormatError(f"{path}: first column must be 't', got {header[:1]}")
-        has_label = header[-1] == "label"
-        dim_cols = header[1:-1] if has_label else header[1:]
-        if not dim_cols:
-            raise FormatError(f"{path}: no data columns found")
-        for d, name in enumerate(dim_cols):
-            if name != f"dim_{d}":
-                raise FormatError(
-                    f"{path}: expected column 'dim_{d}', got {name!r}"
-                )
-        rows = []
-        labels = []
-        prev_t = None
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            try:
-                t = float(row[0])
-                vals = [float(v) for v in row[1 : 1 + len(dim_cols)]]
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: non-numeric value ({exc})") from None
-            if prev_t is not None and t <= prev_t:
-                raise FormatError(f"{path}:{lineno}: t not strictly increasing")
-            prev_t = t
-            if has_label:
-                lab = row[-1].strip()
-                if lab not in ("0", "1"):
-                    raise ParseError(f"{path}:{lineno}: label must be 0 or 1, got {lab!r}")
-                labels.append(lab == "1")
-            rows.append(vals)
-    if not rows:
+    rows = _read_rows(path)
+    header = next(rows)
+    has_label = header[-1:] == ["label"]
+    dims = len(header) - 1 - has_label
+    if dims < 1 or header[: dims + 1] != ["t"] + [f"dim_{d}" for d in range(dims)]:
+        raise FormatError(
+            f"{path}: header must be t,dim_0,..,dim_<D-1>[,label], got {','.join(header)!r}"
+        )
+    values, labels = [], []
+    prev_t = None
+    for lineno, fields in rows:
+        (t, *row), label = _parse_fields(path, lineno, fields, has_label)
+        if prev_t is not None and t <= prev_t:
+            raise FormatError(f"{path}:{lineno}: t not strictly increasing")
+        prev_t = t
+        values.append(row)
+        labels.append(label)
+    if not values:
         raise ParseError(f"{path}: no data rows")
-    return TimeSeries(np.array(rows), labels=np.array(labels) if has_label else None)
+    return TimeSeries(np.array(values), labels=np.array(labels) if has_label else None)
 
 
 def save_csv(ts: TimeSeries, path) -> None:
     """Write a series in the documented CSV schema."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        cols = ["t"] + [f"dim_{d}" for d in range(ts.dims)]
-        if ts.labels is not None:
-            cols.append("label")
-        writer.writerow(cols)
-        for i in range(ts.length):
-            row = [str(i)] + [_fmt(v) for v in ts.values[i]]
-            if ts.labels is not None:
-                row.append("1" if ts.labels[i] else "0")
-            writer.writerow(row)
+    write_rows(
+        path,
+        ["t"] + [f"dim_{d}" for d in range(ts.dims)],
+        ((i, *row) for i, row in enumerate(ts.values)),
+        ts.labels,
+    )
+
+
+def load_scores(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read (scores, labels) from a CSV with ``score`` and ``label`` columns."""
+    rows = _read_rows(path)
+    header = next(rows)
+    try:
+        cols = [header.index("score"), header.index("label")]
+    except ValueError:
+        raise FormatError(f"{path}: needs 'score' and 'label' columns") from None
+    parsed = [
+        _parse_fields(path, lineno, [fields[i] for i in cols], True) for lineno, fields in rows
+    ]
+    return np.array([score for (score,), _ in parsed]), np.array([label for _, label in parsed])
 
 
 # ---------------------------------------------------------------------------
@@ -345,56 +384,31 @@ def load_model(path) -> AutoencoderModel:
     return AutoencoderModel(config, weights=weights, biases=biases)
 
 
+def _decomposition_header(dims: int) -> list[str]:
+    clean = [f"clean_{d}" for d in range(dims)]
+    return ["t"] + clean + [f"outlier_{d}" for d in range(dims)] + ["score"]
+
+
 def save_decomposition(decomposition, path) -> None:
     """Write clean/outlier series plus per-observation scores as CSV."""
     from .decompose import outlier_scores  # local import to avoid a cycle
 
-    clean = decomposition.clean
-    outlier = decomposition.outlier
-    scores = outlier_scores(decomposition)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = (
-            ["t"]
-            + [f"clean_{d}" for d in range(clean.dims)]
-            + [f"outlier_{d}" for d in range(outlier.dims)]
-            + ["score"]
-        )
-        writer.writerow(header)
-        for i in range(clean.length):
-            row = (
-                [str(i)]
-                + [_fmt(v) for v in clean.values[i]]
-                + [_fmt(v) for v in outlier.values[i]]
-                + [_fmt(scores[i])]
-            )
-            writer.writerow(row)
+    clean, outlier = decomposition.clean, decomposition.outlier
+    table = np.column_stack([clean.values, outlier.values, outlier_scores(decomposition)])
+    write_rows(
+        path,
+        _decomposition_header(clean.dims),
+        ((i, *row) for i, row in enumerate(table)),
+    )
 
 
 def load_decomposition(path) -> tuple[TimeSeries, TimeSeries, np.ndarray]:
     """Read back (clean, outlier, scores) from a decomposition CSV."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        clean_cols = [i for i, h in enumerate(header) if h.startswith("clean_")]
-        outlier_cols = [i for i, h in enumerate(header) if h.startswith("outlier_")]
-        if header[:1] != ["t"] or not clean_cols or not outlier_cols or header[-1] != "score":
-            raise FormatError(f"{path}: not a decomposition file")
-        clean_rows, outlier_rows, scores = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                clean_rows.append([float(row[i]) for i in clean_cols])
-                outlier_rows.append([float(row[i]) for i in outlier_cols])
-                scores.append(float(row[-1]))
-            except (ValueError, IndexError) as exc:
-                raise ParseError(f"{path}:{lineno}: bad row ({exc})") from None
-    return (
-        TimeSeries(np.array(clean_rows)),
-        TimeSeries(np.array(outlier_rows)),
-        np.array(scores),
-    )
+    rows = _read_rows(path)
+    header = next(rows)
+    d = (len(header) - 2) // 2
+    if d < 1 or header != _decomposition_header(d):
+        raise FormatError(f"{path}: not a decomposition file (t,clean_0..,outlier_0..,score)")
+    table = np.array([_parse_fields(path, lineno, fields[1:])[0] for lineno, fields in rows])
+    table = table.reshape(-1, 2 * d + 1)
+    return TimeSeries(table[:, :d].copy()), TimeSeries(table[:, d:-1].copy()), table[:, -1].copy()

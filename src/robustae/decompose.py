@@ -8,16 +8,21 @@ is the robust deep autoencoder of Zhou & Paffenroth (KDD 2017). Without a
 shrinkage weight the same kernel is the plain reconstruction baseline: S
 stays zero and the loop stops once L stops changing.
 
-* ``train_rae``: the kernel on flat windows of the series.
-* ``train_rdae``: a dual scheme. Each pass of an enclosing loop embeds
-  T - S as a lagged matrix, applies a learned smoothing network, runs the
-  kernel on the matrix columns, maps the matrix split back to series form
-  by Hankel averaging, and runs the kernel again on windows of the series.
-  The loop stops once the norm of the outlier part stabilizes.
-* ``train_nonrobust``: the same architectures without shrinkage, in a
-  single pass where each stage trains until its reconstruction stabilizes.
-* ``ablation_variant``: the dual scheme with the smoothing network and/or
-  the series stage replaced by identity.
+``train(ts, method, cfg)`` is the one entry point; ``TRAIN_METHODS`` lists
+the methods it accepts:
+
+* ``rae`` (RaeConfig): the kernel on flat windows of the series.
+* ``rdae`` (RdaeConfig): a dual scheme. Each pass of an enclosing loop
+  embeds T - S as a lagged matrix, applies a learned smoothing network f1,
+  runs the kernel on the matrix columns, maps the matrix split back to
+  series form by Hankel averaging, and runs the kernel again on windows of
+  the series with a network f2. The loop stops once the norm of the
+  outlier part stabilizes.
+* ``nrae`` and ``nrdae``: the same two architectures without shrinkage, in
+  a single pass where each stage trains until its reconstruction
+  stabilizes.
+* ``rdae-f1``, ``rdae-f2`` and ``rdae-f1f2``: ablations of ``rdae`` with
+  the smoothing network, the series stage, or both replaced by identity.
 
 ``loss_trace`` records the reconstruction RMSE of each kernel iteration of
 the last stage: the series stage for rae, nrae, rdae, rdae-f1 and nrdae,
@@ -52,10 +57,6 @@ __all__ = [
     "RaeConfig",
     "RdaeConfig",
     "Decomposition",
-    "train_rae",
-    "train_rdae",
-    "train_nonrobust",
-    "ablation_variant",
     "train",
     "outlier_scores",
     "TRAIN_METHODS",
@@ -302,22 +303,15 @@ def _alternate(
     return recon, s, it, losses
 
 
-def _zero_decomposition(ts: TimeSeries, stats: NormalizationStats) -> Decomposition:
-    zeros = np.zeros_like(ts.values)
-    clean = denormalize(TimeSeries(zeros.copy()), stats)
-    outlier = TimeSeries(np.zeros_like(ts.values))
-    return Decomposition(clean, outlier, 0, (0.0, 0.0), [], stats)
-
-
 def _finish(
     values: np.ndarray,
+    t_norm: float,
+    robust: bool,
+    stats: NormalizationStats,
     recon: np.ndarray,
     s: np.ndarray,
-    robust: bool,
-    t_norm: float,
     iterations: int,
     trace: list[float],
-    stats: NormalizationStats,
     models: dict[str, AutoencoderModel],
 ) -> Decomposition:
     if robust:
@@ -344,18 +338,12 @@ def _finish(
 
 
 # ---------------------------------------------------------------------------
-# trainers
+# trainers: each takes the z-normalized series and its norm, and returns the
+# arguments of _finish that follow them: (L, S, iterations, loss trace, models)
 
 
-def _train_series(
-    ts: TimeSeries, cfg: RaeConfig, robust: bool, verbose: bool
-) -> Decomposition:
-    norm_ts, stats = znormalize(ts)
-    values = norm_ts.values
+def _train_series(values: np.ndarray, t_norm: float, cfg: RaeConfig, robust: bool, verbose: bool):
     c, d = values.shape
-    t_norm = frobenius_norm(values)
-    if t_norm == 0.0:
-        return _zero_decomposition(ts, stats)
     windower = _SeriesWindower(c, d, cfg.window_len, cfg.stride)
     model = AutoencoderModel(
         _resolve_ae(cfg.ae, windower.input_dim, _child_seeds(cfg.seed, 1)[0])
@@ -365,17 +353,7 @@ def _train_series(
         cfg.max_outer_iters, t_norm, "rae" if robust else "nrae", verbose,
         windower.batch, windower.fold,
     )
-    return _finish(values, recon, s, robust, t_norm, iterations, trace, stats, {"ae": model})
-
-
-def train_rae(ts: TimeSeries, cfg: RaeConfig, verbose: bool = False) -> Decomposition:
-    """Alternate autoencoder refits with l1 shrinkage on the series view.
-
-    Per iteration: subtract the current outlier part, refit and apply the
-    autoencoder, take the residual, shrink it, then stop once the
-    constraint violation or the iterate change drops below epsilon.
-    """
-    return _train_series(ts, cfg, robust=True, verbose=verbose)
+    return recon, s, iterations, trace, {"ae": model}
 
 
 def _resolve_lagged_window(cfg: RdaeConfig, length: int) -> int:
@@ -390,20 +368,16 @@ def _resolve_lagged_window(cfg: RdaeConfig, length: int) -> int:
 
 
 def _train_dual(
-    ts: TimeSeries,
+    values: np.ndarray,
+    t_norm: float,
     cfg: RdaeConfig,
     use_f1: bool,
     use_f2: bool,
     robust: bool,
     verbose: bool,
-) -> Decomposition:
-    norm_ts, stats = znormalize(ts)
-    values = norm_ts.values
+):
     c, d = values.shape
     b = _resolve_lagged_window(cfg, c)
-    t_norm = frobenius_norm(values)
-    if t_norm == 0.0:
-        return _zero_decomposition(ts, stats)
     seeds = _child_seeds(cfg.seed, 3)
     f1 = (
         AutoencoderModel(_resolve_ae(cfg.f1, b * d, seeds[0], thin=True))
@@ -472,65 +446,48 @@ def _train_dual(
     }
     # a robust run counts passes, the baseline its series-stage iterations
     iterations = wit if robust else series_iters
-    return _finish(values, t_l, t_s, robust, t_norm, iterations, trace, stats, models)
+    return t_l, t_s, iterations, trace, models
 
 
-def train_rdae(ts: TimeSeries, cfg: RdaeConfig, verbose: bool = False) -> Decomposition:
-    """Dual-view trainer: lagged-matrix decomposition coupled to the series
-    view through Hankelization, each view alternating refits with shrinkage."""
-    return _train_dual(ts, cfg, use_f1=True, use_f2=True, robust=True, verbose=verbose)
-
-
-def ablation_variant(
-    ts: TimeSeries, cfg: RdaeConfig, drop: str, verbose: bool = False
-) -> Decomposition:
-    """Dual-view trainer with named parts replaced by identity.
-
-    drop='f1' skips the learned smoothing of the lagged matrix; drop='f2'
-    skips the series-view refinement (the matrix decomposition alone drives
-    the result and lam2 is unused); drop='f1f2' skips both.
-    """
-    flags = {"f1": (False, True), "f2": (True, False), "f1f2": (False, False)}
-    if drop not in flags:
-        raise ParameterError(f"drop must be one of f1, f2, f1f2, got {drop!r}")
-    use_f1, use_f2 = flags[drop]
-    return _train_dual(ts, cfg, use_f1, use_f2, robust=True, verbose=verbose)
-
-
-def train_nonrobust(
-    ts: TimeSeries, cfg, variant: str, verbose: bool = False
-) -> Decomposition:
-    """Reconstruction-error baselines without shrinkage or alternation.
-
-    'n-rae': a plain windowed autoencoder reconstructs the series; clean is
-    the reconstruction and outlier the residual. 'n-rdae': a plain
-    autoencoder reconstructs the (smoothed) lagged matrix, the result maps
-    back to a series, and a second network reconstructs that series.
-    """
-    key = variant.lower().replace("_", "-")
-    if key in ("n-rae", "nrae"):
-        if not isinstance(cfg, RaeConfig):
-            raise ParameterError("n-rae requires a RaeConfig")
-        return _train_series(ts, cfg, robust=False, verbose=verbose)
-    if key in ("n-rdae", "nrdae"):
-        if not isinstance(cfg, RdaeConfig):
-            raise ParameterError("n-rdae requires an RdaeConfig")
-        return _train_dual(ts, cfg, use_f1=True, use_f2=True, robust=False, verbose=verbose)
-    raise ParameterError(f"unknown non-robust variant {variant!r}")
-
-
-TRAIN_METHODS = ("rae", "rdae", "nrae", "nrdae", "rdae-f1", "rdae-f2", "rdae-f1f2")
+# method -> (config type, use_f1, use_f2, robust); an RdaeConfig selects the
+# dual trainer, whose smoothing network f1 and series stage f2 the flags keep
+_METHODS = {
+    "rae": (RaeConfig, False, False, True),
+    "rdae": (RdaeConfig, True, True, True),
+    "nrae": (RaeConfig, False, False, False),
+    "nrdae": (RdaeConfig, True, True, False),
+    "rdae-f1": (RdaeConfig, False, True, True),
+    "rdae-f2": (RdaeConfig, True, False, True),
+    "rdae-f1f2": (RdaeConfig, False, False, True),
+}
+TRAIN_METHODS = tuple(_METHODS)
 
 
 def train(ts: TimeSeries, method: str, cfg, verbose: bool = False) -> Decomposition:
-    """Dispatch by method name (see TRAIN_METHODS)."""
-    method = method.lower()
-    if method == "rae":
-        return train_rae(ts, cfg, verbose)
-    if method == "rdae":
-        return train_rdae(ts, cfg, verbose)
-    if method in ("nrae", "n-rae", "nrdae", "n-rdae"):
-        return train_nonrobust(ts, cfg, method, verbose)
-    if method.startswith("rdae-"):
-        return ablation_variant(ts, cfg, method.removeprefix("rdae-"), verbose)
-    raise ParameterError(f"unknown method {method!r}; expected one of {TRAIN_METHODS}")
+    """Decompose ``ts`` with the trainer ``method`` names (one of TRAIN_METHODS).
+
+    ``rae`` and ``nrae`` take a RaeConfig, every other method an RdaeConfig;
+    an unknown name or a config of the wrong type raises ParameterError.
+    With ``verbose`` each kernel iteration logs one line to stderr.
+    """
+    if method not in _METHODS:
+        raise ParameterError(f"unknown method {method!r}; expected one of {TRAIN_METHODS}")
+    config_type, use_f1, use_f2, robust = _METHODS[method]
+    if not isinstance(cfg, config_type):
+        raise ParameterError(
+            f"method {method!r} takes a {config_type.__name__}, not {type(cfg).__name__}"
+        )
+    norm_ts, stats = znormalize(ts)
+    values = norm_ts.values
+    t_norm = frobenius_norm(values)
+    if t_norm == 0.0:
+        # a zero or constant series: nothing to fit, and no outliers
+        zeros = np.zeros_like(values)
+        return Decomposition(
+            denormalize(TimeSeries(zeros), stats), TimeSeries(zeros), 0, (0.0, 0.0), [], stats
+        )
+    if config_type is RaeConfig:
+        parts = _train_series(values, t_norm, cfg, robust, verbose)
+    else:
+        parts = _train_dual(values, t_norm, cfg, use_f1, use_f2, robust, verbose)
+    return _finish(values, t_norm, robust, stats, *parts)

@@ -15,7 +15,6 @@ from robustae import (
     TimeSeries,
     generate_synthetic,
     train,
-    train_rae,
     znormalize,
 )
 
@@ -124,7 +123,7 @@ def lambda_runs(seed: int):
     """
     ts = spiked_sine(seed)
     for lam in LAMBDAS:
-        yield lam, train_rae(ts, rae_config(seed + 2000, lam=lam, outer=30))
+        yield lam, train(ts, "rae", rae_config(seed + 2000, lam=lam, outer=30))
 
 
 def median(values):

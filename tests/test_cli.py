@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from robustae import load_csv, evaluate, outlier_scores, train
+from robustae import evaluate, load_csv, load_decomposition, outlier_scores, train
 from robustae.cli import main
 from robustae.decompose import RaeConfig
 from robustae.nn import AutoencoderConfig
@@ -214,6 +214,18 @@ def test_sweep_median_is_middle_pr(workdir, capsys):
     assert float(marked[0]["pr_auc"]) == prs[(len(prs) - 1) // 2]
 
 
+def test_sweep_null_seed_is_seed_0(workdir, capsys):
+    run(["synth", "--config", workdir / "synth.json", "--out", "data.csv",
+         "--out-dir", workdir])
+    for seed in (None, 0):
+        sweep_cfg = {"base": {"max_outer_iters": 2, "window_len": 8}, "grid": {"lam": [0.05, 0.5]},
+                     "seed": seed}
+        (workdir / "sweep.json").write_text(json.dumps(sweep_cfg))
+        assert run(["sweep", "--input", workdir / "data.csv", "--config", workdir / "sweep.json",
+                    "--n-random", "2", "--out", f"table_{seed}.csv", "--out-dir", workdir]) == 0
+    assert (workdir / "table_None.csv").read_bytes() == (workdir / "table_0.csv").read_bytes()
+
+
 def test_replay_reproduces_outputs_byte_identically(workdir, capsys):
     run(["synth", "--config", workdir / "synth.json", "--out", "data.csv",
          "--out-dir", workdir])
@@ -330,9 +342,21 @@ def test_usage_error_exits_2():
 
 
 SERIES_CSV = "t,dim_0,label\n" + "".join(f"{i},{i % 7},{int(i % 10 == 0)}\n" for i in range(40))
+DECOMPOSITION_CSV = "t,clean_0,outlier_0,score\n" + "".join(
+    f"{i},{i / 2},0.0,0.0\n" for i in range(50)
+)
+QUICK_RAE = {"window_len": 8, "max_outer_iters": 2, "seed": 1}
 REPLAY = ["replay", "--manifest", "m.json"]
+TRAIN = ["train", "--method", "rae", "--input", "s.csv", "--config", "c.json"]
 SWEEP = ["sweep", "--input", "s.csv", "--config", "c.json", "--n-random", "1"]
 EVAL = ["eval", "--input", "sc.csv"]
+EXPLAIN_MANIFEST = {
+    "command": "explain",
+    "config": {"method": "prm", "gamma": 0.1, "n_max": 9},
+    "seed": 0,
+    "inputs": {"csv": "d.csv"},
+    "outputs": {"json": "e.json"},
+}
 SWEEP_MANIFEST = {
     "command": "sweep",
     "config": {"method": "rae", "base": {}, "grid": {"lam": [0.05]}, "n_random": 1},
@@ -346,45 +370,93 @@ def _without(doc, key):
     return {**doc, "config": {k: v for k, v in doc["config"].items() if k != key}}
 
 
+def _with(doc, **config):
+    return {**doc, "config": {**doc["config"], **config}}
+
+
+# files: name -> text, bytes, or a JSON document; named: a file the error
+# message must name, or None
 @pytest.mark.parametrize(
-    "files, args, code",
+    "files, args, code, named",
     [
         pytest.param(
             {"m.json": {"command": "train", "config": {}, "inputs": {"csv": "s.csv"}}},
-            REPLAY, 2, id="train-manifest-empty-config",
+            REPLAY, 2, "m.json", id="train-manifest-empty-config",
         ),
-        pytest.param({"m.json": []}, REPLAY, 2, id="manifest-top-level-list"),
-        pytest.param(
-            {"m.json": {"command": "explain", "config": {"method": "prm", "n_max": 9},
-                        "seed": 0, "inputs": {"csv": "d.csv"}, "outputs": {"json": "e.json"}}},
-            REPLAY, 2, id="explain-manifest-without-gamma",
-        ),
-        pytest.param({"m.json": _without(SWEEP_MANIFEST, "base")}, REPLAY, 2,
+        pytest.param({"m.json": []}, REPLAY, 2, "m.json", id="manifest-top-level-list"),
+        pytest.param({"m.json": _without(EXPLAIN_MANIFEST, "gamma")}, REPLAY, 2, "m.json",
+                     id="explain-manifest-without-gamma"),
+        pytest.param({"m.json": _without(SWEEP_MANIFEST, "base")}, REPLAY, 2, "m.json",
                      id="sweep-manifest-without-base"),
-        pytest.param({"m.json": _without(SWEEP_MANIFEST, "n_random")}, REPLAY, 2,
+        pytest.param({"m.json": _without(SWEEP_MANIFEST, "n_random")}, REPLAY, 2, "m.json",
                      id="sweep-manifest-without-n_random"),
-        pytest.param({}, REPLAY, 4, id="manifest-missing"),
-        pytest.param(
-            {"s.csv": SERIES_CSV, "c.json": {"ae": "abc"}},
-            ["train", "--method", "rae", "--input", "s.csv", "--config", "c.json"],
-            2, id="train-network-config-not-object",
-        ),
-        pytest.param({"s.csv": SERIES_CSV, "c.json": {"grid": {"lam": 0.05}}}, SWEEP, 2,
+        pytest.param({}, REPLAY, 4, "m.json", id="manifest-missing"),
+        pytest.param({"s.csv": SERIES_CSV, "c.json": {"ae": "abc"}}, TRAIN, 2, None,
+                     id="train-network-config-not-object"),
+        pytest.param({"s.csv": SERIES_CSV, "c.json": {"grid": {"lam": 0.05}}}, SWEEP, 2, None,
                      id="sweep-grid-entry-scalar"),
-        pytest.param({"s.csv": SERIES_CSV, "c.json": {"grid": {"lam": []}}}, SWEEP, 2,
+        pytest.param({"s.csv": SERIES_CSV, "c.json": {"grid": {"lam": []}}}, SWEEP, 2, None,
                      id="sweep-grid-entry-empty"),
         pytest.param({"sc.csv": "t,score,label\n0,0.9,1\n1,0.8,2\n2,0.1,0\n"}, EVAL, 2,
-                     id="eval-label-2"),
+                     "sc.csv", id="eval-label-2"),
         pytest.param({"sc.csv": "t,score,label\n0,nan,1\n1,0.8,0\n2,0.1,0\n3,0.2,1\n"},
-                     EVAL, 2, id="eval-nan-score"),
+                     EVAL, 2, None, id="eval-nan-score"),
+        # values a manifest or config file holds that int() or float() cannot convert
+        pytest.param({"m.json": _with(EXPLAIN_MANIFEST, gamma="abc")}, REPLAY, 2, "m.json",
+                     id="explain-manifest-gamma-not-number"),
+        pytest.param({"m.json": _with(EXPLAIN_MANIFEST, n_max="x")}, REPLAY, 2, "m.json",
+                     id="explain-manifest-n_max-not-number"),
+        pytest.param({"m.json": _with(SWEEP_MANIFEST, n_random="x")}, REPLAY, 2, "m.json",
+                     id="sweep-manifest-n_random-not-number"),
+        pytest.param({"m.json": {**SWEEP_MANIFEST, "seed": "abc"}}, REPLAY, 2, "m.json",
+                     id="sweep-manifest-seed-not-integer"),
+        pytest.param({"s.csv": SERIES_CSV, "c.json": {"grid": {"lam": [0.05]}, "seed": "abc"}},
+                     SWEEP, 2, "c.json", id="sweep-config-seed-not-integer"),
+        # files that are not UTF-8
+        pytest.param({"m.json": b'{"command": "eval", "x": "\xff"}'}, REPLAY, 2, "m.json",
+                     id="manifest-not-utf8"),
+        pytest.param({"s.csv": SERIES_CSV, "c.json": b'{"lam": "\xff"}'}, TRAIN, 2, "c.json",
+                     id="train-config-not-utf8"),
+        pytest.param({"s.csv": SERIES_CSV.replace("3,3,0", "3,\xff3,0").encode("latin-1"),
+                      "c.json": QUICK_RAE}, TRAIN, 2, "s.csv", id="train-series-not-utf8"),
+        # rows with more fields than the header
+        pytest.param({"d.csv": DECOMPOSITION_CSV.replace("5,2.5,0.0,0.0", "5,2.5,0.0,0.0,9")},
+                     ["explain", "--input", "d.csv", "--method", "prm", "--gamma", "0.1"],
+                     2, "d.csv", id="explain-decomposition-extra-field"),
+        pytest.param({"sc.csv": "t,score,label\n0,0.9,1\n1,0.8,0,7\n2,0.1,0\n3,0.2,1\n"},
+                     EVAL, 2, "sc.csv", id="eval-scores-extra-field"),
+        # degenerate series and score sets
+        pytest.param({"s.csv": "t,dim_0\n" + "".join(f"{i},3.0\n" for i in range(40)),
+                      "c.json": QUICK_RAE}, TRAIN, 0, None, id="train-constant-column"),
+        pytest.param({"s.csv": "t,dim_0\n" + "".join(f"{i},{i % 3}\n" for i in range(8)),
+                      "c.json": QUICK_RAE}, TRAIN, 2, None, id="train-length-not-above-window"),
+        pytest.param({"s.csv": SERIES_CSV.replace("3,3,0", "3,nan,0"), "c.json": QUICK_RAE},
+                     TRAIN, 2, None, id="train-nan-in-series"),
+        pytest.param({"s.csv": SERIES_CSV.replace("3,3,0", "3,inf,0"), "c.json": QUICK_RAE},
+                     TRAIN, 2, None, id="train-inf-in-series"),
+        pytest.param({"s.csv": "t,dim_0\n" + "".join(f"{i},{i % 7}e300\n" for i in range(40)),
+                      "c.json": QUICK_RAE}, TRAIN, 2, None, id="train-1e300-magnitude"),
+        pytest.param({"sc.csv": "t,score,label\n"}, EVAL, 2, None, id="eval-header-only"),
     ],
 )
-def test_bad_input_exits_with_documented_code(tmp_path, monkeypatch, capsys, files, args, code):
+def test_bad_input_exits_with_documented_code(
+    tmp_path, monkeypatch, capsys, files, args, code, named
+):
     monkeypatch.chdir(tmp_path)
     for name, content in files.items():
-        (tmp_path / name).write_text(content if isinstance(content, str) else json.dumps(content))
+        if isinstance(content, bytes):
+            (tmp_path / name).write_bytes(content)
+        else:
+            (tmp_path / name).write_text(
+                content if isinstance(content, str) else json.dumps(content)
+            )
     assert run(args + ["--out-dir", "out"]) == code
     err = capsys.readouterr().err
+    if code == 0:
+        # a constant column normalizes to zero, and a zero series has no outliers
+        _, outlier, _ = load_decomposition(tmp_path / "out" / "decomposition.csv")
+        assert not outlier.values.any()
+        return
     assert err.startswith("i/o error: " if code == 4 else "error: ")
-    if args[0] == "replay":
-        assert "m.json" in err
+    if named is not None:
+        assert named in err

@@ -215,3 +215,18 @@ def test_decomposition_roundtrip(tmp_path):
     assert np.array_equal(clean2.values, clean.values)
     assert np.array_equal(outlier2.values, outlier.values)
     assert np.array_equal(scores, np.sum(outlier.values**2, axis=1))
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        "t,clean_0,outlier_0,note,score",
+        "t,clean_0,outlier_0,outlier_1,score",
+        "t,clean_1,outlier_0,score",
+    ],
+)
+def test_decomposition_header_must_match_exactly(tmp_path, header):
+    path = tmp_path / "dec.csv"
+    path.write_text(header + "\n" + ",".join(["0"] * len(header.split(","))) + "\n")
+    with pytest.raises(FormatError, match="not a decomposition file"):
+        load_decomposition(path)

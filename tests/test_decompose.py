@@ -10,13 +10,9 @@ from robustae import (
     RaeConfig,
     RdaeConfig,
     TimeSeries,
-    ablation_variant,
     evaluate,
     outlier_scores,
     train,
-    train_nonrobust,
-    train_rae,
-    train_rdae,
     znormalize,
 )
 from robustae.decompose import Decomposition
@@ -63,34 +59,34 @@ def assert_constraint(ts, d, tol=1e-9):
 
 def test_rae_zero_series():
     ts = TimeSeries(np.zeros(100))
-    d = train_rae(ts, quick_rae())
+    d = train(ts, "rae", quick_rae())
     assert np.all(d.clean.values == 0.0)
     assert np.all(d.outlier.values == 0.0)
     assert d.final_residuals == (0.0, 0.0)
 
 
 def test_rdae_zero_series():
-    d = train_rdae(TimeSeries(np.zeros(100)), quick_rdae())
+    d = train(TimeSeries(np.zeros(100)), "rdae", quick_rdae())
     assert np.all(d.outlier.values == 0.0)
 
 
 def test_rae_full_shrinkage_gives_empty_outlier():
     ts = quick_ts()
     # threshold above any achievable residual on z-normalized data
-    d = train_rae(ts, quick_rae(lam=50.0, outer=6))
+    d = train(ts, "rae", quick_rae(lam=50.0, outer=6))
     assert np.all(d.outlier.values == 0.0)
     assert_constraint(ts, d)
 
 
 def test_rdae_full_shrinkage_gives_empty_outlier():
     ts = quick_ts()
-    d = train_rdae(ts, quick_rdae(lam1=50.0, lam2=50.0))
+    d = train(ts, "rdae", quick_rdae(lam1=50.0, lam2=50.0))
     assert np.all(d.outlier.values == 0.0)
 
 
 def test_rae_constraint_and_residuals():
     ts = quick_ts()
-    d = train_rae(ts, quick_rae())
+    d = train(ts, "rae", quick_rae())
     assert_constraint(ts, d)
     assert d.final_residuals[0] < 1e-5
     assert d.iterations_run >= 1
@@ -99,15 +95,15 @@ def test_rae_constraint_and_residuals():
 
 def test_rdae_constraint():
     ts = quick_ts()
-    d = train_rdae(ts, quick_rdae())
+    d = train(ts, "rdae", quick_rdae())
     assert_constraint(ts, d)
     assert d.final_residuals[0] < 1e-5
 
 
 def test_rae_determinism():
     ts = quick_ts()
-    a = train_rae(ts, quick_rae(seed=5))
-    b = train_rae(ts, quick_rae(seed=5))
+    a = train(ts, "rae", quick_rae(seed=5))
+    b = train(ts, "rae", quick_rae(seed=5))
     assert np.array_equal(a.clean.values, b.clean.values)
     assert np.array_equal(a.outlier.values, b.outlier.values)
     assert a.loss_trace == b.loss_trace
@@ -115,13 +111,13 @@ def test_rae_determinism():
 
 def test_rdae_determinism():
     ts = quick_ts()
-    a = train_rdae(ts, quick_rdae(seed=9))
-    b = train_rdae(ts, quick_rdae(seed=9))
+    a = train(ts, "rdae", quick_rdae(seed=9))
+    b = train(ts, "rdae", quick_rdae(seed=9))
     assert np.array_equal(a.outlier.values, b.outlier.values)
 
 
 def test_scores_zero_outlier():
-    d = train_rae(TimeSeries(np.zeros(64)), quick_rae())
+    d = train(TimeSeries(np.zeros(64)), "rae", quick_rae())
     assert np.all(outlier_scores(d) == 0.0)
 
 
@@ -140,14 +136,14 @@ def test_scores_squared_norm_multivariate():
 
 def test_rae_detects_spikes_quick():
     ts = spiked_sine(3, length=600, noise=0.2)
-    d = train_rae(ts, quick_rae(seed=3, outer=25))
+    d = train(ts, "rae", quick_rae(seed=3, outer=25))
     result = evaluate(outlier_scores(d), ts.labels)
     assert result.roc_auc > 0.9
 
 
 def test_nrae_structure():
     ts = quick_ts()
-    d = train_nonrobust(ts, quick_rae(), "n-rae")
+    d = train(ts, "nrae", quick_rae())
     assert_constraint(ts, d)
     # no shrinkage: the outlier part is the dense residual
     assert np.count_nonzero(d.outlier.values) > 0.9 * ts.length
@@ -155,7 +151,7 @@ def test_nrae_structure():
 
 def test_nrdae_structure():
     ts = quick_ts()
-    d = train_nonrobust(ts, quick_rdae(), "n-rdae")
+    d = train(ts, "nrdae", quick_rdae())
     assert_constraint(ts, d)
     assert np.count_nonzero(d.outlier.values) > 0.9 * ts.length
 
@@ -163,9 +159,9 @@ def test_nrdae_structure():
 def test_nonrobust_variant_validation():
     ts = quick_ts()
     with pytest.raises(ParameterError):
-        train_nonrobust(ts, quick_rae(), "bogus")
+        train(ts, "bogus", quick_rae())
     with pytest.raises(ParameterError):
-        train_nonrobust(ts, quick_rae(), "n-rdae")
+        train(ts, "nrdae", quick_rae())
 
 
 def test_ablation_f1_ignores_f1_config():
@@ -178,22 +174,22 @@ def test_ablation_f1_ignores_f1_config():
         lagged_window=6, lam1=0.05, lam2=0.05, max_outer_iters=6, max_while_iters=2,
         window_len=8, seed=4, f1=f1_other, inner_ae=cfg_a.inner_ae, f2=cfg_a.f2,
     )
-    a = ablation_variant(ts, cfg_a, "f1")
-    b = ablation_variant(ts, cfg_b, "f1")
+    a = train(ts, "rdae-f1", cfg_a)
+    b = train(ts, "rdae-f1", cfg_b)
     assert np.array_equal(a.outlier.values, b.outlier.values)
 
 
 def test_ablation_f2_and_f1f2_ignore_lam2():
     ts = quick_ts()
-    for drop in ("f2", "f1f2"):
-        a = ablation_variant(ts, quick_rdae(seed=6, lam2=0.05), drop)
-        b = ablation_variant(ts, quick_rdae(seed=6, lam2=99.0), drop)
+    for method in ("rdae-f2", "rdae-f1f2"):
+        a = train(ts, method, quick_rdae(seed=6, lam2=0.05))
+        b = train(ts, method, quick_rdae(seed=6, lam2=99.0))
         assert np.array_equal(a.outlier.values, b.outlier.values)
 
 
 def test_ablation_bad_name():
     with pytest.raises(ParameterError):
-        ablation_variant(quick_ts(), quick_rdae(), "f3")
+        train(quick_ts(), "rdae-f3", quick_rdae())
 
 
 def test_train_dispatch():
@@ -209,11 +205,22 @@ def test_train_dispatch():
         train(ts, "unknown", quick_rae())
 
 
+def test_train_rejects_wrong_config_type_and_other_spellings():
+    ts = quick_ts()
+    with pytest.raises(ParameterError, match="takes a RaeConfig"):
+        train(ts, "rae", RdaeConfig())
+    with pytest.raises(ParameterError, match="takes a RdaeConfig"):
+        train(ts, "rdae-f1", quick_rae())
+    for spelling in ("RAE", "n-rae", "N_RAE", "n-rdae"):
+        with pytest.raises(ParameterError, match="unknown method"):
+            train(ts, spelling, quick_rae())
+
+
 def test_sparsity_monotone_in_lambda_quick():
     ts = quick_ts(seed=8)
     counts = []
     for lam in (1e-4, 1e-2, 1e-1, 1.0):
-        d = train_rae(ts, quick_rae(seed=8, lam=lam))
+        d = train(ts, "rae", quick_rae(seed=8, lam=lam))
         counts.append(int(np.count_nonzero(d.outlier.values)))
     assert all(counts[i + 1] <= counts[i] for i in range(len(counts) - 1))
 
@@ -221,7 +228,7 @@ def test_sparsity_monotone_in_lambda_quick():
 def test_series_too_short_for_window():
     ts = TimeSeries(np.arange(8.0))
     with pytest.raises(InputError):
-        train_rae(ts, quick_rae())  # window_len 8 needs C > 8
+        train(ts, "rae", quick_rae())  # window_len 8 needs C > 8
 
 
 def test_lagged_window_out_of_range():
@@ -232,7 +239,7 @@ def test_lagged_window_out_of_range():
         window_len=8, seed=0, f1=None, inner_ae=None, f2=None,
     )
     with pytest.raises(ParameterError, match="lagged_window"):
-        train_rdae(ts, bad)
+        train(ts, "rdae", bad)
 
 
 # (iterations_run, len(loss_trace)) per method at epsilon 1e-5, 0.1 and 0.5.
@@ -268,19 +275,19 @@ def test_numerical_error_carries_iteration():
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
         NumericalError, match="iteration"
     ):
-        train_rae(ts, cfg)
+        train(ts, "rae", cfg)
 
 
 def test_verbose_logging(capsys):
     ts = quick_ts(length=120)
-    train_rae(ts, quick_rae(outer=2), verbose=True)
+    train(ts, "rae", quick_rae(outer=2), verbose=True)
     err = capsys.readouterr().err
     assert "cond1" in err and "cond2" in err
 
 
 def test_loss_trace_decreasing_trend():
     ts = quick_ts(seed=2, length=600)
-    d = train_rae(ts, quick_rae(seed=2, outer=25))
+    d = train(ts, "rae", quick_rae(seed=2, outer=25))
     assert d.loss_trace[-1] < d.loss_trace[0]
 
 
@@ -303,7 +310,7 @@ def test_rae_multivariate():
         input_dim=16, layer_dims=(20, 10, 20), learning_rate=5e-3, inner_epochs=6, seed=4
     )
     cfg = RaeConfig(lam=0.05, max_outer_iters=10, window_len=8, seed=4, ae=ae)
-    d = train_rae(ts, cfg)
+    d = train(ts, "rae", cfg)
     assert d.clean.values.shape == (240, 2)
     assert_constraint(ts, d)
     assert outlier_scores(d).shape == (240,)
@@ -315,7 +322,7 @@ def test_rdae_multivariate():
         lagged_window=6, lam1=0.05, lam2=0.05, max_outer_iters=5, max_while_iters=2,
         window_len=8, seed=5, f1=None, inner_ae=None, f2=None,
     )
-    d = train_rdae(ts, cfg)
+    d = train(ts, "rdae", cfg)
     assert d.clean.values.shape == (240, 2)
     assert_constraint(ts, d)
 
@@ -326,7 +333,7 @@ def test_rae_stride_covers_series():
         input_dim=8, layer_dims=(12, 6, 12), learning_rate=5e-3, inner_epochs=6, seed=6
     )
     cfg = RaeConfig(lam=0.05, max_outer_iters=8, window_len=8, stride=4, seed=6, ae=ae)
-    d = train_rae(ts, cfg)
+    d = train(ts, "rae", cfg)
     assert_constraint(ts, d)
     assert np.all(np.isfinite(d.clean.values))
 
@@ -335,5 +342,5 @@ def test_default_network_shapes_derived():
     # leaving the network configs unset derives defaults from the widths
     ts = quick_ts(seed=7)
     cfg = RaeConfig(lam=0.05, max_outer_iters=5, window_len=8, seed=7, ae=None)
-    d = train_rae(ts, cfg)
+    d = train(ts, "rae", cfg)
     assert d.models["ae"].config.input_dim == 8
