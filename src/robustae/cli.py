@@ -117,10 +117,13 @@ def _with_seed(doc: dict, seed: int | None) -> dict:
     return doc if seed is None else {**doc, "seed": seed}
 
 
-def _build_train_config(method: str, doc: dict):
+def _build_train_config(method: str, doc: dict, source=None):
+    """The trainer config a JSON object describes; ``source``, the file it
+    was read from, if any, prefixes the error messages."""
     series = method in ("rae", "nrae")
+    where = f"{source}: " if source is not None else ""
     if not isinstance(doc, dict):
-        raise ConfigError(f"{method} config must be a JSON object")
+        raise ConfigError(f"{where}{method} config must be a JSON object")
     try:
         nets = {
             key: AutoencoderConfig(**doc[key])
@@ -128,11 +131,11 @@ def _build_train_config(method: str, doc: dict):
             if doc.get(key) is not None
         }
     except TypeError as exc:
-        raise ConfigError(f"bad network config: {exc}") from None
+        raise ConfigError(f"{where}bad network config: {exc}") from None
     try:
         return (RaeConfig if series else RdaeConfig)(**{**doc, **nets})
     except TypeError as exc:
-        raise ConfigError(f"bad {'rae' if series else 'rdae'} config: {exc}") from None
+        raise ConfigError(f"{where}bad {'rae' if series else 'rdae'} config: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +163,9 @@ def _train(config, seed, inputs, outputs, out_dir, verbose):
     if method not in TRAIN_METHODS:
         raise ConfigError(f"method must be one of {TRAIN_METHODS}, got {method!r}")
     ts = load_csv(inputs["csv"])
-    cfg = _build_train_config(method, _with_seed(config["train"], seed))
+    cfg = _build_train_config(
+        method, _with_seed(config["train"], seed), config.get("train_file")
+    )
     decomposition = train(ts, method, cfg, verbose=verbose)
     out_dir.mkdir(parents=True, exist_ok=True)
     files = {"decomposition": "decomposition.csv", "scores": "scores.csv",
@@ -372,6 +377,8 @@ def _read_manifest(path: Path) -> dict:
         raise ConfigError(f"{path}: {command} manifest lacks {', '.join(missing)}")
     # the command line types these with argparse; a manifest may hold any JSON value
     config = request["config"]
+    if command == "train":
+        config["train_file"] = str(path)
     for key, number in (("gamma", float), ("n_max", int), ("n_random", int)):
         if key in config:
             try:
@@ -395,7 +402,8 @@ def _request(args) -> tuple[dict, Path]:
         return request, out_dir
     request["inputs"]["csv"] = args.input
     if args.command == "train":
-        request["config"] = {"method": args.method, "train": _read_json(args.config)}
+        request["config"] = {"method": args.method, "train": _read_json(args.config),
+                             "train_file": str(args.config)}
     elif args.command == "sweep":
         request["config"] = {**_read_json(args.config), "n_random": args.n_random}
         request["outputs"]["table"] = args.out

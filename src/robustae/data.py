@@ -65,11 +65,22 @@ class NormalizationStats:
 
 
 def znormalize(ts: TimeSeries) -> tuple[TimeSeries, NormalizationStats]:
-    """Per-dimension zero mean, unit sample variance."""
+    """Per-dimension zero mean, unit sample variance.
+
+    Raises InputError when the values are finite but so large that their
+    mean or standard deviation overflows.
+    """
     if ts.length < 2:
         raise InputError("z-normalization needs at least 2 observations")
-    mean = ts.values.mean(axis=0)
-    std = ts.values.std(axis=0, ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = ts.values.mean(axis=0)
+        std = ts.values.std(axis=0, ddof=1)
+    # TimeSeries values are finite, so a non-finite statistic is an overflow
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(std))):
+        raise InputError(
+            f"series values up to {np.max(np.abs(ts.values)):.3g} in magnitude are "
+            "too large to z-normalize: their mean or standard deviation overflows"
+        )
     clamped = std <= 0.0
     std = np.where(clamped, 1.0, std)
     out = (ts.values - mean) / std

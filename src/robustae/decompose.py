@@ -186,17 +186,20 @@ class _SeriesWindower:
         self.dims = dims
         self.window_len = window_len
         self.idx = np.asarray(starts)[:, None] + np.arange(window_len)[None, :]
-        counts = np.zeros(length)
-        np.add.at(counts, self.idx.ravel(), 1.0)
-        self.counts = counts[:, None]
+        self._steps = self.idx.ravel()
+        self.counts = np.bincount(self._steps, minlength=length).astype(np.float64)[:, None]
         self.input_dim = window_len * dims
 
     def batch(self, values: np.ndarray) -> np.ndarray:
         return values[self.idx].reshape(self.idx.shape[0], self.input_dim)
 
     def fold(self, outputs: np.ndarray) -> np.ndarray:
-        acc = np.zeros((self.length, self.dims))
-        np.add.at(acc, self.idx.ravel(), outputs.reshape(-1, self.dims))
+        # bincount sums each timestep's window entries in index order from
+        # zero, the order np.add.at uses, so the sums are bit-identical to it
+        columns = outputs.reshape(-1, self.dims)
+        acc = np.empty((self.length, self.dims))
+        for d in range(self.dims):
+            acc[:, d] = np.bincount(self._steps, weights=columns[:, d], minlength=self.length)
         return acc / self.counts
 
 

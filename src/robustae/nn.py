@@ -4,6 +4,12 @@ One network class serves every learned transformation in the package: the
 reconstruction autoencoders and the input/output-width-preserving smoothing
 networks. Layers are symmetric around a bottleneck; the final layer is
 linear so reconstructions are unbounded reals.
+
+A train step allocates no array the size of a batch: ``train`` makes one
+workspace of layer, delta and scratch buffers for all its steps, and every
+ufunc and matmul of the step writes into it with ``out=``. Parameters,
+gradients and the two Adam moments are one flat vector each, so Adam and
+the finiteness checks sweep each of them once per step.
 """
 
 from __future__ import annotations
@@ -23,44 +29,38 @@ __all__ = [
 ]
 
 
-def _tanh(z):
-    return np.tanh(z)
+_ACTIVATIONS = ("tanh", "sigmoid", "relu", "linear")
 
 
-def _tanh_grad(z, a):
-    return 1.0 - a * a
+def _activate(name: str, z: np.ndarray) -> None:
+    """Apply the activation to ``z`` in place."""
+    if name == "tanh":
+        np.tanh(z, out=z)
+    elif name == "sigmoid":
+        # 1 / (1 + exp(-z))
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+        np.add(z, 1.0, out=z)
+        np.divide(1.0, z, out=z)
+    elif name == "relu":
+        np.maximum(z, 0.0, out=z)
 
 
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
+def _scale_by_derivative(name: str, a: np.ndarray, delta: np.ndarray, scratch: np.ndarray):
+    """``delta *= f'(z)`` in place, with f'(z) computed from the activation a = f(z)."""
+    if name == "linear":
+        return  # f' = 1
+    if name == "tanh":
+        np.multiply(a, a, out=scratch)
+        np.subtract(1.0, scratch, out=scratch)
+    elif name == "sigmoid":
+        np.subtract(1.0, a, out=scratch)
+        np.multiply(a, scratch, out=scratch)
+    else:
+        # relu: a = max(z, 0) is positive exactly where z is
+        np.greater(a, 0.0, out=scratch)
+    np.multiply(delta, scratch, out=delta)
 
-
-def _sigmoid_grad(z, a):
-    return a * (1.0 - a)
-
-
-def _relu(z):
-    return np.maximum(z, 0.0)
-
-
-def _relu_grad(z, a):
-    return (z > 0.0).astype(np.float64)
-
-
-def _linear(z):
-    return z
-
-
-def _linear_grad(z, a):
-    return np.ones_like(z)
-
-
-_ACTIVATIONS = {
-    "tanh": (_tanh, _tanh_grad),
-    "sigmoid": (_sigmoid, _sigmoid_grad),
-    "relu": (_relu, _relu_grad),
-    "linear": (_linear, _linear_grad),
-}
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -127,42 +127,91 @@ class AutoencoderConfig:
         return (self.input_dim, *self.layer_dims, self.input_dim)
 
 
+def _layer_views(flat: np.ndarray, dims) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer (fan_in, fan_out) weight and (fan_out,) bias views of a flat
+    parameter-sized vector, laid out as W0, b0, W1, b1, ..."""
+    weights, biases = [], []
+    start = 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        end = start + fan_in * fan_out
+        weights.append(flat[start:end].reshape(fan_in, fan_out))
+        biases.append(flat[end : end + fan_out])
+        start = end + fan_out
+    return weights, biases
+
+
+def _n_params(dims) -> int:
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
+
+
+class _Workspace:
+    """Every buffer a train step writes, for batches of ``rows`` samples.
+
+    ``acts[l]`` holds layer l's output, activation applied in place. Two
+    delta buffers take turns down the layers and ``scratch`` holds one
+    activation derivative; both are sized to the widest layer they serve.
+    ``grad`` is laid out like the parameters and ``adam`` is Adam's scratch.
+    """
+
+    def __init__(self, dims, rows: int):
+        self.rows = rows
+        self.acts = [np.empty((rows, width)) for width in dims[1:]]
+        self._deltas = [np.empty(rows * max(dims[1:])) for _ in range(2)]
+        self._scratch = np.empty(rows * max(dims[1:-1]))
+        self.grad = np.empty(_n_params(dims))
+        self.grad_w, self.grad_b = _layer_views(self.grad, dims)
+        self.adam = np.empty_like(self.grad)
+
+    def delta(self, layer: int, width: int) -> np.ndarray:
+        """The (rows, width) delta of ``layer``; neighbouring layers use different buffers."""
+        return self._deltas[layer % 2][: self.rows * width].reshape(self.rows, width)
+
+    def scratch(self, width: int) -> np.ndarray:
+        return self._scratch[: self.rows * width].reshape(self.rows, width)
+
+
 @dataclass
 class AutoencoderModel:
     """Network parameters plus Adam state; built from a config.
 
-    Weights are stored per layer as (fan_in, fan_out) matrices applied to
-    row-sample batches. Hidden layers use the configured activation, the
-    output layer is linear.
+    Weights are (fan_in, fan_out) matrices applied to row-sample batches.
+    Hidden layers use the configured activation, the output layer is linear.
+    Parameters and the two Adam moments are one flat vector each;
+    ``weights`` and ``biases`` are views into the parameter vector, so
+    writing to them changes the model. ``train`` keeps a workspace for its
+    steps and drops it when it returns.
     """
 
     config: AutoencoderConfig
     weights: list[np.ndarray] = field(default_factory=list, repr=False)
     biases: list[np.ndarray] = field(default_factory=list, repr=False)
-    _m_w: list[np.ndarray] = field(default_factory=list, repr=False)
-    _v_w: list[np.ndarray] = field(default_factory=list, repr=False)
-    _m_b: list[np.ndarray] = field(default_factory=list, repr=False)
-    _v_b: list[np.ndarray] = field(default_factory=list, repr=False)
     step_count: int = 0
 
     def __post_init__(self):
         dims = self.config.all_dims
+        shapes = list(zip(dims[:-1], dims[1:]))
         if not self.weights:
             rng = make_rng(self.config.seed)
-            for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+            weights = []
+            for fan_in, fan_out in shapes:
                 s = self.config.weight_init_scale / np.sqrt(fan_in)
-                self.weights.append(rng.uniform(-s, s, size=(fan_in, fan_out)))
-                self.biases.append(np.zeros(fan_out))
+                weights.append(rng.uniform(-s, s, size=(fan_in, fan_out)))
+            biases = [np.zeros(fan_out) for _, fan_out in shapes]
         else:
-            expected = list(zip(dims[:-1], dims[1:]))
-            got = [w.shape for w in self.weights]
-            if got != expected:
-                raise DimensionError(f"weight shapes {got} do not chain as {expected}")
-        if not self._m_w:
-            self._m_w = [np.zeros_like(w) for w in self.weights]
-            self._v_w = [np.zeros_like(w) for w in self.weights]
-            self._m_b = [np.zeros_like(b) for b in self.biases]
-            self._v_b = [np.zeros_like(b) for b in self.biases]
+            weights, biases = self.weights, self.biases
+            got = [np.shape(w) for w in weights]
+            if got != shapes:
+                raise DimensionError(f"weight shapes {got} do not chain as {shapes}")
+            got = [np.shape(b) for b in biases]
+            if got != [(fan_out,) for _, fan_out in shapes]:
+                raise DimensionError(f"bias shapes {got} do not match fan-outs {dims[1:]}")
+        self._params = np.empty(_n_params(dims))
+        self.weights, self.biases = _layer_views(self._params, dims)
+        for view, value in zip(self.weights + self.biases, weights + biases):
+            view[...] = value
+        self._adam_m = np.zeros_like(self._params)
+        self._adam_v = np.zeros_like(self._params)
+        self._workspace: _Workspace | None = None
 
     @property
     def n_layers(self) -> int:
@@ -176,24 +225,61 @@ class AutoencoderModel:
             )
         return batch
 
-    def _forward_cached(self, batch: np.ndarray):
-        act, _ = _ACTIVATIONS[self.config.activation]
-        pre = []
-        activations = [batch]
+    def _check_pair(self, batch, target) -> tuple[np.ndarray, np.ndarray]:
+        batch = self._check_batch(batch)
+        target = self._check_batch(target)
+        if batch.shape != target.shape:
+            raise DimensionError(
+                f"batch shape {batch.shape} != target shape {target.shape}"
+            )
+        return batch, target
+
+    def _forward(self, batch: np.ndarray, acts: list[np.ndarray]) -> np.ndarray:
+        """Run every layer into its buffer in ``acts``; returns the last one."""
         a = batch
         last = self.n_layers - 1
-        for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ w + b
-            pre.append(z)
-            a = z if layer == last else act(z)
-            activations.append(a)
-        return pre, activations
+        for layer, (w, b, out) in enumerate(zip(self.weights, self.biases, acts)):
+            np.matmul(a, w, out=out)
+            out += b
+            if layer < last:
+                _activate(self.config.activation, out)
+            a = out
+        return a
+
+    def _backward(self, batch: np.ndarray, target: np.ndarray, ws: _Workspace) -> float:
+        """Forward and backward pass in ``ws``; leaves the mean-squared-error
+        gradient in ``ws.grad`` and returns the loss."""
+        activation = self.config.activation
+        out = self._forward(batch, ws.acts)
+        last = self.n_layers - 1
+        delta = ws.delta(last, out.shape[1])
+        np.subtract(out, target, out=delta)
+        # the output is not needed past here, so its buffer takes the squares
+        np.square(delta, out=out)
+        loss = float(out.mean())
+        np.multiply(delta, 2.0, out=delta)
+        np.divide(delta, delta.size, out=delta)
+        for layer in range(last, -1, -1):
+            below = batch if layer == 0 else ws.acts[layer - 1]
+            np.matmul(below.T, delta, out=ws.grad_w[layer])
+            np.sum(delta, axis=0, out=ws.grad_b[layer])
+            if layer > 0:
+                width = below.shape[1]
+                nxt = ws.delta(layer - 1, width)
+                np.matmul(delta, self.weights[layer].T, out=nxt)
+                _scale_by_derivative(activation, below, nxt, ws.scratch(width))
+                delta = nxt
+        return loss
 
     def forward(self, batch) -> np.ndarray:
-        """Reconstruct a batch of row samples (n, input_dim) -> (n, input_dim)."""
+        """Reconstruct a batch of row samples (n, input_dim) -> (n, input_dim).
+
+        The buffers are allocated per call, so the returned array is the
+        caller's alone.
+        """
         batch = self._check_batch(batch)
-        _, activations = self._forward_cached(batch)
-        out = activations[-1]
+        acts = [np.empty((len(batch), width)) for width in self.config.all_dims[1:]]
+        out = self._forward(batch, acts)
         if not np.all(np.isfinite(out)):
             raise NumericalError("forward pass produced non-finite values")
         return out
@@ -207,58 +293,59 @@ class AutoencoderModel:
 
     def gradients(self, batch, target):
         """Mean-squared-error gradients for every weight and bias."""
-        batch = self._check_batch(batch)
-        target = self._check_batch(target)
-        if batch.shape != target.shape:
-            raise DimensionError(
-                f"batch shape {batch.shape} != target shape {target.shape}"
-            )
-        _, grad_fn = _ACTIVATIONS[self.config.activation]
-        pre, activations = self._forward_cached(batch)
-        out = activations[-1]
-        loss = float(np.mean((out - target) ** 2))
-        delta = 2.0 * (out - target) / out.size
-        grads_w = [None] * self.n_layers
-        grads_b = [None] * self.n_layers
-        for layer in range(self.n_layers - 1, -1, -1):
-            grads_w[layer] = activations[layer].T @ delta
-            grads_b[layer] = delta.sum(axis=0)
-            if layer > 0:
-                delta = (delta @ self.weights[layer].T) * grad_fn(
-                    pre[layer - 1], activations[layer]
-                )
-        return loss, grads_w, grads_b
+        batch, target = self._check_pair(batch, target)
+        ws = _Workspace(self.config.all_dims, len(batch))
+        loss = self._backward(batch, target, ws)
+        return loss, [g.copy() for g in ws.grad_w], [g.copy() for g in ws.grad_b]
 
     def train_step(self, batch, target) -> float:
-        """One full-batch Adam step toward ``target``; returns the pre-step loss."""
-        loss, grads_w, grads_b = self.gradients(batch, target)
-        for g in grads_w + grads_b:
-            if not np.all(np.isfinite(g)):
-                raise NumericalError("non-finite gradient; reduce the learning rate")
+        """One full-batch Adam step toward ``target``; returns the pre-step loss.
+
+        A non-finite gradient raises before any state changes.
+        """
+        batch, target = self._check_pair(batch, target)
+        ws = self._workspace
+        if ws is None:
+            ws = _Workspace(self.config.all_dims, len(batch))
+        loss = self._backward(batch, target, ws)
+        grad, tmp = ws.grad, ws.adam
+        if not np.all(np.isfinite(grad)):
+            raise NumericalError("non-finite gradient; reduce the learning rate")
         self.step_count += 1
         t = self.step_count
-        lr = self.config.learning_rate
         corr1 = 1.0 - ADAM_BETA1**t
         corr2 = 1.0 - ADAM_BETA2**t
-        for i in range(self.n_layers):
-            for param, grad, m, v in (
-                (self.weights[i], grads_w[i], self._m_w[i], self._v_w[i]),
-                (self.biases[i], grads_b[i], self._m_b[i], self._v_b[i]),
-            ):
-                m *= ADAM_BETA1
-                m += (1.0 - ADAM_BETA1) * grad
-                v *= ADAM_BETA2
-                v += (1.0 - ADAM_BETA2) * grad * grad
-                param -= lr * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
-        for p in self.weights + self.biases:
-            if not np.all(np.isfinite(p)):
-                raise NumericalError("parameters became non-finite during update")
+        m, v = self._adam_m, self._adam_v
+        m *= ADAM_BETA1
+        np.multiply(grad, 1.0 - ADAM_BETA1, out=tmp)
+        m += tmp
+        v *= ADAM_BETA2
+        np.multiply(grad, 1.0 - ADAM_BETA2, out=tmp)
+        tmp *= grad
+        v += tmp
+        # params -= lr * (m / corr1) / (sqrt(v / corr2) + eps); the gradient
+        # is spent, so its buffer holds the denominator
+        np.divide(m, corr1, out=tmp)
+        tmp *= self.config.learning_rate
+        np.divide(v, corr2, out=grad)
+        np.sqrt(grad, out=grad)
+        grad += ADAM_EPS
+        tmp /= grad
+        self._params -= tmp
+        if not np.all(np.isfinite(self._params)):
+            raise NumericalError("parameters became non-finite during update")
         return loss
 
     def train(self, batch, target, steps: int | None = None) -> list[float]:
-        """Run ``steps`` (default config.inner_epochs) full-batch Adam steps."""
+        """Run ``steps`` (default config.inner_epochs) full-batch Adam steps,
+        all in one workspace."""
         steps = self.config.inner_epochs if steps is None else int(steps)
-        return [self.train_step(batch, target) for _ in range(steps)]
+        batch = self._check_batch(batch)
+        self._workspace = _Workspace(self.config.all_dims, len(batch))
+        try:
+            return [self.train_step(batch, target) for _ in range(steps)]
+        finally:
+            self._workspace = None
 
 
 def gradient_check(model: AutoencoderModel, batch, target, h: float = 1e-5) -> float:

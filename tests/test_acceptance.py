@@ -122,8 +122,12 @@ def test_criterion_02_gradient_correctness():
                     model = AutoencoderModel(cfg)
                     rng = np.random.default_rng(candidate + 500)
                     x = rng.standard_normal((7, 6))
-                    pre, _ = model._forward_cached(x)
-                    if min(float(np.min(np.abs(p))) for p in pre[:-1]) > 1e-3:
+                    # hidden pre-activations z = a @ w + b, with a = max(z, 0)
+                    a, pre = x, []
+                    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+                        pre.append(a @ w + b)
+                        a = np.maximum(pre[-1], 0.0)
+                    if min(float(np.min(np.abs(p))) for p in pre) > 1e-3:
                         seed = candidate
                         break
             cfg = AutoencoderConfig(

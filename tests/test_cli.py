@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -374,10 +375,10 @@ def _with(doc, **config):
     return {**doc, "config": {**doc["config"], **config}}
 
 
-# files: name -> text, bytes, or a JSON document; named: a file the error
-# message must name, or None
+# files: name -> text, bytes, or a JSON document; says: a text the error
+# message must hold (for most rows the file it must name), or None
 @pytest.mark.parametrize(
-    "files, args, code, named",
+    "files, args, code, says",
     [
         pytest.param(
             {"m.json": {"command": "train", "config": {}, "inputs": {"csv": "s.csv"}}},
@@ -391,7 +392,7 @@ def _with(doc, **config):
         pytest.param({"m.json": _without(SWEEP_MANIFEST, "n_random")}, REPLAY, 2, "m.json",
                      id="sweep-manifest-without-n_random"),
         pytest.param({}, REPLAY, 4, "m.json", id="manifest-missing"),
-        pytest.param({"s.csv": SERIES_CSV, "c.json": {"ae": "abc"}}, TRAIN, 2, None,
+        pytest.param({"s.csv": SERIES_CSV, "c.json": {"ae": "abc"}}, TRAIN, 2, "c.json",
                      id="train-network-config-not-object"),
         pytest.param({"s.csv": SERIES_CSV, "c.json": {"grid": {"lam": 0.05}}}, SWEEP, 2, None,
                      id="sweep-grid-entry-scalar"),
@@ -435,12 +436,13 @@ def _with(doc, **config):
         pytest.param({"s.csv": SERIES_CSV.replace("3,3,0", "3,inf,0"), "c.json": QUICK_RAE},
                      TRAIN, 2, None, id="train-inf-in-series"),
         pytest.param({"s.csv": "t,dim_0\n" + "".join(f"{i},{i % 7}e300\n" for i in range(40)),
-                      "c.json": QUICK_RAE}, TRAIN, 2, None, id="train-1e300-magnitude"),
+                      "c.json": QUICK_RAE}, TRAIN, 2, "too large to z-normalize",
+                     id="train-1e300-magnitude"),
         pytest.param({"sc.csv": "t,score,label\n"}, EVAL, 2, None, id="eval-header-only"),
     ],
 )
 def test_bad_input_exits_with_documented_code(
-    tmp_path, monkeypatch, capsys, files, args, code, named
+    tmp_path, monkeypatch, capsys, files, args, code, says
 ):
     monkeypatch.chdir(tmp_path)
     for name, content in files.items():
@@ -450,7 +452,11 @@ def test_bad_input_exits_with_documented_code(
             (tmp_path / name).write_text(
                 content if isinstance(content, str) else json.dumps(content)
             )
-    assert run(args + ["--out-dir", "out"]) == code
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(args + ["--out-dir", "out"]) == code
+    # a warning would reach stderr ahead of the documented message
+    assert [str(w.message) for w in caught if w.category is RuntimeWarning] == []
     err = capsys.readouterr().err
     if code == 0:
         # a constant column normalizes to zero, and a zero series has no outliers
@@ -458,5 +464,5 @@ def test_bad_input_exits_with_documented_code(
         assert not outlier.values.any()
         return
     assert err.startswith("i/o error: " if code == 4 else "error: ")
-    if named is not None:
-        assert named in err
+    if says is not None:
+        assert says in err

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from robustae.decompose import Decomposition
 from robustae.errors import (
     ConfigError,
     FormatError,
+    InputError,
     IntegrityError,
     ParseError,
     UpgradeError,
@@ -47,6 +49,17 @@ def test_znormalize_constant_dimension():
     assert np.all(ts.values == 0.0)
     assert stats.any_clamped
     assert stats.std[0] == 1.0
+
+
+@pytest.mark.parametrize("scale", [1e300, -1e300, 1.7e308])
+def test_znormalize_rejects_overflowing_magnitude(scale):
+    # finite values whose sample std (or, at 1.7e308, mean) overflows to inf
+    column = (np.arange(40) % 7 + 1.0) / 7.0
+    values = np.column_stack([column, column * scale])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="too large to z-normalize"):
+            znormalize(TimeSeries(values))
 
 
 def test_csv_roundtrip_exact(tmp_path):

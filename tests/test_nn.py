@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -141,8 +143,12 @@ def test_gradient_check_all_activations_deep(activation):
     x = rng.standard_normal((7, 6))
     y = rng.standard_normal((7, 6))
     if activation == "relu":
-        pre, _ = model._forward_cached(x)
-        assert min(float(np.min(np.abs(p))) for p in pre[:-1]) > 1e-3
+        # hidden pre-activations z = a @ w + b, with a = max(z, 0)
+        a, pre = x, []
+        for w, b in zip(model.weights[:-1], model.biases[:-1]):
+            pre.append(a @ w + b)
+            a = np.maximum(pre[-1], 0.0)
+        assert min(float(np.min(np.abs(p))) for p in pre) > 1e-3
     assert gradient_check(model, x, y) < 1e-4
 
 
@@ -162,9 +168,106 @@ def test_gradient_check_h_range():
 def test_non_finite_gradient_raises():
     # squared loss overflows on extreme inputs, so the backward pass sees inf
     model = make_model(4, (3,), seed=9, activation="linear")
+    model.train(np.eye(4), np.eye(4), steps=3)
+    state = [p.copy() for p in (*model.weights, *model.biases, model._adam_m, model._adam_v)]
     x = np.full((5, 4), 1e200)
-    with np.errstate(over="ignore"), pytest.raises(NumericalError):
+    with np.errstate(over="ignore"), pytest.raises(NumericalError, match="non-finite gradient"):
         model.train_step(x, np.zeros((5, 4)))
+    # the check runs before the update, so the raise leaves the model untouched
+    after = (*model.weights, *model.biases, model._adam_m, model._adam_v)
+    assert all(np.array_equal(a, b) for a, b in zip(after, state))
+    assert model.step_count == 3
+
+
+def test_forward_output_is_not_reused():
+    model = make_model(5, (4, 2, 4), seed=4)
+    x = np.random.default_rng(12).standard_normal((9, 5))
+    out = model.forward(x)
+    kept = out.copy()
+    model.train(x, x, steps=3)
+    model.forward(x)
+    model.gradients(x, x)
+    assert np.array_equal(out, kept)
+    # the workspace lives for one train() call
+    assert model._workspace is None
+
+
+def _reference_train_steps(model, x, steps):
+    """Adam steps on (weights, biases) copies, one allocating ufunc per term.
+
+    Every arithmetic step is the one the model's step must make, in the same
+    order, so the two agree bit for bit on any machine.
+    """
+    # (f, f' from the pre-activation z and the activation a)
+    act = {
+        "tanh": (np.tanh, lambda z, a: 1.0 - a * a),
+        "sigmoid": (lambda z: 1.0 / (1.0 + np.exp(-z)), lambda z, a: a * (1.0 - a)),
+        "relu": (lambda z: np.maximum(z, 0.0), lambda z, a: (z > 0.0).astype(np.float64)),
+        "linear": (lambda z: z, lambda z, a: np.ones_like(z)),
+    }[model.config.activation]
+    params = [p.copy() for p in model.weights + model.biases]
+    moments = [np.zeros_like(p) for p in params + params]
+    n = model.n_layers
+    lr = model.config.learning_rate
+    for t in range(1, steps + 1):
+        weights, biases = params[:n], params[n:]
+        pre, acts = [], [x]
+        for layer, (w, b) in enumerate(zip(weights, biases)):
+            pre.append(acts[-1] @ w + b)
+            acts.append(pre[-1] if layer == n - 1 else act[0](pre[-1]))
+        delta = 2.0 * (acts[-1] - x) / acts[-1].size
+        grads = [None] * (2 * n)
+        for layer in range(n - 1, -1, -1):
+            grads[layer] = acts[layer].T @ delta
+            grads[n + layer] = delta.sum(axis=0)
+            if layer > 0:
+                delta = (delta @ weights[layer].T) * act[1](pre[layer - 1], acts[layer])
+        for p, g, m, v in zip(params, grads, moments[: 2 * n], moments[2 * n :]):
+            m *= 0.9
+            m += (1.0 - 0.9) * g
+            v *= 0.999
+            v += (1.0 - 0.999) * g * g
+            p -= lr * (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
+    return params
+
+
+# sha256 of the parameter bytes (weights, then biases) after 25 steps,
+# recorded with numpy 2.4.6 and scipy-openblas 0.3.31 on an x86-64 machine
+# with AVX-512. Another numpy, BLAS or CPU may round differently, so the
+# hashes are checked only on that set-up; the reference comparison runs
+# everywhere.
+RECORDED_PLATFORM = ("2.4.6", "0.3.31.188.0", "X86_V4")
+RECORDED_STEP_HASHES = {
+    "tanh": "73d6a691ebacaab23c5e26eee3ed959e7ad2ba93545b45e6f501b52a5fd58287",
+    "sigmoid": "2cf44fac9861a7c7defe7356bcbf1bcc9087d4a2493ec8652e6dd630f6eee9f9",
+    "relu": "bee29cb98007f6330c7e7c7aa8a6643071555577e54673a97595635799356bb5",
+    "linear": "7780df903b4d4f0a72dd7f720fae08f30a64d40f365e3ad6f2489f4a99209956",
+}
+
+
+def _platform():
+    """(numpy version, BLAS version, SIMD target of float64 tanh), or None."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["version"]
+        simd = opt_func_info(func_name="tanh", signature="float64")["tanh"]["dd"]["current"]
+    except (ImportError, TypeError, KeyError):
+        return None
+    return (np.__version__, blas, simd)
+
+
+@pytest.mark.parametrize("activation", ["tanh", "sigmoid", "relu", "linear"])
+def test_train_steps_are_bit_stable(activation):
+    model = make_model(8, (6, 3, 6), activation=activation, seed=21, lr=1e-2)
+    x = np.random.default_rng(22).standard_normal((30, 8))
+    expected = _reference_train_steps(model, x, 25)
+    model.train(x, x, steps=25)
+    params = model.weights + model.biases
+    assert all(np.array_equal(p, q) for p, q in zip(params, expected))
+    if _platform() == RECORDED_PLATFORM:
+        digest = hashlib.sha256(b"".join(p.tobytes() for p in params)).hexdigest()
+        assert digest == RECORDED_STEP_HASHES[activation]
 
 
 def test_bottleneck_capacity_linear_subspace():
