@@ -284,27 +284,24 @@ def _sweep(config, seed, inputs, outputs, out_dir, verbose):
     rows = []
     for i in range(n_random):
         pick = {k: grid[k][int(rng.integers(0, len(grid[k])))] for k in grid_keys}
-        row = {"index": str(i), "params": json.dumps(pick, sort_keys=True)}
+        row = {"index": i, "params": pick}
         try:
             cfg = _sampled_config(method, base, pick, ts.dims, run_seeds[i])
             decomposition = train(ts, method, cfg)
             result = evaluate(outlier_scores(decomposition), ts.labels)
-            row.update(pr_auc=repr(result.pr_auc), roc_auc=repr(result.roc_auc), status="ok")
+            row.update(pr_auc=result.pr_auc, roc_auc=result.roc_auc, status="ok")
         except (RobustAEError, ValueError) as exc:
             row.update(pr_auc="", roc_auc="", status=f"failed: {exc}")
         rows.append(row)
-    # repr is the shortest round-trip form, so float() of a cell is the exact AUC
-    ok_rows = sorted(
-        (r for r in rows if r["status"] == "ok"), key=lambda r: float(r["pr_auc"])
-    )
+    ok_rows = sorted((r for r in rows if r["status"] == "ok"), key=lambda r: r["pr_auc"])
     median_row = ok_rows[(len(ok_rows) - 1) // 2] if ok_rows else None
     out_csv = outputs["table"]
     out_csv.parent.mkdir(parents=True, exist_ok=True)
-    columns = ["index", "params", "pr_auc", "roc_auc", "status"]
     write_rows(
         out_csv,
-        columns + ["is_median"],
-        ([r[k] for k in columns] + ["1" if r is median_row else "0"] for r in rows),
+        ["index", "params", "pr_auc", "roc_auc", "status", "is_median"],
+        ([r["index"], json.dumps(r["params"], sort_keys=True), r["pr_auc"], r["roc_auc"],
+          r["status"], int(r is median_row)] for r in rows),
     )
     summary = {
         "table": str(out_csv),
@@ -312,11 +309,7 @@ def _sweep(config, seed, inputs, outputs, out_dir, verbose):
         "n_failed": len(rows) - len(ok_rows),
     }
     if median_row is not None:
-        summary["median"] = {
-            "params": json.loads(median_row["params"]),
-            "pr_auc": float(median_row["pr_auc"]),
-            "roc_auc": float(median_row["roc_auc"]),
-        }
+        summary["median"] = {k: median_row[k] for k in ("params", "pr_auc", "roc_auc")}
     config = {"method": method, "base": base, "grid": grid, "n_random": n_random}
     return summary, _sidecar(out_csv), {"config": config, "seed": master_seed}
 
@@ -379,14 +372,20 @@ def _read_manifest(path: Path) -> dict:
     config = request["config"]
     if command == "train":
         config["train_file"] = str(path)
-    for key, number in (("gamma", float), ("n_max", int), ("n_random", int)):
-        if key in config:
-            try:
-                config[key] = number(config[key])
-            except (TypeError, ValueError):
-                raise ConfigError(
-                    f"{path}: config.{key} must be a number, got {config[key]!r}"
-                ) from None
+    for key, number in (("gamma", float), ("n_max", int), ("n_random", int),
+                        ("window_len", int)):
+        if key not in config or (key == "window_len" and config[key] is None):
+            continue
+        try:
+            value = number(config[key])
+        except (TypeError, ValueError, OverflowError):
+            value = None
+        # a value the conversion changes ("0.1", 2.5 for an integer) would run, and be
+        # re-recorded, as another value
+        if value is None or value != config[key]:
+            kind = "an integer" if number is int else "a number"
+            raise ConfigError(f"{path}: config.{key} must be {kind}, got {config[key]!r}")
+        config[key] = value
     return request
 
 
@@ -407,19 +406,16 @@ def _request(args) -> tuple[dict, Path]:
     elif args.command == "sweep":
         request["config"] = {**_read_json(args.config), "n_random": args.n_random}
         request["outputs"]["table"] = args.out
-    else:
-        # eval and explain take --out as a path of its own, not under --out-dir
-        out_dir = Path()
-        if args.out:
-            request["outputs"]["json"] = args.out
-        if args.command == "explain":
-            request["config"] = {
-                "method": args.method,
-                "gamma": args.gamma,
-                "n_max": args.nmax,
-                "window_len": args.window,
-                "normalize": args.normalize,
-            }
+    elif args.out:
+        request["outputs"]["json"] = args.out
+    if args.command == "explain":
+        request["config"] = {
+            "method": args.method,
+            "gamma": args.gamma,
+            "n_max": args.nmax,
+            "window_len": args.window,
+            "normalize": args.normalize,
+        }
     return request, out_dir
 
 
@@ -434,30 +430,18 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"robustae {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--verbose", action="store_true", help="per-iteration diagnostics")
-        p.add_argument(
-            "--out-dir",
-            default=None,
-            help=f"output directory (default ${OUT_DIR_ENV} or '.')",
-        )
-
     p = sub.add_parser("synth", help="generate a labeled synthetic series")
     p.add_argument("--config", required=True, help="SynthConfig JSON")
     p.add_argument("--out", default="synthetic.csv", help="output CSV (under --out-dir)")
-    common(p)
 
     p = sub.add_parser("train", help="decompose a series and score outliers")
     p.add_argument("--method", required=True, help="one of " + ", ".join(TRAIN_METHODS))
     p.add_argument("--input", required=True, help="input series CSV")
     p.add_argument("--config", required=True, help="trainer config JSON")
-    common(p)
 
     p = sub.add_parser("eval", help="PR/ROC AUC from a scores CSV with labels")
     p.add_argument("--input", required=True, help="CSV with 'score' and 'label' columns")
-    p.add_argument("--out", default=None, help="optional JSON output file")
-    common(p)
+    p.add_argument("--out", default=None, help="optional JSON output file (under --out-dir)")
 
     p = sub.add_parser("explain", help="explainability scan of a clean series")
     p.add_argument("--input", required=True, help="decomposition CSV")
@@ -466,19 +450,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int, default=DEFAULT_NMAX)
     p.add_argument("--window", type=int, default=None, help="lagged window for ssa")
     p.add_argument("--normalize", action="store_true", help="z-normalize the clean series first")
-    p.add_argument("--out", default=None, help="optional JSON output file")
-    common(p)
+    p.add_argument("--out", default=None, help="optional JSON output file (under --out-dir)")
 
     p = sub.add_parser("sweep", help="random hyperparameter search, median result")
     p.add_argument("--input", required=True, help="labeled series CSV")
     p.add_argument("--config", required=True, help="sweep config JSON (method/base/grid)")
     p.add_argument("--n-random", type=int, required=True)
     p.add_argument("--out", default="sweep.csv", help="results table CSV (under --out-dir)")
-    common(p)
 
     p = sub.add_parser("replay", help="re-run a recorded manifest")
     p.add_argument("--manifest", required=True)
-    common(p)
+
+    # each command gets only the flags it reads; the rest run with no seed
+    # override and no diagnostics
+    parser.set_defaults(seed=None, verbose=False)
+    for name, p in sub.choices.items():
+        if name in ("synth", "train", "sweep"):
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        if name in ("train", "replay"):
+            p.add_argument("--verbose", action="store_true", help="per-iteration diagnostics")
+        p.add_argument("--out-dir", default=None,
+                       help=f"output directory (default ${OUT_DIR_ENV} or '.')")
 
     return parser
 

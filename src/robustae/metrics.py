@@ -25,7 +25,10 @@ class EvalResult:
     n_negatives: int
 
 
-def _validate(scores, labels):
+def _blocks(scores, labels):
+    """Validate, rank the scores in one stable descending order, and return for
+    each block of tied scores its last index in that order and the number of
+    positives ranked at or above it."""
     scores = np.asarray(scores, dtype=np.float64).ravel()
     labels = np.asarray(labels).ravel().astype(bool)
     if scores.shape != labels.shape:
@@ -36,7 +39,34 @@ def _validate(scores, labels):
         raise EvaluationError("empty inputs")
     if np.isnan(scores).any():
         raise EvaluationError("scores contain NaN, which has no rank")
-    return scores, labels
+    order = np.argsort(-scores, kind="stable")
+    ranked = scores[order]
+    # compared, not differenced: inf - inf is nan, which would split tied infinities
+    ends = np.append(np.nonzero(ranked[1:] != ranked[:-1])[0], scores.size - 1)
+    tp = np.cumsum(labels[order].astype(np.float64))[ends]
+    return ends, tp
+
+
+def _pr(ends, tp) -> float:
+    n_pos = tp[-1]
+    if n_pos == 0:
+        raise EvaluationError("PR AUC needs at least one positive label")
+    precision = tp / (ends + 1.0)
+    recall_step = np.diff(tp, prepend=0.0) / n_pos
+    return float(np.sum(precision * recall_step))
+
+
+def _roc(ends, tp) -> float:
+    n = int(ends[-1]) + 1
+    n_pos = int(tp[-1])
+    n_neg = n - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise EvaluationError("ROC AUC needs at least one positive and one negative")
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    # 1-based mid-rank of each block in ascending order
+    mid_rank = 0.5 * ((n - 1 - ends) + (n - 1 - starts)) + 1.0
+    pos_rank_sum = float(np.sum(np.diff(tp, prepend=0.0) * mid_rank))
+    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
 def roc_auc(scores, labels) -> float:
@@ -44,23 +74,7 @@ def roc_auc(scores, labels) -> float:
 
     Computed from mid-ranks, which is exactly the Mann-Whitney pair count.
     """
-    scores, labels = _validate(scores, labels)
-    n_pos = int(labels.sum())
-    n_neg = labels.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise EvaluationError("ROC AUC needs at least one positive and one negative")
-    order = np.argsort(scores, kind="stable")
-    sorted_scores = scores[order]
-    ranks = np.empty(scores.size)
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # mid-rank, 1-based
-        i = j + 1
-    pos_rank_sum = float(ranks[labels].sum())
-    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    return _roc(*_blocks(scores, labels))
 
 
 def pr_auc(scores, labels) -> float:
@@ -69,30 +83,16 @@ def pr_auc(scores, labels) -> float:
     AP = sum over thresholds of precision * recall-increment, with tied
     scores processed as one block and no interpolation between points.
     """
-    scores, labels = _validate(scores, labels)
-    n_pos = int(labels.sum())
-    if n_pos == 0:
-        raise EvaluationError("PR AUC needs at least one positive label")
-    order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    sorted_labels = labels[order].astype(np.float64)
-    # block boundaries: last index of each run of equal scores
-    boundary = np.nonzero(np.diff(sorted_scores))[0]
-    block_ends = np.append(boundary, scores.size - 1)
-    tp = np.cumsum(sorted_labels)[block_ends]
-    predicted = block_ends + 1.0
-    precision = tp / predicted
-    recall_step = np.diff(np.concatenate(([0.0], tp))) / n_pos
-    return float(np.sum(precision * recall_step))
+    return _pr(*_blocks(scores, labels))
 
 
 def evaluate(scores, labels) -> EvalResult:
     """Both AUCs plus the class counts."""
-    scores, labels = _validate(scores, labels)
-    n_pos = int(labels.sum())
+    ends, tp = _blocks(scores, labels)
+    n_pos = int(tp[-1])
     return EvalResult(
-        pr_auc=pr_auc(scores, labels),
-        roc_auc=roc_auc(scores, labels),
+        pr_auc=_pr(ends, tp),
+        roc_auc=_roc(ends, tp),
         n_positives=n_pos,
-        n_negatives=labels.size - n_pos,
+        n_negatives=int(ends[-1]) + 1 - n_pos,
     )

@@ -375,6 +375,17 @@ def _with(doc, **config):
     return {**doc, "config": {**doc["config"], **config}}
 
 
+def _write_files(directory, files):
+    """files: name -> text, bytes, or a JSON document."""
+    for name, content in files.items():
+        if isinstance(content, bytes):
+            (directory / name).write_bytes(content)
+        else:
+            (directory / name).write_text(
+                content if isinstance(content, str) else json.dumps(content)
+            )
+
+
 # files: name -> text, bytes, or a JSON document; says: a text the error
 # message must hold (for most rows the file it must name), or None
 @pytest.mark.parametrize(
@@ -409,6 +420,17 @@ def _with(doc, **config):
                      id="explain-manifest-n_max-not-number"),
         pytest.param({"m.json": _with(SWEEP_MANIFEST, n_random="x")}, REPLAY, 2, "m.json",
                      id="sweep-manifest-n_random-not-number"),
+        pytest.param({"m.json": _with(EXPLAIN_MANIFEST, window_len="x")}, REPLAY, 2, "m.json",
+                     id="explain-manifest-window_len-not-number"),
+        pytest.param({"m.json": _with(EXPLAIN_MANIFEST, window_len=[3])}, REPLAY, 2, "m.json",
+                     id="explain-manifest-window_len-list"),
+        # values the conversion would change, so the replay would run another value
+        pytest.param({"m.json": _with(EXPLAIN_MANIFEST, gamma="0.1")}, REPLAY, 2, "m.json",
+                     id="explain-manifest-gamma-string"),
+        pytest.param({"m.json": _with(EXPLAIN_MANIFEST, window_len=2.5)}, REPLAY, 2, "m.json",
+                     id="explain-manifest-window_len-fraction"),
+        pytest.param({"m.json": _with(EXPLAIN_MANIFEST, n_max=2.5)}, REPLAY, 2, "m.json",
+                     id="explain-manifest-n_max-fraction"),
         pytest.param({"m.json": {**SWEEP_MANIFEST, "seed": "abc"}}, REPLAY, 2, "m.json",
                      id="sweep-manifest-seed-not-integer"),
         pytest.param({"s.csv": SERIES_CSV, "c.json": {"grid": {"lam": [0.05]}, "seed": "abc"}},
@@ -444,14 +466,8 @@ def _with(doc, **config):
 def test_bad_input_exits_with_documented_code(
     tmp_path, monkeypatch, capsys, files, args, code, says
 ):
+    _write_files(tmp_path, files)
     monkeypatch.chdir(tmp_path)
-    for name, content in files.items():
-        if isinstance(content, bytes):
-            (tmp_path / name).write_bytes(content)
-        else:
-            (tmp_path / name).write_text(
-                content if isinstance(content, str) else json.dumps(content)
-            )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert run(args + ["--out-dir", "out"]) == code
@@ -466,3 +482,51 @@ def test_bad_input_exits_with_documented_code(
     assert err.startswith("i/o error: " if code == 4 else "error: ")
     if says is not None:
         assert says in err
+
+
+# inputs on which each command runs, so only a flag it does not take can fail it
+RUNNABLE = {
+    "synth.json": {**SYNTH_CONFIG, "length": 40},
+    "s.csv": SERIES_CSV,
+    "c.json": {"base": QUICK_RAE, "grid": {"lam": [0.05]}},
+    "sc.csv": "t,score,label\n0,0.9,1\n1,0.8,0\n2,0.1,0\n3,0.2,1\n",
+    "d.csv": DECOMPOSITION_CSV,
+    "m.json": {"command": "eval", "inputs": {"csv": "sc.csv"}, "outputs": {"json": "e.json"}},
+}
+SYNTH = ["synth", "--config", "synth.json"]
+EXPLAIN = ["explain", "--input", "d.csv", "--method", "prm", "--gamma", "0.1"]
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        pytest.param(SYNTH, ["--verbose"], id="synth-verbose"),
+        pytest.param(EVAL, ["--seed", "5"], id="eval-seed"),
+        pytest.param(EVAL, ["--verbose"], id="eval-verbose"),
+        pytest.param(EXPLAIN, ["--seed", "5"], id="explain-seed"),
+        pytest.param(EXPLAIN, ["--verbose"], id="explain-verbose"),
+        pytest.param(SWEEP, ["--verbose"], id="sweep-verbose"),
+        pytest.param(REPLAY, ["--seed", "5"], id="replay-seed"),
+    ],
+)
+def test_flag_the_command_does_not_read_exits_2(tmp_path, monkeypatch, capsys, args, flag):
+    _write_files(tmp_path, RUNNABLE)
+    monkeypatch.chdir(tmp_path)
+    assert run(args + flag + ["--out-dir", "out"]) == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args", [EVAL, EXPLAIN], ids=["eval", "explain"])
+def test_eval_and_explain_out_lands_under_out_dir(tmp_path, monkeypatch, capsys, args):
+    _write_files(tmp_path, RUNNABLE)
+    monkeypatch.chdir(tmp_path)
+    assert run(args + ["--out", "r/x.json", "--out-dir", "D"]) == 0
+    assert (tmp_path / "D" / "r" / "x.json").exists()
+    assert (tmp_path / "D" / "r" / "x.json.manifest.json").exists()
+    assert not (tmp_path / "r").exists()
+    # a pathlib join keeps an absolute right-hand side
+    absolute = tmp_path / "abs" / "y.json"
+    assert run(args + ["--out", absolute, "--out-dir", "D"]) == 0
+    assert absolute.exists() and (tmp_path / "abs" / "y.json.manifest.json").exists()
+    assert absolute.read_bytes() == (tmp_path / "D" / "r" / "x.json").read_bytes()

@@ -156,3 +156,7 @@ def test_nan_score_rejected_and_inf_ranked_highest():
     result = evaluate([np.inf, 0.8, 0.1, 0.2], labels)
     assert result.pr_auc == pytest.approx(1.0 * 0.5 + (2.0 / 3.0) * 0.5)
     assert result.roc_auc == 0.75
+    # tied infinities are one block, like any other tie (inf - inf is nan)
+    tied = evaluate([np.inf, np.inf, 0.5, 0.1], [1, 0, 1, 0])
+    assert tied == evaluate([9.0, 9.0, 0.5, 0.1], [1, 0, 1, 0])
+    assert tied.pr_auc == pytest.approx(0.5 * 0.5 + (2.0 / 3.0) * 0.5)

@@ -271,22 +271,30 @@ def test_train_steps_are_bit_stable(activation):
 
 
 def test_bottleneck_capacity_linear_subspace():
-    # rank-k data through a width-k linear bottleneck trains to near-exact
+    # rank-3 data through a linear bottleneck: width 3 trains to near-exact,
+    # width 2 cannot. Past convergence the gradient is rounding noise, Adam's
+    # second moment decays toward it, and the step lr/sqrt(v) grows until it
+    # passes the stability limit and the loss spikes back up. At this rate
+    # the fit reaches the rounding floor by step ~800 and the first spike
+    # comes after step ~1900 (model seeds 0-39), so the run stops in between.
     rng = np.random.default_rng(10)
     basis = rng.standard_normal((3, 8))
     coords = rng.standard_normal((40, 3))
     data = coords @ basis
-    cfg = AutoencoderConfig(
-        input_dim=8,
-        layer_dims=(3,),
-        activation="linear",
-        learning_rate=2e-2,
-        seed=12,
-    )
-    model = AutoencoderModel(cfg)
-    model.train(data, data, steps=4000)
-    err = np.sqrt(model.loss(data, data))
-    assert err < 1e-3
+
+    def final_rmse(width):
+        cfg = AutoencoderConfig(
+            input_dim=8,
+            layer_dims=(width,),
+            activation="linear",
+            learning_rate=1e-2,
+            seed=12,
+        )
+        model = AutoencoderModel(cfg)
+        model.train(data, data, steps=1300)
+        return np.sqrt(model.loss(data, data))
+
+    assert final_rmse(3) < 1e-3 < final_rmse(2)
 
 
 def test_parameters_stay_finite_on_sane_config():
