@@ -218,7 +218,7 @@ def _explain(config, seed, inputs, outputs, out_dir, verbose):
         "gamma": config["gamma"],
         "n_max": config["n_max"],
         "window_len": config.get("window_len"),
-        "normalize": bool(config.get("normalize", False)),
+        "normalize": config.get("normalize", False),
     }
     clean, _, _ = load_decomposition(inputs["csv"])
     if config["normalize"]:
@@ -386,6 +386,9 @@ def _read_manifest(path: Path) -> dict:
             kind = "an integer" if number is int else "a number"
             raise ConfigError(f"{path}: config.{key} must be {kind}, got {config[key]!r}")
         config[key] = value
+    # bool() would run "false", 0 or null as another flag than the one recorded
+    if not isinstance(normalize := config.get("normalize", False), bool):
+        raise ConfigError(f"{path}: config.normalize must be true or false, got {normalize!r}")
     return request
 
 

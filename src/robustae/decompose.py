@@ -41,14 +41,8 @@ import numpy as np
 
 from .data import NormalizationStats, denormalize, znormalize
 from .errors import InputError, NumericalError, ParameterError
-from .hankel import (
-    LaggedMatrix,
-    TimeSeries,
-    default_window_len,
-    embed_lagged,
-    hankelize,
-    matrix_to_series,
-)
+from .hankel import TimeSeries, default_window_len, diagonal_average, embed_lagged
+from .hankel import hankelize, matrix_to_series  # traced by name: perfbench/spans.py _patch_table
 from .linalg import frobenius_norm, rmse
 from .nn import AutoencoderConfig, AutoencoderModel, default_layer_dims
 from .prox import soft_threshold
@@ -211,9 +205,7 @@ def _column_batch(planes: np.ndarray) -> np.ndarray:
 
 def _batch_to_series(batch: np.ndarray, dims: int, window_len: int) -> np.ndarray:
     """(K, B*D) window columns -> (C, D) series by anti-diagonal averaging."""
-    k = batch.shape[0]
-    planes = np.ascontiguousarray(batch.reshape(k, window_len, dims).transpose(2, 1, 0))
-    return matrix_to_series(hankelize(LaggedMatrix(planes))).values
+    return diagonal_average(batch.reshape(-1, window_len, dims).transpose(2, 1, 0))
 
 
 def _child_seeds(seed: int, n: int) -> list[int]:

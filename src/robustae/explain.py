@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .hankel import TimeSeries, default_window_len, embed_lagged, hankelize, LaggedMatrix, matrix_to_series
+from .hankel import TimeSeries, default_window_len, diagonal_average, embed_lagged
+from .hankel import hankelize, matrix_to_series  # traced by name: perfbench/spans.py _patch_table
 from .linalg import least_squares, rmse, svd
 
 __all__ = [
@@ -98,15 +99,23 @@ def es_prm(
     return ExplainabilityResult("prm", float(gamma), score, tuple(curve), n_max)
 
 
-def _ssa_plane_components(plane: np.ndarray) -> list[tuple[float, np.ndarray]]:
-    """Rank-1 pieces of one B x K plane, Hankelized back to 1-D series."""
-    u, s, v = svd(plane)
-    out = []
-    for i in range(s.size):
+def _leading_components(ts: TimeSeries, window_len: int | None, n: int | None) -> list[TimeSeries]:
+    """The ``n`` leading spectrum components (all of them for None)."""
+    b = window_len if window_len is not None else default_window_len(ts.length)
+    lagged = embed_lagged(ts, b)
+    triples = [svd(plane) for plane in lagged.planes]
+    tagged = [(float(sigma), dim, i) for dim, (_, s, _) in enumerate(triples)
+              for i, sigma in enumerate(s)]
+    # stable, so equal singular values keep (dimension, index) order
+    tagged.sort(key=lambda item: -item[0])
+    components = []
+    for _, dim, i in tagged[:n]:
+        u, s, v = triples[dim]
         rank1 = np.outer(u[:, i] * s[i], v[:, i])
-        series = matrix_to_series(hankelize(LaggedMatrix(rank1)))
-        out.append((float(s[i]), series.values[:, 0]))
-    return out
+        values = np.zeros_like(ts.values)
+        values[:, dim] = diagonal_average(rank1[None])[:, 0]
+        components.append(TimeSeries(values))
+    return components
 
 
 def ssa_decompose(
@@ -120,19 +129,7 @@ def ssa_decompose(
     single dimension (zero elsewhere) and the ordering is global across
     dimensions. Components sum to the input.
     """
-    b = window_len if window_len is not None else default_window_len(ts.length)
-    lagged = embed_lagged(ts, b)
-    tagged: list[tuple[float, int, np.ndarray]] = []
-    for dim in range(ts.dims):
-        for sigma, comp in _ssa_plane_components(lagged.planes[dim]):
-            tagged.append((sigma, dim, comp))
-    tagged.sort(key=lambda item: -item[0])
-    components = []
-    for _, dim, comp in tagged:
-        values = np.zeros_like(ts.values)
-        values[:, dim] = comp
-        components.append(TimeSeries(values))
-    return components
+    return _leading_components(ts, window_len, None)
 
 
 def es_ssa(
@@ -146,11 +143,10 @@ def es_ssa(
         raise ParameterError(f"gamma must be positive, got {gamma}")
     if n_max < 1:
         raise ParameterError(f"n_max must be >= 1, got {n_max}")
-    components = ssa_decompose(clean, window_len)
     curve = []
     score = None
     partial = np.zeros_like(clean.values)
-    for n, comp in enumerate(components[:n_max], start=1):
+    for n, comp in enumerate(_leading_components(clean, window_len, n_max), start=1):
         partial += comp.values
         err = rmse(partial, clean.values)
         curve.append((n, err))

@@ -2,9 +2,10 @@
 
 A series of length C embeds into a B x K sliding-window matrix per
 dimension (K = C - B + 1), whose anti-diagonals all read the same
-observation. ``hankelize`` projects an arbitrary matrix back onto that
-structure by anti-diagonal averaging, and ``matrix_to_series`` inverts the
-embedding.
+observation. ``diagonal_average`` is the one anti-diagonal averaging
+routine: it maps planes to the series their anti-diagonal means read.
+``hankelize`` projects an arbitrary matrix back onto Hankel structure
+through it, and ``matrix_to_series`` inverts the embedding.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ __all__ = [
     "TimeSeries",
     "LaggedMatrix",
     "embed_lagged",
+    "diagonal_average",
     "hankelize",
     "matrix_to_series",
     "default_window_len",
@@ -128,6 +130,24 @@ def _antidiag_counts(b: int, k: int) -> np.ndarray:
     return np.minimum(np.minimum(a + 1, b + k - 1 - a), min(b, k))
 
 
+def diagonal_average(planes: np.ndarray) -> np.ndarray:
+    """(D, B, K) planes -> (C, D) series of anti-diagonal means, C = B + K - 1.
+
+    Each anti-diagonal sums from zero in increasing-row order, the order
+    ``np.bincount`` uses. An exactly Hankel plane is read, not averaged:
+    a mean of equal entries can differ from them in the last bit.
+    """
+    d, b, k = planes.shape
+    acc = np.zeros((b + k - 1, d))
+    for r in range(b):
+        acc[r : r + k] += planes[:, r, :].T
+    out = acc / _antidiag_counts(b, k)[:, None]
+    for di, plane in enumerate(planes):
+        if np.array_equal(plane[1:, :-1], plane[:-1, 1:]):
+            out[:, di] = np.concatenate((plane[:, 0], plane[-1, 1:]))
+    return out
+
+
 def hankelize(m: LaggedMatrix | np.ndarray) -> LaggedMatrix:
     """Project onto Hankel structure by replacing each anti-diagonal by its mean.
 
@@ -135,22 +155,13 @@ def hankelize(m: LaggedMatrix | np.ndarray) -> LaggedMatrix:
     the input.
     """
     lm = m if isinstance(m, LaggedMatrix) else LaggedMatrix(m)
-    d, b, k = lm.planes.shape
-    idx = _antidiag_index(b, k)
-    counts = _antidiag_counts(b, k)
-    rows = np.minimum(np.arange(b + k - 1), b - 1)
-    cols = np.arange(b + k - 1) - rows
-    out = np.empty_like(lm.planes)
-    for di in range(d):
-        plane = lm.planes[di]
-        rep = plane[rows, cols]
-        if np.array_equal(plane, rep[idx]):
-            # already Hankel: return it unchanged, which makes the
-            # projection exactly idempotent
+    _, b, k = lm.planes.shape
+    out = diagonal_average(lm.planes).T[:, _antidiag_index(b, k)]
+    for di, plane in enumerate(lm.planes):
+        if np.array_equal(out[di], plane):
+            # already Hankel: return it unchanged, signed zeros included,
+            # which makes the projection exactly idempotent
             out[di] = plane
-            continue
-        sums = np.bincount(idx.ravel(), weights=plane.ravel(), minlength=b + k - 1)
-        out[di] = (sums / counts)[idx]
     return LaggedMatrix(out)
 
 
@@ -163,20 +174,13 @@ def matrix_to_series(
     read, not averaged, so the embed -> invert roundtrip is bit-exact.
     """
     lm = h if isinstance(h, LaggedMatrix) else LaggedMatrix(h)
-    d, b, k = lm.planes.shape
+    _, b, k = lm.planes.shape
     idx = _antidiag_index(b, k)
     scale = max(1.0, float(np.max(np.abs(lm.planes))) if lm.planes.size else 1.0)
-    # representative entry per anti-diagonal: first row where it appears
-    rows = np.minimum(np.arange(b + k - 1), b - 1)
-    cols = np.arange(b + k - 1) - rows
-    values = np.empty((b + k - 1, d))
-    for di in range(d):
-        plane = lm.planes[di]
-        rep = plane[rows, cols]
+    # representative entry per anti-diagonal: last row where it appears
+    values = np.concatenate((lm.planes[:, :, 0], lm.planes[:, -1, 1:]), axis=1)
+    for plane, rep in zip(lm.planes, values):
         dev = np.max(np.abs(plane - rep[idx]))
         if dev > tol * scale:
-            raise ContractError(
-                f"input is not Hankel: anti-diagonal deviation {dev:.3e}"
-            )
-        values[:, di] = rep
-    return TimeSeries(values)
+            raise ContractError(f"input is not Hankel: anti-diagonal deviation {dev:.3e}")
+    return TimeSeries(values.T)

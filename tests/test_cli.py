@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import robustae
 from robustae import evaluate, load_csv, load_decomposition, outlier_scores, train
 from robustae.cli import main
 from robustae.decompose import RaeConfig
@@ -241,6 +246,44 @@ def test_replay_reproduces_outputs_byte_identically(workdir, capsys):
         assert a == b, name
 
 
+def _cli_process(args, blas_threads):
+    """Run the CLI in a fresh interpreter whose BLAS uses ``blas_threads`` threads."""
+    paths = [str(Path(robustae.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = str(blas_threads)
+    done = subprocess.run([sys.executable, "-m", "robustae", *map(str, args)], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+def test_train_and_replay_byte_equal_under_one_and_two_blas_threads(workdir):
+    # a (985 x 16) batch into a 32-wide layer, large enough for OpenBLAS to
+    # split its matrix products across threads
+    config = {**RAE_CONFIG, "window_len": 16, "max_outer_iters": 4,
+              "ae": {**RAE_CONFIG["ae"], "input_dim": 16, "layer_dims": [32, 8, 32]}}
+    (workdir / "long.json").write_text(json.dumps({**SYNTH_CONFIG, "length": 1000}))
+    run(["synth", "--config", workdir / "long.json", "--out", "data.csv", "--out-dir", workdir])
+    (workdir / "wide.json").write_text(json.dumps(config))
+    for threads in (1, 2):
+        _cli_process(["train", "--method", "rae", "--input", workdir / "data.csv",
+                      "--config", workdir / "wide.json", "--out-dir", workdir / f"train{threads}"],
+                     threads)
+        _cli_process(["replay", "--manifest", workdir / "train1" / "manifest.json",
+                      "--out-dir", workdir / f"replay{threads}"], threads)
+    runs = ["train1", "train2", "replay1", "replay2"]
+    for name in ("decomposition.csv", "scores.csv", "loss_trace.csv", "model.json"):
+        first = (workdir / runs[0] / name).read_bytes()
+        for other in runs[1:]:
+            assert (workdir / other / name).read_bytes() == first, (other, name)
+    manifests = []
+    for other in runs:
+        doc = json.loads((workdir / other / "manifest.json").read_text())
+        del doc["duration_seconds"]
+        manifests.append(doc)
+    assert manifests[1:] == manifests[:1] * 3
+
+
 RDAE_CONFIG = {
     "lagged_window": 6,
     "lam1": 0.05,
@@ -431,6 +474,17 @@ def _write_files(directory, files):
                      id="explain-manifest-window_len-fraction"),
         pytest.param({"m.json": _with(EXPLAIN_MANIFEST, n_max=2.5)}, REPLAY, 2, "m.json",
                      id="explain-manifest-n_max-fraction"),
+        # normalize must be JSON true or false: bool("false") is true
+        pytest.param({"d.csv": DECOMPOSITION_CSV,
+                      "m.json": _with(EXPLAIN_MANIFEST, normalize="false")},
+                     REPLAY, 2, "m.json", id="explain-manifest-normalize-string"),
+        pytest.param({"d.csv": DECOMPOSITION_CSV, "m.json": _with(EXPLAIN_MANIFEST, normalize=0)},
+                     REPLAY, 2, "m.json", id="explain-manifest-normalize-0"),
+        pytest.param({"d.csv": DECOMPOSITION_CSV, "m.json": _with(EXPLAIN_MANIFEST, normalize=1)},
+                     REPLAY, 2, "m.json", id="explain-manifest-normalize-1"),
+        pytest.param({"d.csv": DECOMPOSITION_CSV,
+                      "m.json": _with(EXPLAIN_MANIFEST, normalize=None)},
+                     REPLAY, 2, "m.json", id="explain-manifest-normalize-null"),
         pytest.param({"m.json": {**SWEEP_MANIFEST, "seed": "abc"}}, REPLAY, 2, "m.json",
                      id="sweep-manifest-seed-not-integer"),
         pytest.param({"s.csv": SERIES_CSV, "c.json": {"grid": {"lam": [0.05]}, "seed": "abc"}},
@@ -530,3 +584,14 @@ def test_eval_and_explain_out_lands_under_out_dir(tmp_path, monkeypatch, capsys,
     assert run(args + ["--out", absolute, "--out-dir", "D"]) == 0
     assert absolute.exists() and (tmp_path / "abs" / "y.json.manifest.json").exists()
     assert absolute.read_bytes() == (tmp_path / "D" / "r" / "x.json").read_bytes()
+
+
+@pytest.mark.parametrize("flags", [[], ["--normalize"]], ids=["plain", "normalize"])
+def test_explain_replay_keeps_normalize(tmp_path, monkeypatch, capsys, flags):
+    _write_files(tmp_path, RUNNABLE)
+    monkeypatch.chdir(tmp_path)
+    assert run(EXPLAIN + flags + ["--out", "r.json", "--out-dir", "a"]) == 0
+    assert run(["replay", "--manifest", "a/r.json.manifest.json", "--out-dir", "b"]) == 0
+    assert (tmp_path / "a" / "r.json").read_bytes() == (tmp_path / "b" / "r.json").read_bytes()
+    manifest = json.loads((tmp_path / "b" / "r.json.manifest.json").read_text())
+    assert manifest["config"]["normalize"] is bool(flags)

@@ -149,6 +149,31 @@ def test_es_ssa_curve_non_increasing():
     assert len(errs) == 9
 
 
+@pytest.mark.parametrize(
+    "dims, length, window, n_max",
+    [(2, 120, 10, 9), (1, 40, 6, 50)],
+    ids=["two-dims", "n_max-above-component-count"],
+)
+def test_es_ssa_scans_the_leading_components(dims, length, window, n_max):
+    rng = np.random.default_rng(6)
+    t = np.arange(length)[:, None]
+    scale = 1.0 + 0.5 * np.arange(dims)
+    ts = TimeSeries(scale * np.sin(2 * np.pi * t / (11.0 + 4 * np.arange(dims)))
+                    + 0.3 * rng.standard_normal((length, dims)))
+    leading = ssa_decompose(ts, window)[:n_max]
+    partial = np.zeros_like(ts.values)
+    curve = []
+    for n, comp in enumerate(leading, start=1):
+        partial += comp.values
+        curve.append((n, rmse(partial, ts.values)))
+    result = es_ssa(ts, gamma=1e-12, n_max=n_max, window_len=window)
+    assert result.rmse_by_order == tuple(curve)
+    assert len(curve) == min(n_max, dims * window)
+    # with two dimensions, the leading components take turns between them
+    dims_in_order = [int(np.flatnonzero(c.values.any(axis=0))[0]) for c in leading]
+    assert dims_in_order != sorted(dims_in_order) or dims == 1
+
+
 def test_gamma_must_be_positive():
     ts = TimeSeries(np.arange(30.0))
     with pytest.raises(ParameterError):

@@ -8,6 +8,7 @@ from robustae.hankel import (
     LaggedMatrix,
     TimeSeries,
     default_window_len,
+    diagonal_average,
     embed_lagged,
     hankelize,
     matrix_to_series,
@@ -134,3 +135,79 @@ def test_lagged_matrix_series_len():
     lm = LaggedMatrix(np.zeros((2, 4, 7)))
     assert lm.series_len == 10
     assert lm.dims == 2
+
+
+def _bincount_average(planes):
+    """Reference anti-diagonal averaging: per plane, np.bincount sums over the
+    anti-diagonal index divided by the counts, with an exactly Hankel plane
+    passed through unchanged. Returns the projected planes and the series
+    their anti-diagonals read."""
+    d, b, k = planes.shape
+    idx = np.add.outer(np.arange(b), np.arange(k))
+    a = np.arange(b + k - 1)
+    counts = np.minimum(np.minimum(a + 1, b + k - 1 - a), min(b, k))
+    rows = np.minimum(a, b - 1)
+    cols = a - rows
+    out = np.empty((d, b, k))
+    for di, plane in enumerate(planes):
+        if np.array_equal(plane, plane[rows, cols][idx]):
+            out[di] = plane
+        else:
+            sums = np.bincount(idx.ravel(), weights=plane.ravel(), minlength=b + k - 1)
+            out[di] = (sums / counts)[idx]
+    return out, out[:, rows, cols].T
+
+
+def _assert_matches_bincount(planes):
+    projected, series = _bincount_average(planes)
+    assert np.array_equal(diagonal_average(planes), series)
+    got = hankelize(planes).planes
+    assert np.array_equal(got, projected)
+    assert np.array_equal(np.signbit(got), np.signbit(projected))
+
+
+@pytest.mark.parametrize("dims", [1, 2, 3])
+def test_diagonal_average_bit_equal_to_bincount(dims):
+    rng = np.random.default_rng(dims)
+    for _ in range(40):
+        b = int(rng.integers(2, 30))
+        k = int(rng.integers(2, 80))
+        scale = 10.0 ** rng.integers(-3, 4, size=(dims, 1, 1))
+        _assert_matches_bincount(scale * rng.standard_normal((dims, b, k)))
+
+
+@pytest.mark.parametrize("dims", [1, 2, 3])
+def test_diagonal_average_of_transposed_window_batch(dims):
+    # the (K, B*D) network batch viewed as (D, B, K) planes, not copied
+    rng = np.random.default_rng(10 + dims)
+    for _ in range(20):
+        b = int(rng.integers(2, 20))
+        k = int(rng.integers(2, 200))
+        batch = rng.standard_normal((k, b * dims))
+        planes = batch.reshape(k, b, dims).transpose(2, 1, 0)
+        assert not planes.flags.c_contiguous
+        _assert_matches_bincount(planes)
+
+
+def test_diagonal_average_reads_exactly_hankel_planes():
+    # averaging equal entries can move the last bit, so a Hankel plane must
+    # be read, not averaged
+    rng = np.random.default_rng(5)
+    last_bit_cases = 0
+    for n in range(6, 61):
+        for _ in range(4):
+            b = int(rng.integers(2, n // 2 + 1))
+            planes = embed_lagged(TimeSeries(np.full((n, 2), rng.standard_normal())), b).planes
+            _assert_matches_bincount(planes)
+            assert np.array_equal(diagonal_average(planes), np.full((n, 2), planes[0, 0, 0]))
+            idx = np.add.outer(np.arange(b), np.arange(n - b + 1)).ravel()
+            averaged = np.bincount(idx, weights=planes[0].ravel()) / np.bincount(idx)
+            last_bit_cases += not np.all(averaged == planes[0, 0, 0])
+    # the inputs reach the case where the passthrough decides the result
+    assert last_bit_cases > 0
+
+
+def test_hankelize_returns_hankel_plane_with_its_signed_zeros():
+    plane = np.array([[0.0, -0.0, 2.0], [0.0, 2.0, -0.0], [2.0, -0.0, 0.0]])
+    _assert_matches_bincount(plane[None])
+    assert np.array_equal(np.signbit(hankelize(plane).planes[0]), np.signbit(plane))
