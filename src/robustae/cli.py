@@ -10,8 +10,9 @@ Every command is one request, ``{command, config, seed, inputs, outputs}``.
 The command line builds it, or ``replay`` reads it from a manifest; either
 way ``_execute`` runs it and writes its manifest next to the outputs, with
 the fully resolved configuration and seed, so replaying the manifest
-reproduces the outputs byte for byte. Exit codes: 0 success, 2
-usage/config error, 3 numerical failure, 4 I/O error.
+reproduces the outputs byte for byte. Exit codes follow the error
+hierarchy: 0 success, 3 numerical failure, 4 I/O error (OSError,
+IntegrityError, UpgradeError), 2 any other library error (usage/config).
 """
 
 from __future__ import annotations
@@ -48,15 +49,13 @@ from .decompose import (
 )
 from .errors import (
     ConfigError,
-    EvaluationError,
-    FormatError,
     InputError,
     IntegrityError,
     NumericalError,
     ParameterError,
-    ParseError,
     RobustAEError,
     UpgradeError,
+    require_int,
 )
 from .explain import DEFAULT_NMAX, es_prm, es_ssa
 from .metrics import evaluate
@@ -69,19 +68,9 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
-_USAGE_ERRORS = (
-    ConfigError,
-    ParameterError,
-    InputError,
-    EvaluationError,
-    ParseError,
-    FormatError,
-)
-_IO_ERRORS = (OSError, IntegrityError, UpgradeError)
-
 
 def _load_object(path) -> dict:
-    """A config file or manifest: a JSON object whose ``seed``, if set, is an integer."""
+    """A config file or manifest: a JSON object whose ``seed``, if set, is an integer >= 0."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -91,8 +80,11 @@ def _load_object(path) -> dict:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top-level JSON object expected")
-    if doc.get("seed") is not None and not isinstance(doc["seed"], int):
-        raise ConfigError(f"{path}: 'seed' must be an integer, got {doc['seed']!r}")
+    if doc.get("seed") is not None:
+        try:
+            require_int(doc["seed"], "'seed'", 0)
+        except ParameterError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
     return doc
 
 
@@ -114,27 +106,33 @@ def _sidecar(path: Path) -> Path:
 
 
 def _with_seed(doc: dict, seed: int | None) -> dict:
-    return doc if seed is None else {**doc, "seed": seed}
+    """``doc`` with the seed a run uses: the override ``seed`` if given, else
+    the document's own, where a missing or null seed means 0."""
+    if seed is None:
+        seed = doc.get("seed")
+    return {**doc, "seed": 0 if seed is None else require_int(seed, "seed", 0)}
 
 
-def _build_train_config(method: str, doc: dict, source=None):
-    """The trainer config a JSON object describes; ``source``, the file it
-    was read from, if any, prefixes the error messages."""
+def _build_train_config(method: str, doc: dict, source=None, seed: int | None = None):
+    """The trainer config a JSON object describes, run under ``seed`` as
+    ``_with_seed`` resolves it; ``source``, the file the object was read
+    from, if any, prefixes the error messages."""
     series = method in ("rae", "nrae")
     where = f"{source}: " if source is not None else ""
     if not isinstance(doc, dict):
         raise ConfigError(f"{where}{method} config must be a JSON object")
+    doc = _with_seed(doc, seed)
     try:
         nets = {
             key: AutoencoderConfig(**doc[key])
             for key in (("ae",) if series else ("f1", "inner_ae", "f2"))
             if doc.get(key) is not None
         }
-    except TypeError as exc:
+    except (TypeError, ParameterError) as exc:
         raise ConfigError(f"{where}bad network config: {exc}") from None
     try:
         return (RaeConfig if series else RdaeConfig)(**{**doc, **nets})
-    except TypeError as exc:
+    except (TypeError, ParameterError) as exc:
         raise ConfigError(f"{where}bad {'rae' if series else 'rdae'} config: {exc}") from None
 
 
@@ -147,7 +145,7 @@ def _build_train_config(method: str, doc: dict, source=None):
 def _synth(config, seed, inputs, outputs, out_dir, verbose):
     try:
         cfg = SynthConfig(**_with_seed(config, seed))
-    except TypeError as exc:
+    except (TypeError, ParameterError) as exc:
         raise ConfigError(f"bad synth config: {exc}") from None
     ts = generate_synthetic(cfg)
     out_csv = outputs["csv"]
@@ -163,9 +161,7 @@ def _train(config, seed, inputs, outputs, out_dir, verbose):
     if method not in TRAIN_METHODS:
         raise ConfigError(f"method must be one of {TRAIN_METHODS}, got {method!r}")
     ts = load_csv(inputs["csv"])
-    cfg = _build_train_config(
-        method, _with_seed(config["train"], seed), config.get("train_file")
-    )
+    cfg = _build_train_config(method, config["train"], config.get("train_file"), seed)
     decomposition = train(ts, method, cfg, verbose=verbose)
     out_dir.mkdir(parents=True, exist_ok=True)
     files = {"decomposition": "decomposition.csv", "scores": "scores.csv",
@@ -231,6 +227,7 @@ def _explain(config, seed, inputs, outputs, out_dir, verbose):
 
 
 def _dims_from_shape(depth: int, width: int, input_dim: int) -> tuple[int, ...]:
+    depth, width = require_int(depth, "depth"), require_int(width, "width")
     bottleneck = max(2, min(width // 4, input_dim - 1))
     if depth <= 1:
         return (bottleneck,)
@@ -249,7 +246,7 @@ def _sampled_config(method: str, base: dict, pick: dict, input_dims: int, seed: 
     depth, width = pick.get("depth"), pick.get("width")
     if depth is not None and width is not None:
         window_len = doc.get("window_len", (RaeConfig if series else RdaeConfig).window_len)
-        input_dim = window_len * input_dims
+        input_dim = require_int(window_len, "window_len") * input_dims
         doc["ae" if series else "f2"] = {
             "input_dim": input_dim,
             "layer_dims": _dims_from_shape(depth, width, input_dim),
@@ -274,7 +271,7 @@ def _sweep(config, seed, inputs, outputs, out_dir, verbose):
     base = config.get("base", {})
     if not isinstance(base, dict):
         raise ConfigError("sweep 'base' must be a JSON object")
-    master_seed = seed if seed is not None else int(config.get("seed") or 0)
+    master_seed = _with_seed(config, seed)["seed"]
     ts = load_csv(inputs["csv"])
     if ts.labels is None:
         raise InputError(f"{inputs['csv']}: sweep needs a labeled series")
@@ -487,15 +484,16 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         result = _execute(*_request(args), args.verbose)
-    except _USAGE_ERRORS as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
     except NumericalError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICAL
-    except _IO_ERRORS as exc:
+    # the stored-data errors are library errors too, so they come first
+    except (OSError, IntegrityError, UpgradeError) as exc:
         sys.stderr.write(f"i/o error: {exc}\n")
         return EXIT_IO
+    except RobustAEError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
     print(json.dumps(result, sort_keys=True))
     return EXIT_OK
 

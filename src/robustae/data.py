@@ -25,6 +25,7 @@ from .errors import (
     InputError,
     ParseError,
     UpgradeError,
+    require_int,
 )
 from .hankel import TimeSeries
 from .linalg import make_rng
@@ -229,6 +230,8 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, low in (("length", 2), ("dims", 1), ("collective_run_length", None), ("seed", 0)):
+            object.__setattr__(self, name, require_int(getattr(self, name), name, low))
         object.__setattr__(self, "ar_coefficients", tuple(self.ar_coefficients))
         object.__setattr__(self, "frequencies", tuple(self.frequencies))
         object.__setattr__(self, "amplitudes", tuple(self.amplitudes))
@@ -236,8 +239,6 @@ class SynthConfig:
             raise ConfigError(f"unknown kind {self.kind!r}")
         if self.outlier_kind not in ("point", "collective"):
             raise ConfigError(f"unknown outlier_kind {self.outlier_kind!r}")
-        if self.length < 2 or self.dims < 1:
-            raise ConfigError("length must be >= 2 and dims >= 1")
         if not 0.0 < self.outlier_ratio < 1.0:
             raise ConfigError(f"outlier_ratio must be in (0,1), got {self.outlier_ratio}")
         if int(self.outlier_ratio * self.length) < 1:

@@ -13,16 +13,21 @@ the methods it accepts:
 
 * ``rae`` (RaeConfig): the kernel on flat windows of the series.
 * ``rdae`` (RdaeConfig): a dual scheme. Each pass of an enclosing loop
-  embeds T - S as a lagged matrix, applies a learned smoothing network f1,
-  runs the kernel on the matrix columns, maps the matrix split back to
-  series form by Hankel averaging, and runs the kernel again on windows of
-  the series with a network f2. The loop stops once the norm of the
-  outlier part stabilizes.
+  embeds T - S as a lagged matrix, smooths its columns with a network f1
+  (one kernel iteration without shrinkage), runs the kernel on the smoothed
+  columns, maps the matrix split back to series form by Hankel averaging,
+  and runs the kernel again on windows of the series with a network f2.
+  The loop stops once the norm of the outlier part stabilizes.
 * ``nrae`` and ``nrdae``: the same two architectures without shrinkage, in
-  a single pass where each stage trains until its reconstruction
-  stabilizes.
+  a single pass where each stage, smoothing included, trains until its
+  reconstruction stabilizes.
 * ``rdae-f1``, ``rdae-f2`` and ``rdae-f1f2``: ablations of ``rdae`` with
   the smoothing network, the series stage, or both replaced by identity.
+
+Every network refit, f1's included, goes through ``_alternate``, so verbose
+lines and numerical errors name the stage the same way for every method:
+``rae``, ``nrae``, ``<tag>/smoothing``, ``<tag>/matrix`` and
+``<tag>/series`` with tag ``rdae`` or ``nrdae``.
 
 ``loss_trace`` records the reconstruction RMSE of each kernel iteration of
 the last stage: the series stage for rae, nrae, rdae, rdae-f1 and nrdae,
@@ -40,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import NormalizationStats, denormalize, znormalize
-from .errors import InputError, NumericalError, ParameterError
+from .errors import InputError, NumericalError, ParameterError, require_int
 from .hankel import TimeSeries, default_window_len, diagonal_average, embed_lagged
 from .hankel import hankelize, matrix_to_series  # traced by name: perfbench/spans.py _patch_table
 from .linalg import frobenius_norm, rmse
@@ -55,6 +60,18 @@ __all__ = [
     "outlier_scores",
     "TRAIN_METHODS",
 ]
+
+
+def _check_trainer(cfg, minimums: dict[str, int]) -> None:
+    """The checks RaeConfig and RdaeConfig share: each integer field in
+    ``minimums``, and window_len, stride and seed, holds an int no smaller
+    than its minimum; epsilon is positive and stride at most window_len."""
+    for name, low in {**minimums, "window_len": 2, "stride": 1, "seed": 0}.items():
+        object.__setattr__(cfg, name, require_int(getattr(cfg, name), name, low))
+    if not cfg.epsilon > 0:
+        raise ParameterError(f"epsilon must be positive, got {cfg.epsilon}")
+    if cfg.stride > cfg.window_len:
+        raise ParameterError(f"stride must lie in [1, {cfg.window_len}], got {cfg.stride}")
 
 
 @dataclass(frozen=True)
@@ -76,18 +93,9 @@ class RaeConfig:
     ae: AutoencoderConfig | None = None
 
     def __post_init__(self):
+        _check_trainer(self, {"max_outer_iters": 1})
         if not self.lam > 0:
             raise ParameterError(f"lam must be positive, got {self.lam}")
-        if not self.epsilon > 0:
-            raise ParameterError(f"epsilon must be positive, got {self.epsilon}")
-        if self.max_outer_iters < 1:
-            raise ParameterError("max_outer_iters must be >= 1")
-        if self.window_len < 2:
-            raise ParameterError(f"window_len must be >= 2, got {self.window_len}")
-        if not 1 <= self.stride <= self.window_len:
-            raise ParameterError(
-                f"stride must lie in [1, {self.window_len}], got {self.stride}"
-            )
 
 
 @dataclass(frozen=True)
@@ -114,22 +122,10 @@ class RdaeConfig:
     f2: AutoencoderConfig | None = None
 
     def __post_init__(self):
+        caps = {"max_outer_iters": 1, "max_while_iters": 1}
+        _check_trainer(self, caps if self.lagged_window is None else {**caps, "lagged_window": 2})
         if not self.lam1 > 0 or not self.lam2 > 0:
             raise ParameterError("lam1 and lam2 must be positive")
-        if not self.epsilon > 0:
-            raise ParameterError(f"epsilon must be positive, got {self.epsilon}")
-        if self.max_outer_iters < 1 or self.max_while_iters < 1:
-            raise ParameterError("iteration caps must be >= 1")
-        if self.lagged_window is not None and self.lagged_window < 2:
-            raise ParameterError(
-                f"lagged_window must be >= 2, got {self.lagged_window}"
-            )
-        if self.window_len < 2:
-            raise ParameterError(f"window_len must be >= 2, got {self.window_len}")
-        if not 1 <= self.stride <= self.window_len:
-            raise ParameterError(
-                f"stride must lie in [1, {self.window_len}], got {self.stride}"
-            )
 
 
 @dataclass
@@ -231,13 +227,6 @@ def _resolve_ae(
     return AutoencoderConfig(input_dim=input_dim, layer_dims=dims, seed=seed)
 
 
-def _guarded_train(model: AutoencoderModel, batch, target, context: str) -> None:
-    try:
-        model.train(batch, target)
-    except NumericalError as exc:
-        raise NumericalError(f"{context}: {exc}") from exc
-
-
 def _identity(a: np.ndarray) -> np.ndarray:
     return a
 
@@ -272,7 +261,10 @@ def _alternate(
     for it in range(1, cap + 1):
         target = x - s
         batch = to_batch(target)
-        _guarded_train(model, batch, batch, f"{stage} iteration {it}")
+        try:
+            model.train(batch, batch)
+        except NumericalError as exc:
+            raise NumericalError(f"{stage} iteration {it}: {exc}") from exc
         recon = from_batch(model.forward(batch))
         losses.append(rmse(target, recon))
         if lam is None:
@@ -402,14 +394,12 @@ def _train_dual(
         m_batch = _column_batch(embed_lagged(TimeSeries(values - t_s), b).planes)
         if f1 is None:
             mhat = m_batch
-        elif robust:
-            _guarded_train(f1, m_batch, m_batch, f"rdae/smoothing iteration {wit}")
-            mhat = f1.forward(m_batch)
         else:
-            mhat, _, _, _ = _alternate(
-                m_batch, np.zeros_like(m_batch), f1, None, cfg.epsilon, cap,
-                frobenius_norm(m_batch), "nrdae/smoothing", verbose,
-            )
+            # a robust pass refits f1 once; the baseline until it stabilizes
+            mhat = _alternate(
+                m_batch, np.zeros_like(m_batch), f1, None, cfg.epsilon, 1 if robust else cap,
+                frobenius_norm(m_batch), f"{tag}/smoothing", verbose,
+            )[0]
         mhat_norm = frobenius_norm(mhat)
         if mhat_norm == 0.0:
             l_batch = s_batch = np.zeros_like(mhat)

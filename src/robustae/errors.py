@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the configs' integer check."""
+
+import numbers
 
 
 class RobustAEError(Exception):
@@ -47,3 +49,13 @@ class IntegrityError(RobustAEError, ValueError):
 
 class UpgradeError(RobustAEError, ValueError):
     """Stored data written by an unsupported format version."""
+
+
+def require_int(value, name: str, minimum: int | None = None) -> int:
+    """``value`` as an int of at least ``minimum``; ParameterError naming
+    ``name`` for a bool, a non-integer (8.0, 2.5, "4") or a smaller value."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ParameterError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)

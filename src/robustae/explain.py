@@ -9,7 +9,7 @@ clean series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -49,14 +49,7 @@ class ExplainabilityResult:
         return self.score is not None
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "gamma": self.gamma,
-            "score": self.score,
-            "explainable": self.explainable,
-            "rmse_by_order": [[n, r] for n, r in self.rmse_by_order],
-            "n_max": self.n_max,
-        }
+        return {**asdict(self), "explainable": self.explainable}
 
 
 def fit_polynomial(ts: TimeSeries, degree: int) -> tuple[TimeSeries, float]:
@@ -77,6 +70,21 @@ def fit_polynomial(ts: TimeSeries, degree: int) -> tuple[TimeSeries, float]:
     return TimeSeries(fitted), rmse(fitted, ts.values)
 
 
+def _scan(method: str, gamma: float, n_max: int, pairs) -> ExplainabilityResult:
+    """Score a scan: the smallest order >= 1 whose RMSE drops below gamma.
+
+    ``pairs`` lazily yields the scan's (order, rmse) pairs in increasing
+    order, so no fit runs before gamma and n_max are checked.
+    """
+    if not gamma > 0:
+        raise ParameterError(f"gamma must be positive, got {gamma}")
+    if n_max < 1:
+        raise ParameterError(f"n_max must be >= 1, got {n_max}")
+    curve = tuple(pairs)
+    score = next((n for n, err in curve if n >= 1 and err < gamma), None)
+    return ExplainabilityResult(method, float(gamma), score, curve, n_max)
+
+
 def es_prm(
     clean: TimeSeries, gamma: float, n_max: int = DEFAULT_NMAX
 ) -> ExplainabilityResult:
@@ -85,18 +93,8 @@ def es_prm(
     Degrees 1..n_max are scanned in order; the degree-0 (constant) RMSE is
     reported in the curve but does not count as a score.
     """
-    if not gamma > 0:
-        raise ParameterError(f"gamma must be positive, got {gamma}")
-    if n_max < 1:
-        raise ParameterError(f"n_max must be >= 1, got {n_max}")
-    curve = []
-    score = None
-    for degree in range(0, n_max + 1):
-        _, err = fit_polynomial(clean, degree)
-        curve.append((degree, err))
-        if score is None and degree >= 1 and err < gamma:
-            score = degree
-    return ExplainabilityResult("prm", float(gamma), score, tuple(curve), n_max)
+    pairs = ((degree, fit_polynomial(clean, degree)[1]) for degree in range(n_max + 1))
+    return _scan("prm", gamma, n_max, pairs)
 
 
 def _leading_components(ts: TimeSeries, window_len: int | None, n: int | None) -> list[TimeSeries]:
@@ -139,17 +137,11 @@ def es_ssa(
     window_len: int | None = None,
 ) -> ExplainabilityResult:
     """Minimal number of leading spectrum components fitting within gamma."""
-    if not gamma > 0:
-        raise ParameterError(f"gamma must be positive, got {gamma}")
-    if n_max < 1:
-        raise ParameterError(f"n_max must be >= 1, got {n_max}")
-    curve = []
-    score = None
-    partial = np.zeros_like(clean.values)
-    for n, comp in enumerate(_leading_components(clean, window_len, n_max), start=1):
-        partial += comp.values
-        err = rmse(partial, clean.values)
-        curve.append((n, err))
-        if score is None and err < gamma:
-            score = n
-    return ExplainabilityResult("ssa", float(gamma), score, tuple(curve), n_max)
+
+    def pairs():
+        partial = np.zeros_like(clean.values)
+        for n, comp in enumerate(_leading_components(clean, window_len, n_max), start=1):
+            partial += comp.values
+            yield n, rmse(partial, clean.values)
+
+    return _scan("ssa", gamma, n_max, pairs())

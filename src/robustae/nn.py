@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, NumericalError, ParameterError
+from .errors import DimensionError, NumericalError, ParameterError, require_int
 from .linalg import make_rng
 
 __all__ = [
@@ -93,21 +93,18 @@ class AutoencoderConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "layer_dims", tuple(int(d) for d in self.layer_dims))
-        if self.input_dim < 1:
-            raise ParameterError(f"input_dim must be positive, got {self.input_dim}")
+        for name, low in (("input_dim", 1), ("inner_epochs", 1), ("seed", 0)):
+            object.__setattr__(self, name, require_int(getattr(self, name), name, low))
+        widths = tuple(require_int(d, "a layer width", 1) for d in self.layer_dims)
+        object.__setattr__(self, "layer_dims", widths)
         if not self.layer_dims:
             raise ParameterError("layer_dims must be nonempty")
-        if any(d < 1 for d in self.layer_dims):
-            raise ParameterError(f"layer widths must be positive, got {self.layer_dims}")
         if self.activation not in _ACTIVATIONS:
             raise ParameterError(
                 f"activation must be one of {sorted(_ACTIVATIONS)}, got {self.activation!r}"
             )
         if not self.learning_rate > 0:
             raise ParameterError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.inner_epochs < 1:
-            raise ParameterError(f"inner_epochs must be >= 1, got {self.inner_epochs}")
         if not self.weight_init_scale > 0:
             raise ParameterError(
                 f"weight_init_scale must be positive, got {self.weight_init_scale}"

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import robustae
+from robustae import cli, errors
 from robustae import evaluate, load_csv, load_decomposition, outlier_scores, train
 from robustae.cli import main
 from robustae.decompose import RaeConfig
@@ -394,6 +396,7 @@ REPLAY = ["replay", "--manifest", "m.json"]
 TRAIN = ["train", "--method", "rae", "--input", "s.csv", "--config", "c.json"]
 SWEEP = ["sweep", "--input", "s.csv", "--config", "c.json", "--n-random", "1"]
 EVAL = ["eval", "--input", "sc.csv"]
+SYNTH = ["synth", "--config", "synth.json"]
 EXPLAIN_MANIFEST = {
     "command": "explain",
     "config": {"method": "prm", "gamma": 0.1, "n_max": 9},
@@ -515,6 +518,24 @@ def _write_files(directory, files):
                       "c.json": QUICK_RAE}, TRAIN, 2, "too large to z-normalize",
                      id="train-1e300-magnitude"),
         pytest.param({"sc.csv": "t,score,label\n"}, EVAL, 2, None, id="eval-header-only"),
+        # integer fields holding non-integers (refused, not truncated) and
+        # negative or boolean seeds
+        *(pytest.param({"s.csv": SERIES_CSV, "c.json": {**QUICK_RAE, key: value}}, TRAIN, 2,
+                       "c.json", id=f"train-{key}-{value}")
+          for key, value in (("max_outer_iters", 2.5), ("window_len", 8.5), ("stride", 1.5),
+                             ("seed", -1))),
+        *(pytest.param({"s.csv": SERIES_CSV, "c.json": {**QUICK_RAE, "ae": {
+                           "input_dim": 8, "layer_dims": [4], key: value}}},
+                       TRAIN, 2, "c.json", id=f"train-network-{key}-{value}")
+          for key, value in (("input_dim", 8.0), ("inner_epochs", 2.5), ("layer_dims", "abc"),
+                             ("layer_dims", [4.7]), ("seed", None), ("seed", -1))),
+        *(pytest.param({"synth.json": {"length": 100, "outlier_kind": "collective", key: value}},
+                       SYNTH, 2, f"{key} must be", id=f"synth-{key}-{value}")
+          for key, value in (("length", 100.5), ("dims", 1.5), ("collective_run_length", 2.5))),
+        pytest.param({"s.csv": SERIES_CSV, "c.json": {**QUICK_RAE, "seed": True}}, TRAIN, 2,
+                     "c.json", id="train-seed-true"),
+        pytest.param({"s.csv": SERIES_CSV, "c.json": {"grid": {"lam": [0.05]}}},
+                     SWEEP + ["--seed", "-1"], 2, "seed must be >= 0", id="sweep-seed-flag-negative"),
     ],
 )
 def test_bad_input_exits_with_documented_code(
@@ -547,7 +568,6 @@ RUNNABLE = {
     "d.csv": DECOMPOSITION_CSV,
     "m.json": {"command": "eval", "inputs": {"csv": "sc.csv"}, "outputs": {"json": "e.json"}},
 }
-SYNTH = ["synth", "--config", "synth.json"]
 EXPLAIN = ["explain", "--input", "d.csv", "--method", "prm", "--gamma", "0.1"]
 
 
@@ -595,3 +615,86 @@ def test_explain_replay_keeps_normalize(tmp_path, monkeypatch, capsys, flags):
     assert (tmp_path / "a" / "r.json").read_bytes() == (tmp_path / "b" / "r.json").read_bytes()
     manifest = json.loads((tmp_path / "b" / "r.json.manifest.json").read_text())
     assert manifest["config"]["normalize"] is bool(flags)
+
+
+# every library error class and the exit code and stderr prefix main gives it
+EXIT_BY_ERROR = {
+    errors.RobustAEError: (2, "error: "),
+    errors.DimensionError: (2, "error: "),
+    errors.ParameterError: (2, "error: "),
+    errors.InputError: (2, "error: "),
+    errors.ContractError: (2, "error: "),
+    errors.EvaluationError: (2, "error: "),
+    errors.ConfigError: (2, "error: "),
+    errors.ParseError: (2, "error: "),
+    errors.FormatError: (2, "error: "),
+    errors.NumericalError: (3, "numerical failure: "),
+    errors.IntegrityError: (4, "i/o error: "),
+    errors.UpgradeError: (4, "i/o error: "),
+    OSError: (4, "i/o error: "),
+}
+
+
+def test_exit_code_table_names_every_library_error():
+    def subclasses(cls):
+        return {cls}.union(*(subclasses(c) for c in cls.__subclasses__()))
+
+    assert subclasses(errors.RobustAEError) <= set(EXIT_BY_ERROR)
+
+
+@pytest.mark.parametrize("error", EXIT_BY_ERROR, ids=lambda cls: cls.__name__)
+def test_exit_code_follows_the_error_class(tmp_path, monkeypatch, capsys, error):
+    def fail(*args):
+        raise error("boom")
+
+    _write_files(tmp_path, RUNNABLE)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "evaluate", fail)
+    code, prefix = EXIT_BY_ERROR[error]
+    assert run(EVAL) == code
+    assert capsys.readouterr().err == f"{prefix}boom\n"
+
+
+@pytest.mark.parametrize(
+    "method, base, grid",
+    [
+        ("rae", QUICK_RAE, {"window_len": [8, 8.5]}),
+        ("rae", QUICK_RAE, {"depth": [1, 1.5], "width": [8]}),
+        ("rae", QUICK_RAE, {"width": [8, 8.5], "depth": [1]}),
+        ("rdae", {"window_len": 8, "max_outer_iters": 1, "max_while_iters": 1},
+         {"lagged_window": [4, 4.5]}),
+    ],
+    ids=["window_len", "depth", "width", "lagged_window"],
+)
+def test_sweep_turns_a_non_integer_draw_into_a_failed_row(tmp_path, monkeypatch, capsys,
+                                                          method, base, grid):
+    _write_files(tmp_path, {"s.csv": SERIES_CSV,
+                            "c.json": {"method": method, "base": base, "grid": grid, "seed": 1}})
+    monkeypatch.chdir(tmp_path)
+    assert run(["sweep", "--input", "s.csv", "--config", "c.json", "--n-random", "6",
+                "--out", "t.csv"]) == 0
+    with open(tmp_path / "t.csv") as fh:
+        statuses = [row["status"] for row in csv.DictReader(fh)]
+    bad = next(key for key, values in grid.items() if not isinstance(values[-1], int))
+    message = f"{bad} must be an integer, got {grid[bad][-1]}"
+    assert "ok" in statuses
+    assert any(s.startswith("failed: ") and s.endswith(message) for s in statuses)
+
+
+@pytest.mark.parametrize("command", ["synth", "train"])
+def test_null_seed_runs_as_seed_0_and_replays(tmp_path, monkeypatch, capsys, command):
+    # without an "ae" block the network seed comes from the trainer seed
+    _write_files(tmp_path, {"synth.json": {**SYNTH_CONFIG, "length": 60, "seed": None},
+                            "s.csv": SERIES_CSV, "c.json": {**QUICK_RAE, "seed": None}})
+    monkeypatch.chdir(tmp_path)
+    args = SYNTH if command == "synth" else TRAIN
+    manifest = "synthetic.csv.manifest.json" if command == "synth" else "manifest.json"
+    assert run(args + ["--out-dir", "a"]) == 0
+    assert run(args + ["--out-dir", "b"]) == 0
+    assert run(["replay", "--manifest", f"a/{manifest}", "--out-dir", "c"]) == 0
+    assert json.loads((tmp_path / "a" / manifest).read_text())["seed"] == 0
+    for path in (tmp_path / "a").iterdir():
+        if path.name != manifest:
+            for other in ("b", "c"):
+                assert (tmp_path / other / path.name).read_bytes() == path.read_bytes(), path.name
+

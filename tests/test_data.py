@@ -22,6 +22,7 @@ from robustae.errors import (
     FormatError,
     InputError,
     IntegrityError,
+    ParameterError,
     ParseError,
     UpgradeError,
 )
@@ -168,6 +169,16 @@ def test_synth_nonstationary_ar_rejected():
 def test_synth_bad_ratio_rejected():
     with pytest.raises(ConfigError):
         SynthConfig(length=10, outlier_ratio=0.05)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("length", 100.5), ("dims", 1.5), ("collective_run_length", 2.5), ("seed", None),
+     ("seed", -1), ("length", 1)],
+)
+def test_synth_refuses_non_integers(field, value):
+    with pytest.raises(ParameterError, match=field):
+        SynthConfig(**{field: value, "outlier_kind": "collective"})
 
 
 def trained_model(seed=0):

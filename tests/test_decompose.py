@@ -278,6 +278,41 @@ def test_numerical_error_carries_iteration():
         train(ts, "rae", cfg)
 
 
+def test_smoothing_failure_names_the_kernel_iteration():
+    # one Adam step at this rate leaves f1 finite and the second pass's refit
+    # overflows; each pass refits f1 in one kernel iteration, so the error
+    # names iteration 1, not the pass
+    f1 = AutoencoderConfig(input_dim=6, layer_dims=(4,), learning_rate=1e280, inner_epochs=1)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        NumericalError, match=r"^rdae/smoothing iteration 1: non-finite gradient"
+    ):
+        train(quick_ts(), "rdae", replace(quick_rdae(), f1=f1))
+
+
+@pytest.mark.parametrize("method, lines", [("rdae", 2), ("rdae-f2", 2), ("rdae-f1", 0)])
+def test_verbose_logs_one_smoothing_line_per_pass(capsys, method, lines):
+    train(quick_ts(), method, quick_rdae(while_iters=2), verbose=True)
+    smoothing = [l for l in capsys.readouterr().err.splitlines() if l.startswith("[rdae/smoothing]")]
+    assert len(smoothing) == lines
+    assert all(" iter=1 " in l and l.endswith("cond2=inf") for l in smoothing)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("max_outer_iters", 2.5), ("window_len", 8.5), ("stride", 1.5), ("seed", None),
+     ("seed", True), ("seed", -1), ("max_while_iters", 2.0), ("lagged_window", 4.5)],
+)
+def test_trainer_configs_refuse_non_integers(field, value):
+    config_type = RaeConfig if field in RaeConfig.__dataclass_fields__ else RdaeConfig
+    with pytest.raises(ParameterError, match=field):
+        config_type(**{field: value})
+
+
+def test_trainer_configs_store_numpy_integers_as_ints():
+    cfg = RdaeConfig(lagged_window=np.int64(6), window_len=np.int32(8), seed=np.uint64(3))
+    assert [type(v) for v in (cfg.lagged_window, cfg.window_len, cfg.seed)] == [int] * 3
+
+
 def test_verbose_logging(capsys):
     ts = quick_ts(length=120)
     train(ts, "rae", quick_rae(outer=2), verbose=True)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustae.errors import ParameterError
+from robustae import explain
 from robustae.explain import es_prm, es_ssa, fit_polynomial, ssa_decompose
 from robustae.hankel import TimeSeries
 from robustae.linalg import rmse
@@ -180,3 +181,15 @@ def test_gamma_must_be_positive():
         es_prm(ts, gamma=0.0)
     with pytest.raises(ParameterError):
         es_ssa(ts, gamma=-1.0)
+
+
+@pytest.mark.parametrize("scan", [es_prm, es_ssa])
+@pytest.mark.parametrize("gamma, n_max", [(0.0, 9), (-1.0, 9), (0.1, 0)])
+def test_scans_check_gamma_and_n_max_before_any_fit(monkeypatch, scan, gamma, n_max):
+    def no_fit(*args):
+        raise AssertionError("fitted before the parameters were checked")
+
+    monkeypatch.setattr(explain, "fit_polynomial", no_fit)
+    monkeypatch.setattr(explain, "_leading_components", no_fit)
+    with pytest.raises(ParameterError, match="gamma|n_max"):
+        scan(TimeSeries(np.arange(30.0)), gamma, n_max)

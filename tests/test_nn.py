@@ -36,6 +36,24 @@ def test_config_validation():
         AutoencoderConfig(input_dim=4, layer_dims=(2,), learning_rate=0.0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("input_dim", 8.0), ("inner_epochs", 2.5), ("seed", None), ("seed", -1),
+     ("layer_dims", "abc"), ("layer_dims", (4.7,)), ("layer_dims", ("4",)),
+     ("layer_dims", (True,)), ("layer_dims", (0,))],
+)
+def test_config_refuses_non_integers(field, value):
+    # int() would have read 4.7 as 4 and "4" as 4
+    with pytest.raises(ParameterError, match="input_dim|inner_epochs|seed|layer width"):
+        AutoencoderConfig(**{"input_dim": 8, "layer_dims": (4,), field: value})
+
+
+def test_config_stores_numpy_integers_as_ints():
+    cfg = AutoencoderConfig(input_dim=np.int64(8), layer_dims=np.array([6, 4, 6]), seed=np.uint64(1))
+    assert (cfg.input_dim, cfg.layer_dims, cfg.seed) == (8, (6, 4, 6), 1)
+    assert {type(v) for v in (cfg.input_dim, *cfg.layer_dims, cfg.seed)} == {int}
+
+
 def test_bottleneck_is_middle_entry():
     cfg = AutoencoderConfig(input_dim=8, layer_dims=(6, 2, 6))
     assert cfg.bottleneck_dim == 2
