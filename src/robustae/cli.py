@@ -113,14 +113,12 @@ def _with_seed(doc: dict, seed: int | None) -> dict:
     return {**doc, "seed": 0 if seed is None else require_int(seed, "seed", 0)}
 
 
-def _build_train_config(method: str, doc: dict, source=None, seed: int | None = None):
+def _build_train_config(method: str, doc: dict, seed: int | None = None):
     """The trainer config a JSON object describes, run under ``seed`` as
-    ``_with_seed`` resolves it; ``source``, the file the object was read
-    from, if any, prefixes the error messages."""
+    ``_with_seed`` resolves it."""
     series = method in ("rae", "nrae")
-    where = f"{source}: " if source is not None else ""
     if not isinstance(doc, dict):
-        raise ConfigError(f"{where}{method} config must be a JSON object")
+        raise ConfigError(f"{method} config must be a JSON object")
     doc = _with_seed(doc, seed)
     try:
         nets = {
@@ -129,11 +127,11 @@ def _build_train_config(method: str, doc: dict, source=None, seed: int | None = 
             if doc.get(key) is not None
         }
     except (TypeError, ParameterError) as exc:
-        raise ConfigError(f"{where}bad network config: {exc}") from None
+        raise ConfigError(f"bad network config: {exc}") from None
     try:
         return (RaeConfig if series else RdaeConfig)(**{**doc, **nets})
     except (TypeError, ParameterError) as exc:
-        raise ConfigError(f"{where}bad {'rae' if series else 'rdae'} config: {exc}") from None
+        raise ConfigError(f"bad {'rae' if series else 'rdae'} config: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +141,10 @@ def _build_train_config(method: str, doc: dict, source=None, seed: int | None = 
 
 
 def _synth(config, seed, inputs, outputs, out_dir, verbose):
+    # a bad --seed is the flag's error, not the config file's
+    config = _with_seed(config, seed)
     try:
-        cfg = SynthConfig(**_with_seed(config, seed))
+        cfg = SynthConfig(**config)
     except (TypeError, ParameterError) as exc:
         raise ConfigError(f"bad synth config: {exc}") from None
     ts = generate_synthetic(cfg)
@@ -161,7 +161,7 @@ def _train(config, seed, inputs, outputs, out_dir, verbose):
     if method not in TRAIN_METHODS:
         raise ConfigError(f"method must be one of {TRAIN_METHODS}, got {method!r}")
     ts = load_csv(inputs["csv"])
-    cfg = _build_train_config(method, config["train"], config.get("train_file"), seed)
+    cfg = _build_train_config(method, config["train"], seed)
     decomposition = train(ts, method, cfg, verbose=verbose)
     out_dir.mkdir(parents=True, exist_ok=True)
     files = {"decomposition": "decomposition.csv", "scores": "scores.csv",
@@ -256,9 +256,8 @@ def _sampled_config(method: str, base: dict, pick: dict, input_dims: int, seed: 
 
 
 def _sweep(config, seed, inputs, outputs, out_dir, verbose):
-    n_random = config["n_random"]
-    if n_random < 1:
-        raise ConfigError(f"n_random must be >= 1, got {n_random}")
+    # --n-random is a flag, so a value below 1 is not the config file's error
+    n_random = require_int(config["n_random"], "n_random", 1)
     method = config.get("method", "rae")
     if method not in TRAIN_METHODS:
         raise ConfigError(f"sweep method must be one of {TRAIN_METHODS}")
@@ -325,15 +324,22 @@ _COMMANDS = {
 def _execute(request: dict, out_dir: Path, verbose: bool) -> dict:
     """Run one request and write its manifest; command-line runs and replays both land here.
 
-    Inputs are paths of their own; outputs resolve under ``out_dir``.
+    Inputs are paths of their own; outputs resolve under ``out_dir``. A
+    ConfigError the command raises names the file the config was read from,
+    the request's ``source``, if it has one.
     """
     started = time.time()
     inputs = {key: Path(value) for key, value in request["inputs"].items()}
     outputs = {key: out_dir / value for key, value in request["outputs"].items()}
     run = _COMMANDS[request["command"]][0]
-    result, manifest, record = run(
-        request["config"], request["seed"], inputs, outputs, out_dir, verbose
-    )
+    try:
+        result, manifest, record = run(
+            request["config"], request["seed"], inputs, outputs, out_dir, verbose
+        )
+    except ConfigError as exc:
+        if request["source"] is None:
+            raise
+        raise ConfigError(f"{request['source']}: {exc}") from None
     if manifest is not None:
         doc = {
             "command": request["command"],
@@ -353,7 +359,7 @@ def _read_manifest(path: Path) -> dict:
     command = doc.get("command")
     if command not in _COMMANDS:
         raise ConfigError(f"{path}: manifest command {command!r} cannot be replayed")
-    request = {"command": command, "seed": doc.get("seed")}
+    request = {"command": command, "seed": doc.get("seed"), "source": str(path)}
     for field in ("config", "inputs", "outputs"):
         request[field] = doc.get(field, {})
         if not isinstance(request[field], dict):
@@ -365,24 +371,21 @@ def _read_manifest(path: Path) -> dict:
     missing = [".".join(f) for f in fields if f[1] not in request[f[0]]]
     if missing:
         raise ConfigError(f"{path}: {command} manifest lacks {', '.join(missing)}")
-    # the command line types these with argparse; a manifest may hold any JSON value
+    # the command line types these with argparse; a manifest may hold any JSON value,
+    # and one that a conversion changes (true, 4.0 or "4" for an integer, "0.1" for
+    # a number) would run, and be re-recorded, as another value
     config = request["config"]
-    if command == "train":
-        config["train_file"] = str(path)
-    for key, number in (("gamma", float), ("n_max", int), ("n_random", int),
-                        ("window_len", int)):
-        if key not in config or (key == "window_len" and config[key] is None):
-            continue
-        try:
-            value = number(config[key])
-        except (TypeError, ValueError, OverflowError):
-            value = None
-        # a value the conversion changes ("0.1", 2.5 for an integer) would run, and be
-        # re-recorded, as another value
-        if value is None or value != config[key]:
-            kind = "an integer" if number is int else "a number"
-            raise ConfigError(f"{path}: config.{key} must be {kind}, got {config[key]!r}")
-        config[key] = value
+    try:
+        for key in ("n_max", "n_random", "window_len"):
+            if key in config and (key != "window_len" or config[key] is not None):
+                require_int(config[key], f"config.{key}")
+        if "gamma" in config:
+            gamma = config["gamma"]
+            if isinstance(gamma, bool) or not isinstance(gamma, (int, float)):
+                raise ParameterError(f"config.gamma must be a number, got {gamma!r}")
+            config["gamma"] = float(gamma)
+    except (ParameterError, OverflowError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     # bool() would run "false", 0 or null as another flag than the one recorded
     if not isinstance(normalize := config.get("normalize", False), bool):
         raise ConfigError(f"{path}: config.normalize must be true or false, got {normalize!r}")
@@ -395,14 +398,13 @@ def _request(args) -> tuple[dict, Path]:
     if args.command == "replay":
         return _read_manifest(Path(args.manifest)), out_dir
     request = {"command": args.command, "seed": args.seed, "config": {}, "inputs": {},
-               "outputs": {}}
+               "outputs": {}, "source": args.config}
     if args.command == "synth":
         request.update(config=_read_json(args.config), outputs={"csv": args.out})
         return request, out_dir
     request["inputs"]["csv"] = args.input
     if args.command == "train":
-        request["config"] = {"method": args.method, "train": _read_json(args.config),
-                             "train_file": str(args.config)}
+        request["config"] = {"method": args.method, "train": _read_json(args.config)}
     elif args.command == "sweep":
         request["config"] = {**_read_json(args.config), "n_random": args.n_random}
         request["outputs"]["table"] = args.out
@@ -435,7 +437,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="synthetic.csv", help="output CSV (under --out-dir)")
 
     p = sub.add_parser("train", help="decompose a series and score outliers")
-    p.add_argument("--method", required=True, help="one of " + ", ".join(TRAIN_METHODS))
+    p.add_argument("--method", required=True, choices=TRAIN_METHODS)
     p.add_argument("--input", required=True, help="input series CSV")
     p.add_argument("--config", required=True, help="trainer config JSON")
 
@@ -461,9 +463,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("replay", help="re-run a recorded manifest")
     p.add_argument("--manifest", required=True)
 
-    # each command gets only the flags it reads; the rest run with no seed
-    # override and no diagnostics
-    parser.set_defaults(seed=None, verbose=False)
+    # each command gets only the flags it reads; the rest run with no config
+    # file, no seed override and no diagnostics
+    parser.set_defaults(config=None, seed=None, verbose=False)
     for name, p in sub.choices.items():
         if name in ("synth", "train", "sweep"):
             p.add_argument("--seed", type=int, default=None, help="override the config seed")

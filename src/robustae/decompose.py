@@ -64,31 +64,28 @@ __all__ = [
 
 def _check_trainer(cfg, minimums: dict[str, int]) -> None:
     """The checks RaeConfig and RdaeConfig share: each integer field in
-    ``minimums``, and window_len, stride and seed, holds an int no smaller
-    than its minimum; epsilon is positive and stride at most window_len."""
-    for name, low in {**minimums, "window_len": 2, "stride": 1, "seed": 0}.items():
+    ``minimums``, and window_len and seed, holds an int no smaller than its
+    minimum, and epsilon is positive."""
+    for name, low in {**minimums, "window_len": 2, "seed": 0}.items():
         object.__setattr__(cfg, name, require_int(getattr(cfg, name), name, low))
     if not cfg.epsilon > 0:
         raise ParameterError(f"epsilon must be positive, got {cfg.epsilon}")
-    if cfg.stride > cfg.window_len:
-        raise ParameterError(f"stride must lie in [1, {cfg.window_len}], got {cfg.stride}")
 
 
 @dataclass(frozen=True)
 class RaeConfig:
     """Hyperparameters of the single-autoencoder trainer.
 
-    ``lam`` weights the l1 sparsity of the outlier part; ``window_len`` and
-    ``stride`` control how the series is sliced into flat windows for the
-    fully-connected network. ``ae`` may be left None to derive a default
-    network shape from the window size.
+    ``lam`` weights the l1 sparsity of the outlier part; the series is
+    sliced into every flat window of ``window_len`` consecutive steps for
+    the fully-connected network. ``ae`` may be left None to derive a
+    default network shape from the window size.
     """
 
     lam: float = 5e-2
     epsilon: float = 1e-5
     max_outer_iters: int = 200
     window_len: int = 32
-    stride: int = 1
     seed: int = 0
     ae: AutoencoderConfig | None = None
 
@@ -115,7 +112,6 @@ class RdaeConfig:
     max_outer_iters: int = 200
     max_while_iters: int = 10
     window_len: int = 32
-    stride: int = 1
     seed: int = 0
     f1: AutoencoderConfig | None = None
     inner_ae: AutoencoderConfig | None = None
@@ -159,38 +155,32 @@ def outlier_scores(d: Decomposition) -> np.ndarray:
 
 
 class _SeriesWindower:
-    """Slice a (C, D) series into flat (n, w*D) windows and fold back.
+    """Slice a (C, D) series into its C - w + 1 flat (w*D) windows and fold back.
 
-    Overlapping window reconstructions are averaged per timestep.
+    The windows are the lagged embedding with B = w, so overlapping window
+    reconstructions are averaged per timestep by ``diagonal_average``.
     """
 
-    def __init__(self, length: int, dims: int, window_len: int, stride: int):
+    def __init__(self, length: int, dims: int, window_len: int):
         if length <= window_len:
             raise InputError(
                 f"series length {length} must exceed window length {window_len}"
             )
-        starts = list(range(0, length - window_len + 1, stride))
-        if starts[-1] != length - window_len:
-            starts.append(length - window_len)
-        self.length = length
         self.dims = dims
         self.window_len = window_len
-        self.idx = np.asarray(starts)[:, None] + np.arange(window_len)[None, :]
-        self._steps = self.idx.ravel()
-        self.counts = np.bincount(self._steps, minlength=length).astype(np.float64)[:, None]
         self.input_dim = window_len * dims
 
     def batch(self, values: np.ndarray) -> np.ndarray:
-        return values[self.idx].reshape(self.idx.shape[0], self.input_dim)
+        # (K, D, w) view -> (K, w, D) rows, copied: the view's rows overlap
+        win = np.lib.stride_tricks.sliding_window_view(values, self.window_len, axis=0)
+        return np.ascontiguousarray(win.transpose(0, 2, 1)).reshape(-1, self.input_dim)
 
     def fold(self, outputs: np.ndarray) -> np.ndarray:
-        # bincount sums each timestep's window entries in index order from
-        # zero, the order np.add.at uses, so the sums are bit-identical to it
-        columns = outputs.reshape(-1, self.dims)
-        acc = np.empty((self.length, self.dims))
-        for d in range(self.dims):
-            acc[:, d] = np.bincount(self._steps, weights=columns[:, d], minlength=self.length)
-        return acc / self.counts
+        # diagonal_average sums each timestep from its first plane row down;
+        # flipped along both axes, that row holds the earliest window, so each
+        # timestep sums its windows in window order
+        planes = outputs.reshape(-1, self.window_len, self.dims).transpose(2, 1, 0)
+        return diagonal_average(planes[:, ::-1, ::-1])[::-1]
 
 
 def _column_batch(planes: np.ndarray) -> np.ndarray:
@@ -331,7 +321,7 @@ def _finish(
 
 def _train_series(values: np.ndarray, t_norm: float, cfg: RaeConfig, robust: bool, verbose: bool):
     c, d = values.shape
-    windower = _SeriesWindower(c, d, cfg.window_len, cfg.stride)
+    windower = _SeriesWindower(c, d, cfg.window_len)
     model = AutoencoderModel(
         _resolve_ae(cfg.ae, windower.input_dim, _child_seeds(cfg.seed, 1)[0])
     )
@@ -374,7 +364,7 @@ def _train_dual(
     inner = AutoencoderModel(_resolve_ae(cfg.inner_ae, b * d, seeds[1]))
     windower = f2 = None
     if use_f2:
-        windower = _SeriesWindower(c, d, cfg.window_len, cfg.stride)
+        windower = _SeriesWindower(c, d, cfg.window_len)
         f2 = AutoencoderModel(_resolve_ae(cfg.f2, windower.input_dim, seeds[2]))
 
     tag = "rdae" if robust else "nrdae"

@@ -96,11 +96,11 @@ class LaggedMatrix:
         return self.window_len + self.n_windows - 1
 
 
-def default_window_len(length: int, exponent: float = 2.0) -> int:
-    """Default window length (ln C)**exponent, rounded and clamped to (1, C/2)."""
+def default_window_len(length: int) -> int:
+    """Default window length (ln C)**2, rounded and clamped to (1, C/2)."""
     if length < 5:
         raise ParameterError(f"series length {length} too short for a lagged view")
-    b = int(round(math.log(length) ** exponent))
+    b = int(round(math.log(length) ** 2))
     upper = (length - 1) // 2 if length % 2 == 1 else length // 2 - 1
     return min(max(b, 2), max(upper, 2))
 
@@ -133,9 +133,9 @@ def _antidiag_counts(b: int, k: int) -> np.ndarray:
 def diagonal_average(planes: np.ndarray) -> np.ndarray:
     """(D, B, K) planes -> (C, D) series of anti-diagonal means, C = B + K - 1.
 
-    Each anti-diagonal sums from zero in increasing-row order, the order
-    ``np.bincount`` uses. An exactly Hankel plane is read, not averaged:
-    a mean of equal entries can differ from them in the last bit.
+    Each anti-diagonal sums from 0.0, adding its entries in increasing-row
+    order. An exactly Hankel plane is read, not averaged: a mean of equal
+    entries can differ from them in the last bit.
     """
     d, b, k = planes.shape
     acc = np.zeros((b + k - 1, d))
@@ -165,13 +165,12 @@ def hankelize(m: LaggedMatrix | np.ndarray) -> LaggedMatrix:
     return LaggedMatrix(out)
 
 
-def matrix_to_series(
-    h: LaggedMatrix | np.ndarray, tol: float = 1e-9
-) -> TimeSeries:
+def matrix_to_series(h: LaggedMatrix | np.ndarray) -> TimeSeries:
     """Invert the lagged embedding: read each anti-diagonal's shared value.
 
-    The input must satisfy the Hankel property within ``tol``; entries are
-    read, not averaged, so the embed -> invert roundtrip is bit-exact.
+    The input must satisfy the Hankel property within a relative 1e-9;
+    entries are read, not averaged, so the embed -> invert roundtrip is
+    bit-exact.
     """
     lm = h if isinstance(h, LaggedMatrix) else LaggedMatrix(h)
     _, b, k = lm.planes.shape
@@ -181,6 +180,6 @@ def matrix_to_series(
     values = np.concatenate((lm.planes[:, :, 0], lm.planes[:, -1, 1:]), axis=1)
     for plane, rep in zip(lm.planes, values):
         dev = np.max(np.abs(plane - rep[idx]))
-        if dev > tol * scale:
+        if dev > 1e-9 * scale:
             raise ContractError(f"input is not Hankel: anti-diagonal deviation {dev:.3e}")
     return TimeSeries(values.T)

@@ -268,6 +268,8 @@ class AutoencoderModel:
                 delta = nxt
         return loss
 
+    # an overflow raises NumericalError below, so numpy need not warn of it first
+    @np.errstate(over="ignore", invalid="ignore")
     def forward(self, batch) -> np.ndarray:
         """Reconstruct a batch of row samples (n, input_dim) -> (n, input_dim).
 
@@ -333,6 +335,8 @@ class AutoencoderModel:
             raise NumericalError("parameters became non-finite during update")
         return loss
 
+    # each step's finiteness checks raise NumericalError, so numpy need not warn first
+    @np.errstate(over="ignore", invalid="ignore")
     def train(self, batch, target, steps: int | None = None) -> list[float]:
         """Run ``steps`` (default config.inner_epochs) full-batch Adam steps,
         all in one workspace."""

@@ -58,7 +58,6 @@ def rae_config(seed: int, lam: float = 0.05, outer: int = 55, inner: int = 10) -
         lam=lam,
         max_outer_iters=outer,
         window_len=16,
-        stride=1,
         seed=seed,
         ae=ae,
     )
@@ -95,7 +94,6 @@ def rdae_config(
         max_outer_iters=15,
         max_while_iters=while_iters,
         window_len=16,
-        stride=1,
         seed=seed,
         f1=f1,
         inner_ae=inner,

@@ -84,12 +84,14 @@ def test_train_outputs(workdir, capsys):
     assert manifest["config"]["method"] == "rae"
 
 
-def test_train_bad_method_exits_2(workdir):
+def test_train_bad_method_exits_2(workdir, capsys):
     run(["synth", "--config", workdir / "synth.json", "--out", "data.csv",
          "--out-dir", workdir])
     code = run(["train", "--method", "bogus", "--input", workdir / "data.csv",
                 "--config", workdir / "rae.json", "--out-dir", workdir / "x"])
     assert code == 2
+    # the flag is at fault, not the config file
+    assert "argument --method: invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 def test_train_missing_input_exits_4(workdir):
@@ -248,15 +250,17 @@ def test_replay_reproduces_outputs_byte_identically(workdir, capsys):
         assert a == b, name
 
 
-def _cli_process(args, blas_threads):
-    """Run the CLI in a fresh interpreter whose BLAS uses ``blas_threads`` threads."""
+def _cli_process(args, blas_threads=1, code=0):
+    """Run the CLI in a fresh interpreter whose BLAS uses ``blas_threads``
+    threads, require exit ``code``, and return its stderr."""
     paths = [str(Path(robustae.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = str(blas_threads)
     done = subprocess.run([sys.executable, "-m", "robustae", *map(str, args)], env=env,
                           capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
+    assert done.returncode == code, done.stderr
+    return done.stderr
 
 
 def test_train_and_replay_byte_equal_under_one_and_two_blas_threads(workdir):
@@ -477,6 +481,16 @@ def _write_files(directory, files):
                      id="explain-manifest-window_len-fraction"),
         pytest.param({"m.json": _with(EXPLAIN_MANIFEST, n_max=2.5)}, REPLAY, 2, "m.json",
                      id="explain-manifest-n_max-fraction"),
+        # values equal to their conversion that the command line never records: a bool,
+        # or a float where an integer belongs
+        *(pytest.param({"d.csv": DECOMPOSITION_CSV, "s.csv": SERIES_CSV,
+                        "m.json": _with(manifest, **{key: value})},
+                       REPLAY, 2, "m.json", id=f"{manifest['command']}-manifest-{key}-{value}")
+          for manifest, key, value in ((EXPLAIN_MANIFEST, "n_max", True),
+                                       (EXPLAIN_MANIFEST, "n_max", 4.0),
+                                       (EXPLAIN_MANIFEST, "gamma", True),
+                                       (EXPLAIN_MANIFEST, "window_len", 4.0),
+                                       (SWEEP_MANIFEST, "n_random", True))),
         # normalize must be JSON true or false: bool("false") is true
         pytest.param({"d.csv": DECOMPOSITION_CSV,
                       "m.json": _with(EXPLAIN_MANIFEST, normalize="false")},
@@ -522,8 +536,10 @@ def _write_files(directory, files):
         # negative or boolean seeds
         *(pytest.param({"s.csv": SERIES_CSV, "c.json": {**QUICK_RAE, key: value}}, TRAIN, 2,
                        "c.json", id=f"train-{key}-{value}")
-          for key, value in (("max_outer_iters", 2.5), ("window_len", 8.5), ("stride", 1.5),
-                             ("seed", -1))),
+          for key, value in (("max_outer_iters", 2.5), ("window_len", 8.5), ("seed", -1))),
+        # stride is no field: the series view takes every window
+        pytest.param({"s.csv": SERIES_CSV, "c.json": {**QUICK_RAE, "stride": 1}}, TRAIN, 2,
+                     "c.json", id="train-stride-1"),
         *(pytest.param({"s.csv": SERIES_CSV, "c.json": {**QUICK_RAE, "ae": {
                            "input_dim": 8, "layer_dims": [4], key: value}}},
                        TRAIN, 2, "c.json", id=f"train-network-{key}-{value}")
@@ -557,6 +573,49 @@ def test_bad_input_exits_with_documented_code(
     assert err.startswith("i/o error: " if code == 4 else "error: ")
     if says is not None:
         assert says in err
+
+
+# the config file a request read is named once, in front of the command's own
+# message, and a flag's value is not blamed on it
+@pytest.mark.parametrize(
+    "files, args, message",
+    [
+        pytest.param({"synth.json": {"length": 100.5}}, SYNTH,
+                     "synth.json: bad synth config: length must be an integer, got 100.5",
+                     id="synth-length"),
+        pytest.param({"s.csv": SERIES_CSV, "c.json": {"grid": {"lam": 0.05}}}, SWEEP,
+                     "c.json: sweep grid entries must be nonempty lists: lam", id="sweep-grid"),
+        pytest.param({"s.csv": SERIES_CSV, "c.json": {"grid": {"lam": [0.05]}, "base": []}},
+                     SWEEP, "c.json: sweep 'base' must be a JSON object", id="sweep-base"),
+        pytest.param({"s.csv": SERIES_CSV, "c.json": {"grid": {"lam": [0.05]}, "method": "x"}},
+                     SWEEP, f"c.json: sweep method must be one of {robustae.TRAIN_METHODS}",
+                     id="sweep-method"),
+        pytest.param({"m.json": {"command": "train", "config": {"method": "x", "train": {}},
+                                 "inputs": {"csv": "s.csv"}}},
+                     REPLAY, f"m.json: method must be one of {robustae.TRAIN_METHODS}, got 'x'",
+                     id="replay-train-method"),
+        pytest.param({"synth.json": SYNTH_CONFIG}, SYNTH + ["--seed", "-1"],
+                     "seed must be >= 0, got -1", id="synth-seed-flag"),
+        pytest.param({"s.csv": SERIES_CSV, "c.json": {"grid": {"lam": [0.05]}}},
+                     SWEEP[:-1] + ["0"], "n_random must be >= 1, got 0", id="sweep-n-random-flag"),
+    ],
+)
+def test_config_error_names_its_file_once(tmp_path, monkeypatch, capsys, files, args, message):
+    _write_files(tmp_path, files)
+    monkeypatch.chdir(tmp_path)
+    assert run(args + ["--out-dir", "out"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_numerical_failure_is_the_only_stderr_line(tmp_path):
+    # an overflowing Adam step: numpy would warn three times before the
+    # network's own finiteness check raised
+    _write_files(tmp_path, {"s.csv": SERIES_CSV, "c.json": {**QUICK_RAE, "ae": {
+        "input_dim": 8, "layer_dims": [4], "learning_rate": 1e280}}})
+    err = _cli_process(["train", "--method", "rae", "--input", tmp_path / "s.csv", "--config",
+                        tmp_path / "c.json", "--out-dir", tmp_path / "out"], code=3)
+    assert err == ("numerical failure: rae iteration 1: non-finite gradient; "
+                   "reduce the learning rate\n")
 
 
 # inputs on which each command runs, so only a flag it does not take can fail it

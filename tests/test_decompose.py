@@ -15,7 +15,7 @@ from robustae import (
     train,
     znormalize,
 )
-from robustae.decompose import Decomposition
+from robustae.decompose import Decomposition, _SeriesWindower
 from robustae.errors import InputError, NumericalError, ParameterError
 
 
@@ -272,9 +272,9 @@ def test_numerical_error_carries_iteration():
         input_dim=8, layer_dims=(12, 6, 12), learning_rate=1e280, inner_epochs=4, seed=1
     )
     cfg = RaeConfig(lam=0.05, max_outer_iters=5, window_len=8, seed=1, ae=ae)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-        NumericalError, match="iteration"
-    ):
+    # the network's overflow warnings are silenced, so pytest's
+    # error::RuntimeWarning filter lets the NumericalError through
+    with pytest.raises(NumericalError, match="iteration"):
         train(ts, "rae", cfg)
 
 
@@ -299,8 +299,8 @@ def test_verbose_logs_one_smoothing_line_per_pass(capsys, method, lines):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("max_outer_iters", 2.5), ("window_len", 8.5), ("stride", 1.5), ("seed", None),
-     ("seed", True), ("seed", -1), ("max_while_iters", 2.0), ("lagged_window", 4.5)],
+    [("max_outer_iters", 2.5), ("window_len", 8.5), ("seed", None), ("seed", True),
+     ("seed", -1), ("max_while_iters", 2.0), ("lagged_window", 4.5)],
 )
 def test_trainer_configs_refuse_non_integers(field, value):
     config_type = RaeConfig if field in RaeConfig.__dataclass_fields__ else RdaeConfig
@@ -362,15 +362,40 @@ def test_rdae_multivariate():
     assert_constraint(ts, d)
 
 
-def test_rae_stride_covers_series():
-    ts = quick_ts(seed=6)
-    ae = AutoencoderConfig(
-        input_dim=8, layer_dims=(12, 6, 12), learning_rate=5e-3, inner_epochs=6, seed=6
-    )
-    cfg = RaeConfig(lam=0.05, max_outer_iters=8, window_len=8, stride=4, seed=6, ae=ae)
-    d = train(ts, "rae", cfg)
-    assert_constraint(ts, d)
-    assert np.all(np.isfinite(d.clean.values))
+def _gather_and_bincount(length, dims, window_len):
+    """Reference window batch and fold: every window gathered by an index
+    table, and each timestep's window entries summed by np.bincount, in
+    window order from zero, then divided by their count."""
+    idx = np.arange(length - window_len + 1)[:, None] + np.arange(window_len)
+    steps = idx.ravel()
+    counts = np.bincount(steps, minlength=length)[:, None]
+
+    def batch(values):
+        return values[idx].reshape(len(idx), window_len * dims)
+
+    def fold(outputs):
+        columns = outputs.reshape(-1, dims)
+        sums = [np.bincount(steps, weights=columns[:, d], minlength=length) for d in range(dims)]
+        return np.stack(sums, axis=1) / counts
+
+    return batch, fold
+
+
+@pytest.mark.parametrize("dims", [1, 2, 3])
+def test_series_windower_bit_equal_to_gather_and_bincount(dims):
+    rng = np.random.default_rng(dims)
+    for _ in range(30):
+        length = int(rng.integers(4, 60))
+        # the shortest window, a random one, and the longest two the series allows
+        for window_len in sorted({2, int(rng.integers(2, length)), length - 2, length - 1}):
+            windower = _SeriesWindower(length, dims, window_len)
+            batch, fold = _gather_and_bincount(length, dims, window_len)
+            values = rng.standard_normal((length, dims)) * 10.0 ** rng.uniform(-3, 3)
+            got = windower.batch(values)
+            assert got.flags.c_contiguous and not np.shares_memory(got, values)
+            assert got.tobytes() == batch(values).tobytes()
+            outputs = rng.standard_normal(got.shape) * 10.0 ** rng.uniform(-3, 3)
+            assert windower.fold(outputs).tobytes() == fold(outputs).tobytes()
 
 
 def test_default_network_shapes_derived():
