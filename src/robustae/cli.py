@@ -239,17 +239,17 @@ def _sampled_config(method: str, base: dict, pick: dict, input_dims: int, seed: 
     """One sweep run's trainer config: ``base`` with the picked grid values."""
     series = method in ("rae", "nrae")
     doc = dict(base, seed=seed)
-    if "lam" in pick:
-        doc.update(dict.fromkeys(("lam",) if series else ("lam1", "lam2"), pick["lam"]))
-    copied = ("window_len",) if series else ("lagged_window", "window_len")
-    doc.update({key: pick[key] for key in copied if key in pick})
-    depth, width = pick.get("depth"), pick.get("width")
-    if depth is not None and width is not None:
+    for key, value in pick.items():
+        if key == "lam":
+            doc.update(dict.fromkeys(("lam",) if series else ("lam1", "lam2"), value))
+        elif key not in ("depth", "width"):
+            doc[key] = value
+    if "depth" in pick:
         window_len = doc.get("window_len", (RaeConfig if series else RdaeConfig).window_len)
         input_dim = require_int(window_len, "window_len") * input_dims
         doc["ae" if series else "f2"] = {
             "input_dim": input_dim,
-            "layer_dims": _dims_from_shape(depth, width, input_dim),
+            "layer_dims": _dims_from_shape(pick["depth"], pick["width"], input_dim),
             "seed": seed,
         }
     return _build_train_config(method, doc)
@@ -267,6 +267,13 @@ def _sweep(config, seed, inputs, outputs, out_dir, verbose):
     not_lists = sorted(k for k, v in grid.items() if not isinstance(v, list) or not v)
     if not_lists:
         raise ConfigError(f"sweep grid entries must be nonempty lists: {', '.join(not_lists)}")
+    fields = (RaeConfig if method in ("rae", "nrae") else RdaeConfig).__dataclass_fields__
+    refused = sorted(set(grid) - ({"lam", "depth", "width", *fields} - {"seed"}))
+    if refused:
+        raise ConfigError(f"sweep grid keys must be lam, depth, width or {method} config "
+                          f"fields other than seed, got {', '.join(refused)}")
+    if ("depth" in grid) != ("width" in grid):
+        raise ConfigError("sweep grid needs 'depth' and 'width' together")
     base = config.get("base", {})
     if not isinstance(base, dict):
         raise ConfigError("sweep 'base' must be a JSON object")
@@ -383,7 +390,6 @@ def _read_manifest(path: Path) -> dict:
             gamma = config["gamma"]
             if isinstance(gamma, bool) or not isinstance(gamma, (int, float)):
                 raise ParameterError(f"config.gamma must be a number, got {gamma!r}")
-            config["gamma"] = float(gamma)
     except (ParameterError, OverflowError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
     # bool() would run "false", 0 or null as another flag than the one recorded

@@ -379,8 +379,10 @@ def load_model(path) -> AutoencoderModel:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ParseError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: top-level JSON object expected")
     version = doc.get("version")
     if version != MODEL_FORMAT_VERSION:
         raise UpgradeError(
@@ -390,10 +392,13 @@ def load_model(path) -> AutoencoderModel:
     payload = {k: doc.get(k) for k in ("config", "weights", "biases")}
     if _checksum(payload) != doc.get("checksum"):
         raise IntegrityError(f"{path}: checksum mismatch")
-    config = AutoencoderConfig(**payload["config"])
-    weights = [np.array(w, dtype=np.float64) for w in payload["weights"]]
-    biases = [np.array(b, dtype=np.float64) for b in payload["biases"]]
-    return AutoencoderModel(config, weights=weights, biases=biases)
+    try:
+        config = AutoencoderConfig(**payload["config"])
+        weights = [np.array(w, dtype=np.float64) for w in payload["weights"]]
+        biases = [np.array(b, dtype=np.float64) for b in payload["biases"]]
+        return AutoencoderModel(config, weights=weights, biases=biases)
+    except (TypeError, ValueError) as exc:  # ParameterError and DimensionError included
+        raise FormatError(f"{path}: payload does not build a model ({exc})") from None
 
 
 def _decomposition_header(dims: int) -> list[str]:

@@ -438,6 +438,7 @@ _METHODS = {
 TRAIN_METHODS = tuple(_METHODS)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(ts: TimeSeries, method: str, cfg, verbose: bool = False) -> Decomposition:
     """Decompose ``ts`` with the trainer ``method`` names (one of TRAIN_METHODS).
 

@@ -598,6 +598,19 @@ def test_bad_input_exits_with_documented_code(
                      "seed must be >= 0, got -1", id="synth-seed-flag"),
         pytest.param({"s.csv": SERIES_CSV, "c.json": {"grid": {"lam": [0.05]}}},
                      SWEEP[:-1] + ["0"], "n_random must be >= 1, got 0", id="sweep-n-random-flag"),
+        pytest.param({"s.csv": SERIES_CSV, "c.json": {"method": "rdae", "grid": {
+                         "lam1": [1e-4, 10.0], "lamda": [1, 2]}}}, SWEEP,
+                     "c.json: sweep grid keys must be lam, depth, width or rdae config fields "
+                     "other than seed, got lamda", id="sweep-grid-unknown-key"),
+        pytest.param({"s.csv": SERIES_CSV, "c.json": {"grid": {"seed": [1, 2]}}}, SWEEP,
+                     "c.json: sweep grid keys must be lam, depth, width or rae config fields "
+                     "other than seed, got seed", id="sweep-grid-seed"),
+        pytest.param({"s.csv": SERIES_CSV, "c.json": {"grid": {"depth": [1, 5]}}}, SWEEP,
+                     "c.json: sweep grid needs 'depth' and 'width' together",
+                     id="sweep-grid-depth-without-width"),
+        pytest.param({"s.csv": SERIES_CSV, "c.json": {"grid": {"width": [8]}}}, SWEEP,
+                     "c.json: sweep grid needs 'depth' and 'width' together",
+                     id="sweep-grid-width-without-depth"),
     ],
 )
 def test_config_error_names_its_file_once(tmp_path, monkeypatch, capsys, files, args, message):
@@ -607,14 +620,26 @@ def test_config_error_names_its_file_once(tmp_path, monkeypatch, capsys, files, 
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_numerical_failure_is_the_only_stderr_line(tmp_path):
-    # an overflowing Adam step: numpy would warn three times before the
-    # network's own finiteness check raised
-    _write_files(tmp_path, {"s.csv": SERIES_CSV, "c.json": {**QUICK_RAE, "ae": {
-        "input_dim": 8, "layer_dims": [4], "learning_rate": 1e280}}})
-    err = _cli_process(["train", "--method", "rae", "--input", tmp_path / "s.csv", "--config",
+@pytest.mark.parametrize(
+    "method, config, stage",
+    [
+        # an overflowing Adam step: numpy would warn three times before the
+        # network's own finiteness check raised
+        ("rae", {**QUICK_RAE, "ae": {"input_dim": 8, "layer_dims": [4], "learning_rate": 1e280}},
+         "rae"),
+        # one step leaves the smoothing network finite and the next pass's refit
+        # overflows; the norms of the trainer's alternation would warn on the way
+        ("rdae", {**QUICK_RAE, "lagged_window": 6, "max_while_iters": 2, "f1": {
+            "input_dim": 6, "layer_dims": [4], "learning_rate": 1e280, "inner_epochs": 1}},
+         "rdae/smoothing"),
+    ],
+    ids=["rae", "rdae-smoothing"],
+)
+def test_numerical_failure_is_the_only_stderr_line(tmp_path, method, config, stage):
+    _write_files(tmp_path, {"s.csv": SERIES_CSV, "c.json": config})
+    err = _cli_process(["train", "--method", method, "--input", tmp_path / "s.csv", "--config",
                         tmp_path / "c.json", "--out-dir", tmp_path / "out"], code=3)
-    assert err == ("numerical failure: rae iteration 1: non-finite gradient; "
+    assert err == (f"numerical failure: {stage} iteration 1: non-finite gradient; "
                    "reduce the learning rate\n")
 
 
@@ -674,6 +699,40 @@ def test_explain_replay_keeps_normalize(tmp_path, monkeypatch, capsys, flags):
     assert (tmp_path / "a" / "r.json").read_bytes() == (tmp_path / "b" / "r.json").read_bytes()
     manifest = json.loads((tmp_path / "b" / "r.json.manifest.json").read_text())
     assert manifest["config"]["normalize"] is bool(flags)
+
+
+def test_replay_keeps_an_integer_gamma_as_recorded(tmp_path, monkeypatch, capsys):
+    _write_files(tmp_path, RUNNABLE)
+    monkeypatch.chdir(tmp_path)
+    assert run(EXPLAIN[:-1] + ["1", "--out", "r.json", "--out-dir", "a"]) == 0
+    manifest = tmp_path / "a" / "r.json.manifest.json"
+    recorded = json.loads(manifest.read_text())
+    recorded["config"]["gamma"] = 1
+    manifest.write_text(json.dumps(recorded))
+    assert run(["replay", "--manifest", manifest, "--out-dir", "b"]) == 0
+    assert (tmp_path / "a" / "r.json").read_bytes() == (tmp_path / "b" / "r.json").read_bytes()
+    replayed = json.loads((tmp_path / "b" / "r.json.manifest.json").read_text())
+    for doc in (recorded, replayed):
+        del doc["duration_seconds"]
+    # 1 == 1.0 in Python, so compare the JSON text
+    assert json.dumps(replayed, sort_keys=True) == json.dumps(recorded, sort_keys=True)
+
+
+def test_sweep_sets_every_other_grid_key_on_the_trainer_config(tmp_path, monkeypatch, capsys):
+    drawn = []
+
+    def spy(ts, method, cfg):
+        drawn.append((cfg.lam1, cfg.max_while_iters))
+        return train(ts, method, cfg)
+
+    _write_files(tmp_path, {"s.csv": SERIES_CSV, "c.json": {
+        "method": "rdae", "base": {"window_len": 8, "max_outer_iters": 1, "lagged_window": 6},
+        "grid": {"lam1": [1e-4, 10.0], "max_while_iters": [1, 2]}, "seed": 3}})
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "train", spy)
+    assert run(SWEEP[:-1] + ["6"]) == 0
+    assert {lam1 for lam1, _ in drawn} == {1e-4, 10.0}
+    assert {iters for _, iters in drawn} == {1, 2}
 
 
 # every library error class and the exit code and stderr prefix main gives it

@@ -6,6 +6,7 @@ import pytest
 
 from robustae.data import (
     SynthConfig,
+    _checksum,
     denormalize,
     generate_synthetic,
     load_csv,
@@ -225,6 +226,39 @@ def test_model_future_version(tmp_path):
     doc["version"] = 99
     path.write_text(json.dumps(doc))
     with pytest.raises(UpgradeError):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe not utf-8", b"[]"],
+    ids=["not-utf-8", "top-level-list"],
+)
+def test_model_file_that_does_not_parse(tmp_path, content):
+    path = tmp_path / "model.json"
+    path.write_bytes(content)
+    with pytest.raises(ParseError, match="model.json"):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc["config"].update(stride=1),
+        lambda doc: doc["config"].update(learning_rate=-1.0),
+        lambda doc: doc["weights"].pop(),
+    ],
+    ids=["unknown-config-field", "bad-config-value", "missing-layer"],
+)
+def test_model_payload_that_does_not_build(tmp_path, edit):
+    # the checksum is recomputed, so only the payload itself is at fault
+    path = tmp_path / "model.json"
+    save_model(trained_model(), path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    doc["checksum"] = _checksum({k: doc[k] for k in ("config", "weights", "biases")})
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match="model.json: payload does not build a model"):
         load_model(path)
 
 
