@@ -267,13 +267,23 @@ def _sweep(config, seed, inputs, outputs, out_dir, verbose):
     not_lists = sorted(k for k, v in grid.items() if not isinstance(v, list) or not v)
     if not_lists:
         raise ConfigError(f"sweep grid entries must be nonempty lists: {', '.join(not_lists)}")
-    fields = (RaeConfig if method in ("rae", "nrae") else RdaeConfig).__dataclass_fields__
+    series = method in ("rae", "nrae")
+    fields = (RaeConfig if series else RdaeConfig).__dataclass_fields__
     refused = sorted(set(grid) - ({"lam", "depth", "width", *fields} - {"seed"}))
     if refused:
         raise ConfigError(f"sweep grid keys must be lam, depth, width or {method} config "
                           f"fields other than seed, got {', '.join(refused)}")
     if ("depth" in grid) != ("width" in grid):
         raise ConfigError("sweep grid needs 'depth' and 'width' together")
+    # the fields each shorthand writes in _sampled_config; drawing one of them
+    # too would list a value that the run did not train with
+    block = ("ae",) if series else ("f2",)
+    written = {"lam": () if series else ("lam1", "lam2"), "depth": block, "width": block}
+    twice = [f"{short} and {key}" for short, keys in written.items() if short in grid
+             for key in keys if key in grid]
+    if twice:
+        raise ConfigError("sweep grid sets a config field both directly and through a "
+                          f"shorthand: {', '.join(twice)}")
     base = config.get("base", {})
     if not isinstance(base, dict):
         raise ConfigError("sweep 'base' must be a JSON object")

@@ -28,7 +28,6 @@ from .errors import (
     require_int,
 )
 from .hankel import TimeSeries
-from .linalg import make_rng
 from .nn import AutoencoderConfig, AutoencoderModel
 
 __all__ = [
@@ -53,16 +52,11 @@ MODEL_FORMAT_VERSION = 1
 class NormalizationStats:
     """Per-dimension mean/std used to z-normalize a series.
 
-    Constant dimensions get std clamped to 1 and are flagged.
+    Constant dimensions get std clamped to 1.
     """
 
     mean: np.ndarray
     std: np.ndarray
-    clamped: np.ndarray
-
-    @property
-    def any_clamped(self) -> bool:
-        return bool(np.any(self.clamped))
 
 
 def znormalize(ts: TimeSeries) -> tuple[TimeSeries, NormalizationStats]:
@@ -82,10 +76,9 @@ def znormalize(ts: TimeSeries) -> tuple[TimeSeries, NormalizationStats]:
             f"series values up to {np.max(np.abs(ts.values)):.3g} in magnitude are "
             "too large to z-normalize: their mean or standard deviation overflows"
         )
-    clamped = std <= 0.0
-    std = np.where(clamped, 1.0, std)
+    std = np.where(std <= 0.0, 1.0, std)
     out = (ts.values - mean) / std
-    return TimeSeries(out, labels=ts.labels), NormalizationStats(mean, std, clamped)
+    return TimeSeries(out, labels=ts.labels), NormalizationStats(mean, std)
 
 
 def denormalize(ts: TimeSeries, stats: NormalizationStats) -> TimeSeries:
@@ -320,7 +313,7 @@ def generate_synthetic(cfg: SynthConfig) -> TimeSeries:
     when the magnitude is zero, so runs differing only in magnitude share
     the same base and labels.
     """
-    rng = make_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     base = _base_signal(cfg, rng)
     positions = _outlier_positions(cfg, rng)
     signs = np.where(rng.random((positions.size, cfg.dims)) < 0.5, -1.0, 1.0)

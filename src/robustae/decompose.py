@@ -34,7 +34,7 @@ the last stage: the series stage for rae, nrae, rdae, rdae-f1 and nrdae,
 and the matrix stage for rdae-f2 and rdae-f1f2.
 
 Inputs are z-normalized internally; outputs are returned in the original
-units with the normalization stats attached.
+units.
 """
 
 from __future__ import annotations
@@ -140,7 +140,6 @@ class Decomposition:
     iterations_run: int
     final_residuals: tuple[float, float]
     loss_trace: list[float] = field(default_factory=list)
-    normalization: NormalizationStats | None = None
     models: dict[str, AutoencoderModel] = field(default_factory=dict)
 
 
@@ -309,7 +308,6 @@ def _finish(
         iterations,
         residuals,
         trace,
-        stats,
         models,
     )
 
@@ -458,10 +456,8 @@ def train(ts: TimeSeries, method: str, cfg, verbose: bool = False) -> Decomposit
     t_norm = frobenius_norm(values)
     if t_norm == 0.0:
         # a zero or constant series: nothing to fit, and no outliers
-        zeros = np.zeros_like(values)
-        return Decomposition(
-            denormalize(TimeSeries(zeros), stats), TimeSeries(zeros), 0, (0.0, 0.0), [], stats
-        )
+        zeros = TimeSeries(np.zeros_like(values))
+        return Decomposition(denormalize(zeros, stats), zeros, 0, (0.0, 0.0))
     if config_type is RaeConfig:
         parts = _train_series(values, t_norm, cfg, robust, verbose)
     else:

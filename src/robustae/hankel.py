@@ -79,22 +79,6 @@ class LaggedMatrix:
             raise DimensionError(f"LaggedMatrix planes must be 2-D or 3-D, got {p.ndim}-D")
         self.planes = p
 
-    @property
-    def window_len(self) -> int:
-        return self.planes.shape[1]
-
-    @property
-    def n_windows(self) -> int:
-        return self.planes.shape[2]
-
-    @property
-    def dims(self) -> int:
-        return self.planes.shape[0]
-
-    @property
-    def series_len(self) -> int:
-        return self.window_len + self.n_windows - 1
-
 
 def default_window_len(length: int) -> int:
     """Default window length (ln C)**2, rounded and clamped to (1, C/2)."""

@@ -1,4 +1,4 @@
-"""Dense matrix kernel: norms, least squares, SVD, and seeded randomness.
+"""Dense matrix kernel: norms, least squares and SVD.
 
 All routines operate on float64 numpy arrays in row-major (C) order and are
 pure functions of their inputs.
@@ -15,7 +15,6 @@ __all__ = [
     "rmse",
     "svd",
     "least_squares",
-    "make_rng",
 ]
 
 
@@ -71,7 +70,3 @@ def least_squares(design, targets) -> np.ndarray:
     coeffs, _, _, _ = np.linalg.lstsq(design, targets, rcond=None)
     return coeffs
 
-
-def make_rng(seed: int) -> np.random.Generator:
-    """Deterministic random generator; identical seeds yield identical draws."""
-    return np.random.default_rng(seed)

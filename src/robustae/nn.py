@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, NumericalError, ParameterError, require_int
-from .linalg import make_rng
 
 __all__ = [
     "AutoencoderConfig",
@@ -182,13 +181,13 @@ class AutoencoderModel:
     config: AutoencoderConfig
     weights: list[np.ndarray] = field(default_factory=list, repr=False)
     biases: list[np.ndarray] = field(default_factory=list, repr=False)
-    step_count: int = 0
+    step_count: int = field(default=0, init=False)
 
     def __post_init__(self):
         dims = self.config.all_dims
         shapes = list(zip(dims[:-1], dims[1:]))
         if not self.weights:
-            rng = make_rng(self.config.seed)
+            rng = np.random.default_rng(self.config.seed)
             weights = []
             for fan_in, fan_out in shapes:
                 s = self.config.weight_init_scale / np.sqrt(fan_in)
@@ -337,26 +336,23 @@ class AutoencoderModel:
 
     # each step's finiteness checks raise NumericalError, so numpy need not warn first
     @np.errstate(over="ignore", invalid="ignore")
-    def train(self, batch, target, steps: int | None = None) -> list[float]:
-        """Run ``steps`` (default config.inner_epochs) full-batch Adam steps,
-        all in one workspace."""
-        steps = self.config.inner_epochs if steps is None else int(steps)
+    def train(self, batch, target) -> list[float]:
+        """Run config.inner_epochs full-batch Adam steps, all in one workspace."""
         batch = self._check_batch(batch)
         self._workspace = _Workspace(self.config.all_dims, len(batch))
         try:
-            return [self.train_step(batch, target) for _ in range(steps)]
+            return [self.train_step(batch, target) for _ in range(self.config.inner_epochs)]
         finally:
             self._workspace = None
 
 
-def gradient_check(model: AutoencoderModel, batch, target, h: float = 1e-5) -> float:
+def gradient_check(model: AutoencoderModel, batch, target) -> float:
     """Max relative error of analytic vs central-difference gradients.
 
-    Perturbs every weight and bias entry by +-h; 0/0 comparisons count
+    Perturbs every weight and bias entry by +-1e-5; 0/0 comparisons count
     as zero error.
     """
-    if not 1e-7 <= h <= 1e-3:
-        raise ParameterError(f"step h must lie in [1e-7, 1e-3], got {h}")
+    h = 1e-5
     _, grads_w, grads_b = model.gradients(batch, target)
     params = list(model.weights) + list(model.biases)
     grads = list(grads_w) + list(grads_b)

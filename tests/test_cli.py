@@ -224,6 +224,21 @@ def test_sweep_median_is_middle_pr(workdir, capsys):
     assert float(marked[0]["pr_auc"]) == prs[(len(prs) - 1) // 2]
 
 
+def test_sweep_median_of_an_even_count_is_the_lower_middle(tmp_path, monkeypatch, capsys):
+    _write_files(tmp_path, {"s.csv": SERIES_CSV, "c.json": {
+        "base": QUICK_RAE, "seed": 0,
+        "grid": {"lam": [1e-4, 0.01, 0.05, 0.5, 1.0], "depth": [1, 3], "width": [8, 16]}}})
+    monkeypatch.chdir(tmp_path)
+    assert run(["sweep", "--input", "s.csv", "--config", "c.json", "--n-random", "4",
+                "--out", "t.csv"]) == 0
+    with open(tmp_path / "t.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    prs = sorted(float(r["pr_auc"]) for r in rows if r["status"] == "ok")
+    # four ok rows whose two middle PR AUCs differ
+    assert len(prs) == 4 and prs[1] < prs[2]
+    assert [float(r["pr_auc"]) for r in rows if r["is_median"] == "1"] == [prs[1]]
+
+
 def test_sweep_null_seed_is_seed_0(workdir, capsys):
     run(["synth", "--config", workdir / "synth.json", "--out", "data.csv",
          "--out-dir", workdir])
@@ -396,6 +411,7 @@ DECOMPOSITION_CSV = "t,clean_0,outlier_0,score\n" + "".join(
     f"{i},{i / 2},0.0,0.0\n" for i in range(50)
 )
 QUICK_RAE = {"window_len": 8, "max_outer_iters": 2, "seed": 1}
+QUICK_RDAE = {"window_len": 8, "lagged_window": 4, "max_outer_iters": 1, "max_while_iters": 1}
 REPLAY = ["replay", "--manifest", "m.json"]
 TRAIN = ["train", "--method", "rae", "--input", "s.csv", "--config", "c.json"]
 SWEEP = ["sweep", "--input", "s.csv", "--config", "c.json", "--n-random", "1"]
@@ -611,6 +627,21 @@ def test_bad_input_exits_with_documented_code(
         pytest.param({"s.csv": SERIES_CSV, "c.json": {"grid": {"width": [8]}}}, SWEEP,
                      "c.json: sweep grid needs 'depth' and 'width' together",
                      id="sweep-grid-width-without-depth"),
+        # each of these grids would run, and list a drawn value it did not train with
+        pytest.param({"s.csv": SERIES_CSV, "c.json": {"base": QUICK_RAE, "grid": {
+                         "ae": [{"input_dim": 8, "layer_dims": [4]}], "depth": [3],
+                         "width": [16]}}}, SWEEP,
+                     "c.json: sweep grid sets a config field both directly and through a "
+                     "shorthand: depth and ae, width and ae", id="sweep-grid-ae-and-depth"),
+        pytest.param({"s.csv": SERIES_CSV, "c.json": {"method": "rdae", "base": QUICK_RDAE,
+                         "grid": {"f2": [{"input_dim": 8, "layer_dims": [4]}], "depth": [1],
+                                  "width": [8]}}}, SWEEP,
+                     "c.json: sweep grid sets a config field both directly and through a "
+                     "shorthand: depth and f2, width and f2", id="sweep-grid-f2-and-depth"),
+        pytest.param({"s.csv": SERIES_CSV, "c.json": {"method": "rdae", "base": QUICK_RDAE,
+                         "grid": {"lam": [0.1], "lam1": [0.5]}}}, SWEEP,
+                     "c.json: sweep grid sets a config field both directly and through a "
+                     "shorthand: lam and lam1", id="sweep-grid-lam-and-lam1"),
     ],
 )
 def test_config_error_names_its_file_once(tmp_path, monkeypatch, capsys, files, args, message):

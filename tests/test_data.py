@@ -35,7 +35,7 @@ def test_znormalize_basic():
     ts, stats = znormalize(TimeSeries(np.array([1.0, 2.0, 3.0])))
     assert ts.values.mean() == pytest.approx(0.0, abs=1e-15)
     assert ts.values.std(ddof=1) == pytest.approx(1.0, abs=1e-15)
-    assert not stats.any_clamped
+    assert (stats.mean[0], stats.std[0]) == (2.0, 1.0)
 
 
 def test_znormalize_roundtrip():
@@ -49,7 +49,6 @@ def test_znormalize_roundtrip():
 def test_znormalize_constant_dimension():
     ts, stats = znormalize(TimeSeries(np.full((10, 1), 4.0)))
     assert np.all(ts.values == 0.0)
-    assert stats.any_clamped
     assert stats.std[0] == 1.0
 
 
@@ -183,10 +182,10 @@ def test_synth_refuses_non_integers(field, value):
 
 
 def trained_model(seed=0):
-    cfg = AutoencoderConfig(input_dim=4, layer_dims=(3, 2, 3), seed=seed)
+    cfg = AutoencoderConfig(input_dim=4, layer_dims=(3, 2, 3), inner_epochs=25, seed=seed)
     model = AutoencoderModel(cfg)
     x = np.random.default_rng(seed).standard_normal((10, 4))
-    model.train(x, x, steps=25)
+    model.train(x, x)
     return model
 
 

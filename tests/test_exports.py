@@ -1,0 +1,20 @@
+import importlib
+import pkgutil
+
+import pytest
+
+import robustae
+
+MODULES = ["robustae"] + [
+    f"robustae.{info.name}" for info in pkgutil.iter_modules(robustae.__path__)
+]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == []
+    namespace = {}
+    exec(f"from {name} import *", namespace)
+    assert set(getattr(module, "__all__", ())) <= set(namespace)

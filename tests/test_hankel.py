@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from robustae.errors import ContractError, ParameterError
 from robustae.hankel import (
-    LaggedMatrix,
     TimeSeries,
     default_window_len,
     diagonal_average,
@@ -24,7 +23,6 @@ def test_embed_basic():
 def test_embed_shape():
     lm = embed_lagged(TimeSeries(np.arange(10.0)), 5)
     assert lm.planes.shape == (1, 5, 6)
-    assert lm.n_windows == 6
 
 
 def test_embed_constant():
@@ -129,12 +127,6 @@ def test_default_window_len_rule():
 def test_default_window_len_clamped():
     b = default_window_len(12)
     assert 1 < b < 6
-
-
-def test_lagged_matrix_series_len():
-    lm = LaggedMatrix(np.zeros((2, 4, 7)))
-    assert lm.series_len == 10
-    assert lm.dims == 2
 
 
 def _bincount_average(planes):

@@ -7,7 +7,6 @@ from robustae.errors import DimensionError
 from robustae.linalg import (
     frobenius_norm,
     least_squares,
-    make_rng,
     rmse,
     svd,
 )
@@ -144,9 +143,3 @@ def test_least_squares_residual_orthogonality(seed, rows, cols):
     coeffs = least_squares(design, targets)
     residual = design @ coeffs - targets
     assert np.max(np.abs(design.T @ residual)) < 1e-8
-
-
-def test_rng_determinism():
-    a = make_rng(42).standard_normal(100)
-    b = make_rng(42).standard_normal(100)
-    assert np.array_equal(a, b)
