@@ -18,7 +18,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from bench import LAMBDAS, lambda_runs, rae_config, robustness_runs, spiked_sine  # noqa: E402
 
 from robustae import es_prm, es_ssa, evaluate, outlier_scores, train, znormalize  # noqa: E402
-from robustae.data import write_rows  # noqa: E402
+from robustae.data import write_columns  # noqa: E402
 
 N_MAX = 9  # an ES score of N_MAX + 1 means not explainable within N_MAX
 
@@ -110,7 +110,7 @@ def main() -> int:
         print(f"seed {seed}: done", flush=True)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_rows(out, header, rows)
+    write_columns(out, header, zip(*rows))
     print(f"wrote {out}")
     print_medians(header, rows, group)
     return 0

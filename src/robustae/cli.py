@@ -18,6 +18,7 @@ IntegrityError, UpgradeError), 2 any other library error (usage/config).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -37,7 +38,7 @@ from .data import (
     save_csv,
     save_decomposition,
     save_model,
-    write_rows,
+    write_columns,
     znormalize,
 )
 from .decompose import (
@@ -167,14 +168,11 @@ def _train(config, seed, inputs, outputs, out_dir, verbose):
     files = {"decomposition": "decomposition.csv", "scores": "scores.csv",
              "loss_trace": "loss_trace.csv"}
     save_decomposition(decomposition, out_dir / files["decomposition"])
-    write_rows(
-        out_dir / files["scores"], ["t", "score"], enumerate(outlier_scores(decomposition)),
-        ts.labels,
-    )
-    write_rows(
-        out_dir / files["loss_trace"], ["iteration", "loss"],
-        enumerate(decomposition.loss_trace, start=1),
-    )
+    scores, losses = outlier_scores(decomposition), decomposition.loss_trace
+    write_columns(out_dir / files["scores"], ["t", "score"], [range(len(scores)), scores],
+                  ts.labels)
+    write_columns(out_dir / files["loss_trace"], ["iteration", "loss"],
+                  [range(1, len(losses) + 1), losses])
     for role, model in decomposition.models.items():
         name = "model.json" if role == "ae" else f"model_{role}.json"
         save_model(model, out_dir / name)
@@ -310,11 +308,11 @@ def _sweep(config, seed, inputs, outputs, out_dir, verbose):
     median_row = ok_rows[(len(ok_rows) - 1) // 2] if ok_rows else None
     out_csv = outputs["table"]
     out_csv.parent.mkdir(parents=True, exist_ok=True)
-    write_rows(
+    write_columns(
         out_csv,
         ["index", "params", "pr_auc", "roc_auc", "status", "is_median"],
-        ([r["index"], json.dumps(r["params"], sort_keys=True), r["pr_auc"], r["roc_auc"],
-          r["status"], int(r is median_row)] for r in rows),
+        zip(*([r["index"], json.dumps(r["params"], sort_keys=True), r["pr_auc"], r["roc_auc"],
+               r["status"], int(r is median_row)] for r in rows)),
     )
     summary = {
         "table": str(out_csv),
@@ -440,6 +438,7 @@ def _request(args) -> tuple[dict, Path]:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # main may run many times in one process; build the parser once
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="robustae",

@@ -3,9 +3,11 @@ series, and model/decomposition persistence.
 
 CSV schema: header ``t,dim_0,...,dim_{D-1}[,label]``, rows ordered by t,
 label in {0,1}. Every CSV file (series, scores, decomposition) is UTF-8
-with as many fields in each row as in its header. Floats are serialized as
-shortest-roundtrip decimals so a write/read roundtrip is bit-exact. Model
-files are JSON with a sha256 checksum over the payload.
+with as many fields in each row as in its header. It is read whole and
+parsed column by column; only a bad file is rescanned row by row, to name
+its first bad line. Floats are written as shortest-roundtrip decimals, so a
+write/read roundtrip is bit-exact. Model files are JSON with a sha256
+checksum over the payload.
 """
 
 from __future__ import annotations
@@ -87,113 +89,117 @@ def denormalize(ts: TimeSeries, stats: NormalizationStats) -> TimeSeries:
 
 
 # ---------------------------------------------------------------------------
-# CSV files: every one is read through _read_rows and written through write_rows
+# CSV files: every one is read whole through _read_csv and _columns and written
+# through write_columns
 
 
-def _read_rows(path):
-    """Yield the stripped header of a CSV file, then ``(line number, fields)``
-    for each non-blank row.
+def _read_csv(path) -> tuple[list[str], list[list[str]]]:
+    """The stripped header of a CSV file and all its rows, header and blank
+    rows included, so row i sits on line i + 1.
 
-    Raises ParseError for an empty file, a file that is not UTF-8, and a row
-    whose field count differs from the header's.
+    Raises ParseError for an empty file and a file that is not UTF-8.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise ParseError(f"{path}: empty file")
-            yield [h.strip() for h in header]
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise ParseError(
-                        f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-                    )
-                yield lineno, row
+            rows = list(csv.reader(fh))
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 (byte 0x{exc.object[exc.start]:02x})") from None
+    if not rows:
+        raise ParseError(f"{path}: empty file")
+    return [h.strip() for h in rows[0]], rows
 
 
-def _parse_fields(path, lineno: int, fields: list[str], has_label: bool = False):
-    """The floats of ``fields`` and, with ``has_label``, the last field as a
-    0/1 label: returns (floats, label or None)."""
+def _columns(path, rows, cols, label=None, increasing=False):
+    """The float arrays of columns ``cols`` over the non-blank data rows, and
+    the 0/1 column ``label`` as bools (None without one).
+
+    Raises for the earliest row whose field count differs from the header's,
+    with a non-numeric value in ``cols``, a label other than 0/1, or, with
+    ``increasing``, a first column not above the previous row's.
+    """
+    data = [row for row in rows[1:] if row]
     try:
-        values = list(map(float, fields[:-1] if has_label else fields))
-    except ValueError as exc:
-        raise ParseError(f"{path}:{lineno}: non-numeric value ({exc})") from None
-    if not has_label:
-        return values, None
-    label = fields[-1].strip()
-    if label not in ("0", "1"):
-        raise ParseError(f"{path}:{lineno}: label must be 0 or 1, got {label!r}")
-    return values, label == "1"
+        # each column starts with its header cell: the strict zip checks field counts
+        fields = [column[1:] for column in zip(rows[0], *data, strict=True)]
+        values = [np.array(list(map(float, fields[c]))) for c in cols]
+        tags = None if label is None else [tag.strip() for tag in fields[label]]
+        if set(tags or ()) - {"0", "1"} or (increasing and np.any(values[0][1:] <= values[0][:-1])):
+            raise ValueError
+    except ValueError:
+        raise _first_bad_row(path, rows, cols, label, increasing) from None
+    return values, None if tags is None else np.array([tag == "1" for tag in tags], dtype=bool)
 
 
-def write_rows(path, header: list[str], rows, labels=None) -> None:
-    """Write a CSV file: ``header``, then one line per row.
+def _first_bad_row(path, rows, cols, label, increasing):
+    """The error :func:`_columns` raises, found by checking row by row."""
+    prev = None
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != len(rows[0]):
+            return ParseError(f"{path}:{lineno}: expected {len(rows[0])} fields, got {len(row)}")
+        try:
+            first = [float(row[c]) for c in cols][0]
+        except ValueError as exc:
+            return ParseError(f"{path}:{lineno}: non-numeric value ({exc})")
+        tag = "0" if label is None else row[label].strip()
+        if tag not in ("0", "1"):
+            return ParseError(f"{path}:{lineno}: label must be 0 or 1, got {tag!r}")
+        if increasing and prev is not None and first <= prev:
+            return FormatError(f"{path}:{lineno}: t not strictly increasing")
+        prev = first
+
+
+def write_columns(path, header: list[str], columns, labels=None) -> None:
+    """Write a CSV file: ``header``, then the rows of ``columns``, one
+    equal-length sequence per header field.
 
     A float cell is written as its shortest round-trip decimal, so reading it
     back is bit-exact; any other cell as ``str``. With ``labels``, one bool
     per row, a last column ``label`` of 0/1 is added.
     """
     if labels is not None:
-        header = header + ["label"]
-        rows = ((*row, int(label)) for row, label in zip(rows, labels))
+        header, columns = header + ["label"], [*columns, np.asarray(labels, dtype=int)]
+    # lazy cells: each row's strings are made as the writer takes the row
+    cells = [(repr(float(c)) if isinstance(c, float) else c
+              for c in (col.tolist() if isinstance(col, np.ndarray) else col)) for col in columns]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(c)) if isinstance(c, float) else c for c in row])
+        writer.writerows(zip(*cells))
 
 
 def load_csv(path) -> TimeSeries:
     """Read a series from the documented CSV schema."""
-    rows = _read_rows(path)
-    header = next(rows)
+    header, rows = _read_csv(path)
     has_label = header[-1:] == ["label"]
     dims = len(header) - 1 - has_label
     if dims < 1 or header[: dims + 1] != ["t"] + [f"dim_{d}" for d in range(dims)]:
         raise FormatError(
             f"{path}: header must be t,dim_0,..,dim_<D-1>[,label], got {','.join(header)!r}"
         )
-    values, labels = [], []
-    prev_t = None
-    for lineno, fields in rows:
-        (t, *row), label = _parse_fields(path, lineno, fields, has_label)
-        if prev_t is not None and t <= prev_t:
-            raise FormatError(f"{path}:{lineno}: t not strictly increasing")
-        prev_t = t
-        values.append(row)
-        labels.append(label)
-    if not values:
+    (t, *values), labels = _columns(path, rows, range(dims + 1), dims + 1 if has_label else None,
+                                    increasing=True)
+    if not t.size:
         raise ParseError(f"{path}: no data rows")
-    return TimeSeries(np.array(values), labels=np.array(labels) if has_label else None)
+    return TimeSeries(np.column_stack(values), labels=labels)
 
 
 def save_csv(ts: TimeSeries, path) -> None:
     """Write a series in the documented CSV schema."""
-    write_rows(
-        path,
-        ["t"] + [f"dim_{d}" for d in range(ts.dims)],
-        ((i, *row) for i, row in enumerate(ts.values)),
-        ts.labels,
-    )
+    header = ["t"] + [f"dim_{d}" for d in range(ts.dims)]
+    write_columns(path, header, [range(ts.length), *ts.values.T], ts.labels)
 
 
 def load_scores(path) -> tuple[np.ndarray, np.ndarray]:
     """Read (scores, labels) from a CSV with ``score`` and ``label`` columns."""
-    rows = _read_rows(path)
-    header = next(rows)
+    header, rows = _read_csv(path)
     try:
-        cols = [header.index("score"), header.index("label")]
+        score, label = header.index("score"), header.index("label")
     except ValueError:
         raise FormatError(f"{path}: needs 'score' and 'label' columns") from None
-    parsed = [
-        _parse_fields(path, lineno, [fields[i] for i in cols], True) for lineno, fields in rows
-    ]
-    return np.array([score for (score,), _ in parsed]), np.array([label for _, label in parsed])
+    (scores,), labels = _columns(path, rows, [score], label)
+    return scores, labels
 
 
 # ---------------------------------------------------------------------------
@@ -404,21 +410,18 @@ def save_decomposition(decomposition, path) -> None:
     from .decompose import outlier_scores  # local import to avoid a cycle
 
     clean, outlier = decomposition.clean, decomposition.outlier
-    table = np.column_stack([clean.values, outlier.values, outlier_scores(decomposition)])
-    write_rows(
+    write_columns(
         path,
         _decomposition_header(clean.dims),
-        ((i, *row) for i, row in enumerate(table)),
+        [range(clean.length), *clean.values.T, *outlier.values.T, outlier_scores(decomposition)],
     )
 
 
 def load_decomposition(path) -> tuple[TimeSeries, TimeSeries, np.ndarray]:
     """Read back (clean, outlier, scores) from a decomposition CSV."""
-    rows = _read_rows(path)
-    header = next(rows)
+    header, rows = _read_csv(path)
     d = (len(header) - 2) // 2
     if d < 1 or header != _decomposition_header(d):
         raise FormatError(f"{path}: not a decomposition file (t,clean_0..,outlier_0..,score)")
-    table = np.array([_parse_fields(path, lineno, fields[1:])[0] for lineno, fields in rows])
-    table = table.reshape(-1, 2 * d + 1)
-    return TimeSeries(table[:, :d].copy()), TimeSeries(table[:, d:-1].copy()), table[:, -1].copy()
+    cols, _ = _columns(path, rows, range(1, 2 * d + 2))
+    return TimeSeries(np.column_stack(cols[:d])), TimeSeries(np.column_stack(cols[d:-1])), cols[-1]

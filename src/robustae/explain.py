@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .hankel import TimeSeries, default_window_len, diagonal_average, embed_lagged
+from .hankel import TimeSeries, _antidiag_counts, default_window_len, embed_lagged
 from .hankel import hankelize, matrix_to_series  # traced by name: perfbench/spans.py _patch_table
 from .linalg import least_squares, rmse, svd
 
@@ -106,12 +106,19 @@ def _leading_components(ts: TimeSeries, window_len: int | None, n: int | None) -
               for i, sigma in enumerate(s)]
     # stable, so equal singular values keep (dimension, index) order
     tagged.sort(key=lambda item: -item[0])
+    counts = _antidiag_counts(b, ts.length - b + 1)
     components = []
     for _, dim, i in tagged[:n]:
         u, s, v = triples[dim]
-        rank1 = np.outer(u[:, i] * s[i], v[:, i])
+        us, vi = u[:, i] * s[i], v[:, i]
+        # diagonal_average of outer(us, vi), streamed by rows; an exactly Hankel plane is read
+        acc, row, hankel = np.zeros(ts.length), None, True
+        for r in range(b):
+            prev, row = row, us[r] * vi
+            acc[r : r + vi.size] += row
+            hankel = hankel and (prev is None or np.array_equal(row[:-1], prev[1:]))
         values = np.zeros_like(ts.values)
-        values[:, dim] = diagonal_average(rank1[None])[:, 0]
+        values[:, dim] = np.concatenate((us * vi[0], row[1:])) if hankel else acc / counts
         components.append(TimeSeries(values))
     return components
 

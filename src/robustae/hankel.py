@@ -2,10 +2,10 @@
 
 A series of length C embeds into a B x K sliding-window matrix per
 dimension (K = C - B + 1), whose anti-diagonals all read the same
-observation. ``diagonal_average`` is the one anti-diagonal averaging
-routine: it maps planes to the series their anti-diagonal means read.
-``hankelize`` projects an arbitrary matrix back onto Hankel structure
-through it, and ``matrix_to_series`` inverts the embedding.
+observation. ``diagonal_average`` maps planes to the series their
+anti-diagonal means read (``explain`` streams the same sums for rank-1
+planes it never builds); ``hankelize`` projects a matrix back onto Hankel
+structure through it, and ``matrix_to_series`` inverts the embedding.
 """
 
 from __future__ import annotations

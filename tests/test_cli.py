@@ -199,29 +199,19 @@ def test_sweep_single_row(workdir, capsys):
     assert "median" in doc
 
 
-def test_sweep_median_is_middle_pr(workdir, capsys):
-    run(["synth", "--config", workdir / "synth.json", "--out", "data.csv",
-         "--out-dir", workdir])
-    sweep_cfg = {
-        "method": "rae",
-        "base": {"max_outer_iters": 6, "window_len": 8, "seed": 0},
-        "grid": {"lam": [1e-4, 0.05, 1.0], "depth": [1, 3], "width": [8, 16]},
-        "seed": 2,
-    }
-    (workdir / "sweep.json").write_text(json.dumps(sweep_cfg))
-    code = run(["sweep", "--input", workdir / "data.csv", "--config",
-                workdir / "sweep.json", "--n-random", "3", "--out", "table.csv",
-                "--out-dir", workdir])
-    assert code == 0
-    import csv as csvmod
-
-    with open(workdir / "table.csv") as fh:
-        rows = list(csvmod.DictReader(fh))
-    ok = [r for r in rows if r["status"] == "ok"]
-    prs = sorted(float(r["pr_auc"]) for r in ok)
-    marked = [r for r in rows if r["is_median"] == "1"]
-    assert len(marked) == 1
-    assert float(marked[0]["pr_auc"]) == prs[(len(prs) - 1) // 2]
+def test_sweep_median_is_middle_pr(tmp_path, monkeypatch, capsys):
+    _write_files(tmp_path, {"s.csv": SERIES_CSV, "c.json": {
+        "base": QUICK_RAE, "seed": 5,
+        "grid": {"lam": [1e-4, 0.01, 0.05, 0.5, 1.0], "depth": [1, 3], "width": [8, 16]}}})
+    monkeypatch.chdir(tmp_path)
+    assert run(["sweep", "--input", "s.csv", "--config", "c.json", "--n-random", "3",
+                "--out", "t.csv"]) == 0
+    with open(tmp_path / "t.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    prs = sorted(float(r["pr_auc"]) for r in rows if r["status"] == "ok")
+    # three ok rows with distinct PR AUCs, so only the middle one is the median
+    assert len(prs) == 3 and prs[0] < prs[1] < prs[2]
+    assert [float(r["pr_auc"]) for r in rows if r["is_median"] == "1"] == [prs[1]]
 
 
 def test_sweep_median_of_an_even_count_is_the_lower_middle(tmp_path, monkeypatch, capsys):

@@ -12,6 +12,7 @@ from robustae.data import (
     load_csv,
     load_decomposition,
     load_model,
+    load_scores,
     save_csv,
     save_decomposition,
     save_model,
@@ -96,6 +97,70 @@ def test_csv_parse_error_names_line(tmp_path):
     path.write_text("t,dim_0\n0,1.0\n1,oops\n")
     with pytest.raises(ParseError, match=":3"):
         load_csv(path)
+
+
+SERIES, SCORES, DECOMPOSITION = "t,dim_0,label\n", "t,score,label\n", "t,clean_0,outlier_0,score\n"
+NON_NUMERIC = "non-numeric value (could not convert string to float: {!r})".format
+
+
+# each bad row follows a good row and a blank line, so it sits on line 4 only
+# when the blank line is counted
+@pytest.mark.parametrize(
+    "load, text, error, message",
+    [
+        (load_csv, SERIES + "0,1.0,0\n\n1,2.0\n", ParseError, ":4: expected 3 fields, got 2"),
+        (load_csv, SERIES + "0,1.0,0\n\n1,oops,0\n", ParseError, ":4: " + NON_NUMERIC("oops")),
+        (load_csv, SERIES + "0,1.0,0\n\nx,1.0,0\n", ParseError, ":4: " + NON_NUMERIC("x")),
+        (load_csv, SERIES + "0,1.0,0\n\n1,2.0, 2\n", ParseError,
+         ":4: label must be 0 or 1, got '2'"),
+        (load_csv, SERIES + "0,1.0,0\n\n0,2.0,1\n", FormatError, ":4: t not strictly increasing"),
+        (load_csv, SERIES + "\n", ParseError, ": no data rows"),
+        (load_scores, SCORES + "0,0.5,1\n\n1,0.5,0,9\n", ParseError,
+         ":4: expected 3 fields, got 4"),
+        (load_scores, SCORES + "0,0.5,1\n\n1,abc,0\n", ParseError, ":4: " + NON_NUMERIC("abc")),
+        (load_scores, SCORES + "0,0.5,1\n\n1,0.5,yes\n", ParseError,
+         ":4: label must be 0 or 1, got 'yes'"),
+        (load_decomposition, DECOMPOSITION + "0,1.0,0.0,0.0\n\n1,1.0,0.0\n", ParseError,
+         ":4: expected 4 fields, got 3"),
+        (load_decomposition, DECOMPOSITION + "0,1.0,0.0,0.0\n\n1,1.0,-,0.0\n", ParseError,
+         ":4: " + NON_NUMERIC("-")),
+        *((load, "", ParseError, ": empty file")
+          for load in (load_csv, load_scores, load_decomposition)),
+        *((load, header.encode() + b"0,1.0,\xff0,0\n", ParseError, ": not UTF-8 (byte 0xff)")
+          for load, header in ((load_csv, SERIES), (load_scores, SCORES),
+                               (load_decomposition, DECOMPOSITION))),
+        # two bad rows: the one on the earlier line is named, whatever its
+        # column or kind, even when the later row fails a check made before it
+        (load_csv, "t,dim_0,dim_1\n0,1.0,1.0\n\n1,1.0,bad\n2,worse,1.0\n", ParseError,
+         ":4: " + NON_NUMERIC("bad")),
+        (load_csv, SERIES + "0,1.0,0\n\n1,2.0,7\n2,x,0\n", ParseError,
+         ":4: label must be 0 or 1, got '7'"),
+        (load_csv, SERIES + "5,1.0,0\n\n4,2.0,1\n6,x\n", FormatError,
+         ":4: t not strictly increasing"),
+        (load_scores, SCORES + "0,0.5,1\n\n1,0.5,2\n2,abc,0\n", ParseError,
+         ":4: label must be 0 or 1, got '2'"),
+        (load_decomposition, DECOMPOSITION + "0,1.0,0.0,0.0\n\n1,1.0,0.0,x\n2,y,0.0\n",
+         ParseError, ":4: " + NON_NUMERIC("x")),
+    ],
+)
+def test_csv_reader_errors_name_file_and_line(tmp_path, load, text, error, message):
+    path = tmp_path / "in.csv"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
+    with pytest.raises(error) as exc:
+        load(path)
+    assert str(exc.value) == f"{path}{message}"
+
+
+def test_scores_and_decomposition_without_rows_read_as_empty(tmp_path):
+    (tmp_path / "s.csv").write_text(SCORES + "\n")
+    (tmp_path / "d.csv").write_text(DECOMPOSITION)
+    scores, labels = load_scores(tmp_path / "s.csv")
+    clean, outlier, dec_scores = load_decomposition(tmp_path / "d.csv")
+    assert scores.shape == labels.shape == dec_scores.shape == (0,)
+    assert clean.values.shape == outlier.values.shape == (0, 1)
 
 
 def test_csv_non_monotone_t(tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from robustae.errors import ParameterError
 from robustae import explain
 from robustae.explain import es_prm, es_ssa, fit_polynomial, ssa_decompose
-from robustae.hankel import TimeSeries
+from robustae.hankel import TimeSeries, default_window_len, diagonal_average, embed_lagged
 from robustae.linalg import rmse
 from robustae.data import znormalize
 
@@ -117,6 +117,53 @@ def test_ssa_multivariate_components_are_single_dimension():
         assert len(nonzero_dims) <= 1
     total = sum(c.values for c in comps)
     assert rmse(total, ts.values) < 1e-8
+
+
+def _averaged_rank1_planes(ts, window_len):
+    """Each spectrum component as diagonal_average of its rank-1 plane, built
+    whole, from the triples of explain.svd in ssa_decompose's order."""
+    b = window_len or default_window_len(ts.length)
+    triples = [explain.svd(plane) for plane in embed_lagged(ts, b).planes]
+    tagged = sorted(((float(sigma), d, i) for d, (_, s, _) in enumerate(triples)
+                     for i, sigma in enumerate(s)), key=lambda item: -item[0])
+    expected = []
+    for _, d, i in tagged:
+        u, s, v = triples[d]
+        values = np.zeros_like(ts.values)
+        values[:, d] = diagonal_average(np.outer(u[:, i] * s[i], v[:, i])[None])[:, 0]
+        expected.append(values.tobytes())
+    return expected
+
+
+@pytest.mark.parametrize(
+    "values, window_len",
+    [
+        (np.random.default_rng(4).standard_normal(90), None),
+        (np.random.default_rng(5).standard_normal((70, 2)), 9),
+        # the rank-1 planes of a zero singular value are signed zeros, which an
+        # exactly-Hankel read keeps and an average would turn into +0.0
+        (np.full(30, 1.0), None),
+    ],
+)
+def test_ssa_components_bit_equal_to_averaged_rank1_planes(values, window_len):
+    ts = TimeSeries(values)
+    got = [comp.values.tobytes() for comp in ssa_decompose(ts, window_len)]
+    assert got == _averaged_rank1_planes(ts, window_len)
+
+
+def test_ssa_reads_exactly_hankel_rank1_planes(monkeypatch):
+    # planes of 0.1 and of -0.0: anti-diagonal means of the first differ from
+    # 0.1 in the last bit ((0.1 + 0.1 + 0.1) / 3 != 0.1), and those of the second
+    # are +0.0, so only a read of the plane gives these bytes
+    def constant_svd(plane):
+        b, k = plane.shape
+        return -np.ones((b, 2)), np.array([0.1, 0.0]), np.column_stack([-np.ones(k), np.ones(k)])
+
+    monkeypatch.setattr(explain, "svd", constant_svd)
+    ts = TimeSeries(np.full(30, 0.1))
+    got = [comp.values.tobytes() for comp in ssa_decompose(ts)]
+    assert got == [np.full((30, 1), 0.1).tobytes(), np.full((30, 1), -0.0).tobytes()]
+    assert got == _averaged_rank1_planes(ts, None)
 
 
 def test_es_ssa_linear_trend_scores_one():
