@@ -113,11 +113,14 @@ def _columns(path, rows, cols, label=None, increasing=False):
     """The float arrays of columns ``cols`` over the non-blank data rows, and
     the 0/1 column ``label`` as bools (None without one).
 
-    Raises for the earliest row whose field count differs from the header's,
-    with a non-numeric value in ``cols``, a label other than 0/1, or, with
-    ``increasing``, a first column not above the previous row's.
+    Raises for a file without data rows, and for the earliest row whose field
+    count differs from the header's, with a non-numeric value in ``cols``, a
+    label other than 0/1, or, with ``increasing``, a first column not above
+    the previous row's.
     """
     data = [row for row in rows[1:] if row]
+    if not data:
+        raise ParseError(f"{path}: no data rows")
     try:
         # each column starts with its header cell: the strict zip checks field counts
         fields = [column[1:] for column in zip(rows[0], *data, strict=True)]
@@ -180,8 +183,6 @@ def load_csv(path) -> TimeSeries:
         )
     (t, *values), labels = _columns(path, rows, range(dims + 1), dims + 1 if has_label else None,
                                     increasing=True)
-    if not t.size:
-        raise ParseError(f"{path}: no data rows")
     return TimeSeries(np.column_stack(values), labels=labels)
 
 

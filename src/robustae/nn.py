@@ -10,6 +10,13 @@ workspace of layer, delta and scratch buffers for all its steps, and every
 ufunc and matmul of the step writes into it with ``out=``. Parameters,
 gradients and the two Adam moments are one flat vector each, so Adam and
 the finiteness checks sweep each of them once per step.
+
+A bias gradient is the column sum of a layer's (rows, width) delta, taken
+with ``np.einsum("ij->j")``. It adds the rows in order, as ``sum(axis=0)``
+does, so the two are equal bit for bit; einsum takes about a third of the
+time, because the inner loop of ``sum(axis=0)`` covers one row of ``width``
+entries per call. A layer of width 1 keeps ``np.sum``: on an (n, 1) column
+it sums pairwise, and einsum gives other bits there.
 """
 
 from __future__ import annotations
@@ -258,7 +265,11 @@ class AutoencoderModel:
         for layer in range(last, -1, -1):
             below = batch if layer == 0 else ws.acts[layer - 1]
             np.matmul(below.T, delta, out=ws.grad_w[layer])
-            np.sum(delta, axis=0, out=ws.grad_b[layer])
+            # the same bits as np.sum, faster (see the module docstring)
+            if delta.shape[1] > 1:
+                np.einsum("ij->j", delta, out=ws.grad_b[layer])
+            else:
+                np.sum(delta, axis=0, out=ws.grad_b[layer])
             if layer > 0:
                 width = below.shape[1]
                 nxt = ws.delta(layer - 1, width)

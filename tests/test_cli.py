@@ -537,7 +537,13 @@ def _write_files(directory, files):
         pytest.param({"s.csv": "t,dim_0\n" + "".join(f"{i},{i % 7}e300\n" for i in range(40)),
                       "c.json": QUICK_RAE}, TRAIN, 2, "too large to z-normalize",
                      id="train-1e300-magnitude"),
-        pytest.param({"sc.csv": "t,score,label\n"}, EVAL, 2, None, id="eval-header-only"),
+        # header-only inputs: the loader names the file, not the empty arrays' consumer
+        pytest.param({"sc.csv": "t,score,label\n"}, EVAL, 2, "sc.csv: no data rows",
+                     id="eval-header-only"),
+        *(pytest.param({"d.csv": "t,clean_0,outlier_0,score\n"},
+                       ["explain", "--input", "d.csv", "--method", method, "--gamma", "0.1"],
+                       2, "d.csv: no data rows", id=f"explain-{method}-header-only")
+          for method in ("ssa", "prm")),
         # integer fields holding non-integers (refused, not truncated) and
         # negative or boolean seeds
         *(pytest.param({"s.csv": SERIES_CSV, "c.json": {**QUICK_RAE, key: value}}, TRAIN, 2,

@@ -115,6 +115,8 @@ NON_NUMERIC = "non-numeric value (could not convert string to float: {!r})".form
          ":4: label must be 0 or 1, got '2'"),
         (load_csv, SERIES + "0,1.0,0\n\n0,2.0,1\n", FormatError, ":4: t not strictly increasing"),
         (load_csv, SERIES + "\n", ParseError, ": no data rows"),
+        (load_scores, SCORES + "\n", ParseError, ": no data rows"),
+        (load_decomposition, DECOMPOSITION, ParseError, ": no data rows"),
         (load_scores, SCORES + "0,0.5,1\n\n1,0.5,0,9\n", ParseError,
          ":4: expected 3 fields, got 4"),
         (load_scores, SCORES + "0,0.5,1\n\n1,abc,0\n", ParseError, ":4: " + NON_NUMERIC("abc")),
@@ -152,15 +154,6 @@ def test_csv_reader_errors_name_file_and_line(tmp_path, load, text, error, messa
     with pytest.raises(error) as exc:
         load(path)
     assert str(exc.value) == f"{path}{message}"
-
-
-def test_scores_and_decomposition_without_rows_read_as_empty(tmp_path):
-    (tmp_path / "s.csv").write_text(SCORES + "\n")
-    (tmp_path / "d.csv").write_text(DECOMPOSITION)
-    scores, labels = load_scores(tmp_path / "s.csv")
-    clean, outlier, dec_scores = load_decomposition(tmp_path / "d.csv")
-    assert scores.shape == labels.shape == dec_scores.shape == (0,)
-    assert clean.values.shape == outlier.values.shape == (0, 1)
 
 
 def test_csv_non_monotone_t(tmp_path):

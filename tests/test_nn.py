@@ -205,37 +205,49 @@ def test_forward_output_is_not_reused():
     assert model._workspace is None
 
 
+# activation f and its derivative f' from the pre-activation z and the activation a
+_REFERENCE_ACTIVATIONS = {
+    "tanh": (np.tanh, lambda z, a: 1.0 - a * a),
+    "sigmoid": (lambda z: 1.0 / (1.0 + np.exp(-z)), lambda z, a: a * (1.0 - a)),
+    "relu": (lambda z: np.maximum(z, 0.0), lambda z, a: (z > 0.0).astype(np.float64)),
+    "linear": (lambda z: z, lambda z, a: np.ones_like(z)),
+}
+
+
+def _reference_gradients(activation, weights, biases, x, target):
+    """Mean-squared-error (weight, bias) gradients, one allocating ufunc per
+    term; each bias gradient is its delta's ``sum(axis=0)``."""
+    f, df = _REFERENCE_ACTIVATIONS[activation]
+    n = len(weights)
+    pre, acts = [], [x]
+    for layer, (w, b) in enumerate(zip(weights, biases)):
+        pre.append(acts[-1] @ w + b)
+        acts.append(pre[-1] if layer == n - 1 else f(pre[-1]))
+    delta = 2.0 * (acts[-1] - target) / acts[-1].size
+    grads_w, grads_b = [None] * n, [None] * n
+    for layer in range(n - 1, -1, -1):
+        grads_w[layer] = acts[layer].T @ delta
+        grads_b[layer] = delta.sum(axis=0)
+        if layer > 0:
+            delta = (delta @ weights[layer].T) * df(pre[layer - 1], acts[layer])
+    return grads_w, grads_b
+
+
 def _reference_train_steps(model, x, steps):
     """Adam steps on (weights, biases) copies, one allocating ufunc per term.
 
     Every arithmetic step is the one the model's step must make, in the same
     order, so the two agree bit for bit on any machine.
     """
-    # (f, f' from the pre-activation z and the activation a)
-    act = {
-        "tanh": (np.tanh, lambda z, a: 1.0 - a * a),
-        "sigmoid": (lambda z: 1.0 / (1.0 + np.exp(-z)), lambda z, a: a * (1.0 - a)),
-        "relu": (lambda z: np.maximum(z, 0.0), lambda z, a: (z > 0.0).astype(np.float64)),
-        "linear": (lambda z: z, lambda z, a: np.ones_like(z)),
-    }[model.config.activation]
     params = [p.copy() for p in model.weights + model.biases]
     moments = [np.zeros_like(p) for p in params + params]
     n = model.n_layers
     lr = model.config.learning_rate
     for t in range(1, steps + 1):
-        weights, biases = params[:n], params[n:]
-        pre, acts = [], [x]
-        for layer, (w, b) in enumerate(zip(weights, biases)):
-            pre.append(acts[-1] @ w + b)
-            acts.append(pre[-1] if layer == n - 1 else act[0](pre[-1]))
-        delta = 2.0 * (acts[-1] - x) / acts[-1].size
-        grads = [None] * (2 * n)
-        for layer in range(n - 1, -1, -1):
-            grads[layer] = acts[layer].T @ delta
-            grads[n + layer] = delta.sum(axis=0)
-            if layer > 0:
-                delta = (delta @ weights[layer].T) * act[1](pre[layer - 1], acts[layer])
-        for p, g, m, v in zip(params, grads, moments[: 2 * n], moments[2 * n :]):
+        grads_w, grads_b = _reference_gradients(
+            model.config.activation, params[:n], params[n:], x, x
+        )
+        for p, g, m, v in zip(params, grads_w + grads_b, moments[: 2 * n], moments[2 * n :]):
             m *= 0.9
             m += (1.0 - 0.9) * g
             v *= 0.999
@@ -281,6 +293,27 @@ def test_train_steps_are_bit_stable(activation):
     if _platform() == RECORDED_PLATFORM:
         digest = hashlib.sha256(b"".join(p.tobytes() for p in params)).hexdigest()
         assert digest == RECORDED_STEP_HASHES[activation]
+    # a width-1 bottleneck: np.sum adds an (n, 1) column pairwise, and einsum
+    # gives other bits there
+    for rows in (30, 300):
+        model = make_model(8, (6, 1, 6), activation=activation, seed=23, lr=1e-2, epochs=25)
+        x = np.random.default_rng(rows).standard_normal((rows, 8))
+        expected = _reference_train_steps(model, x, 25)
+        model.train(x, x)
+        assert all(np.array_equal(p, q) for p, q in zip(model.weights + model.biases, expected))
+
+
+@pytest.mark.parametrize("rows", [1, 7, 129, 1985])
+@pytest.mark.parametrize("width", [1, 2, 3, 8, 24])
+def test_bias_gradients_are_column_sums_bit_for_bit(width, rows):
+    # linear, so the hidden delta keeps the spread of the targets
+    model = make_model(width + 1, (width,), activation="linear", seed=width)
+    rng = np.random.default_rng(rows)
+    shape = (rows, width + 1)
+    x, target = (rng.standard_normal(shape) * 10.0 ** rng.uniform(-30, 30, shape) for _ in range(2))
+    _, grads_w, grads_b = model.gradients(x, target)
+    ref_w, ref_b = _reference_gradients("linear", model.weights, model.biases, x, target)
+    assert all(np.array_equal(g, r) for g, r in zip(grads_w + grads_b, ref_w + ref_b))
 
 
 def test_bottleneck_capacity_linear_subspace():
