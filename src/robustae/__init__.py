@@ -42,7 +42,7 @@ from .hankel import (
     matrix_to_series,
 )
 from .metrics import EvalResult, evaluate, pr_auc, roc_auc
-from .nn import AutoencoderConfig, AutoencoderModel, gradient_check
+from .nn import AutoencoderConfig, AutoencoderModel
 from .prox import soft_threshold
 
 __version__ = "0.1.0"
@@ -68,7 +68,6 @@ __all__ = [
     "evaluate",
     "fit_polynomial",
     "generate_synthetic",
-    "gradient_check",
     "hankelize",
     "load_csv",
     "load_decomposition",

@@ -382,6 +382,10 @@ def _read_manifest(path: Path) -> dict:
     for field in ("inputs", "outputs"):
         if not all(isinstance(v, str) for v in request[field].values()):
             raise ConfigError(f"{path}: '{field}' values must be strings")
+    # a run records each output by its bare name, which the replay puts under --out-dir
+    for name in request["outputs"].values():
+        if name in ("", "..") or Path(name).name != name:
+            raise ConfigError(f"{path}: output {name!r} is not a bare file name")
     fields = [name.split(".") for name in _COMMANDS[command][1]]
     missing = [".".join(f) for f in fields if f[1] not in request[f[0]]]
     if missing:

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import NormalizationStats, denormalize, znormalize
-from .errors import InputError, NumericalError, ParameterError, require_int
+from .errors import InputError, NumericalError, ParameterError, require_int, require_positive
 from .hankel import TimeSeries, default_window_len, diagonal_average, embed_lagged
 from .hankel import hankelize, matrix_to_series  # traced by name: perfbench/spans.py _patch_table
 from .linalg import frobenius_norm, rmse
@@ -68,8 +68,7 @@ def _check_trainer(cfg, minimums: dict[str, int]) -> None:
     minimum, and epsilon is positive."""
     for name, low in {**minimums, "window_len": 2, "seed": 0}.items():
         object.__setattr__(cfg, name, require_int(getattr(cfg, name), name, low))
-    if not cfg.epsilon > 0:
-        raise ParameterError(f"epsilon must be positive, got {cfg.epsilon}")
+    require_positive(cfg.epsilon, "epsilon")
 
 
 @dataclass(frozen=True)
@@ -91,8 +90,7 @@ class RaeConfig:
 
     def __post_init__(self):
         _check_trainer(self, {"max_outer_iters": 1})
-        if not self.lam > 0:
-            raise ParameterError(f"lam must be positive, got {self.lam}")
+        require_positive(self.lam, "lam")
 
 
 @dataclass(frozen=True)
@@ -120,8 +118,8 @@ class RdaeConfig:
     def __post_init__(self):
         caps = {"max_outer_iters": 1, "max_while_iters": 1}
         _check_trainer(self, caps if self.lagged_window is None else {**caps, "lagged_window": 2})
-        if not self.lam1 > 0 or not self.lam2 > 0:
-            raise ParameterError("lam1 and lam2 must be positive")
+        require_positive(self.lam1, "lam1")
+        require_positive(self.lam2, "lam2")
 
 
 @dataclass
@@ -251,7 +249,7 @@ def _alternate(
         target = x - s
         batch = to_batch(target)
         try:
-            model.train(batch, batch)
+            model.train(batch)
         except NumericalError as exc:
             raise NumericalError(f"{stage} iteration {it}: {exc}") from exc
         recon = from_batch(model.forward(batch))

@@ -1,5 +1,7 @@
-"""Exception hierarchy shared across the package, and the configs' integer check."""
+"""Exception hierarchy shared across the package, and the configs' integer and
+positive-number checks."""
 
+import math
 import numbers
 
 
@@ -59,3 +61,14 @@ def require_int(value, name: str, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise ParameterError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
+
+
+def require_positive(value, name: str):
+    """``value``, unchanged, if it is a finite real number above zero;
+    ParameterError naming ``name`` for a bool, a non-number ("1e-5", None)
+    or a value that is not finite or not positive."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ParameterError(f"{name} must be a number, got {value!r}")
+    if not (math.isfinite(value) and value > 0):
+        raise ParameterError(f"{name} must be finite and positive, got {value}")
+    return value

@@ -3,7 +3,11 @@
 One network class serves every learned transformation in the package: the
 reconstruction autoencoders and the input/output-width-preserving smoothing
 networks. Layers are symmetric around a bottleneck; the final layer is
-linear so reconstructions are unbounded reals.
+linear so reconstructions are unbounded reals. Every network is an
+autoencoder: a step descends the mean squared error of reconstructing its
+own batch. A step computes only the gradient of that error, not the error
+itself, and ``train`` returns nothing; the trainers' loss trace is the
+reconstruction RMSE that ``decompose._alternate`` takes once per iteration.
 
 A train step allocates no array the size of a batch: ``train`` makes one
 workspace of layer, delta and scratch buffers for all its steps, and every
@@ -25,12 +29,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, NumericalError, ParameterError, require_int
+from .errors import DimensionError, NumericalError, ParameterError, require_int, require_positive
 
 __all__ = [
     "AutoencoderConfig",
     "AutoencoderModel",
-    "gradient_check",
     "default_layer_dims",
 ]
 
@@ -109,12 +112,8 @@ class AutoencoderConfig:
             raise ParameterError(
                 f"activation must be one of {sorted(_ACTIVATIONS)}, got {self.activation!r}"
             )
-        if not self.learning_rate > 0:
-            raise ParameterError(f"learning_rate must be positive, got {self.learning_rate}")
-        if not self.weight_init_scale > 0:
-            raise ParameterError(
-                f"weight_init_scale must be positive, got {self.weight_init_scale}"
-            )
+        require_positive(self.learning_rate, "learning_rate")
+        require_positive(self.weight_init_scale, "weight_init_scale")
         if self.bottleneck_dim >= self.input_dim:
             raise ParameterError(
                 f"bottleneck width {self.bottleneck_dim} must be smaller than "
@@ -228,15 +227,6 @@ class AutoencoderModel:
             )
         return batch
 
-    def _check_pair(self, batch, target) -> tuple[np.ndarray, np.ndarray]:
-        batch = self._check_batch(batch)
-        target = self._check_batch(target)
-        if batch.shape != target.shape:
-            raise DimensionError(
-                f"batch shape {batch.shape} != target shape {target.shape}"
-            )
-        return batch, target
-
     def _forward(self, batch: np.ndarray, acts: list[np.ndarray]) -> np.ndarray:
         """Run every layer into its buffer in ``acts``; returns the last one."""
         a = batch
@@ -249,17 +239,14 @@ class AutoencoderModel:
             a = out
         return a
 
-    def _backward(self, batch: np.ndarray, target: np.ndarray, ws: _Workspace) -> float:
-        """Forward and backward pass in ``ws``; leaves the mean-squared-error
-        gradient in ``ws.grad`` and returns the loss."""
+    def _backward(self, batch: np.ndarray, ws: _Workspace) -> None:
+        """Forward and backward pass in ``ws``; leaves the gradient of the
+        mean squared reconstruction error of ``batch`` in ``ws.grad``."""
         activation = self.config.activation
         out = self._forward(batch, ws.acts)
         last = self.n_layers - 1
         delta = ws.delta(last, out.shape[1])
-        np.subtract(out, target, out=delta)
-        # the output is not needed past here, so its buffer takes the squares
-        np.square(delta, out=out)
-        loss = float(out.mean())
+        np.subtract(out, batch, out=delta)
         np.multiply(delta, 2.0, out=delta)
         np.divide(delta, delta.size, out=delta)
         for layer in range(last, -1, -1):
@@ -276,7 +263,6 @@ class AutoencoderModel:
                 np.matmul(delta, self.weights[layer].T, out=nxt)
                 _scale_by_derivative(activation, below, nxt, ws.scratch(width))
                 delta = nxt
-        return loss
 
     # an overflow raises NumericalError below, so numpy need not warn of it first
     @np.errstate(over="ignore", invalid="ignore")
@@ -293,30 +279,23 @@ class AutoencoderModel:
             raise NumericalError("forward pass produced non-finite values")
         return out
 
-    def loss(self, batch, target) -> float:
-        """Mean squared reconstruction error of the current parameters."""
+    def gradients(self, batch):
+        """(weight, bias) gradients of the mean squared reconstruction error."""
         batch = self._check_batch(batch)
-        target = self._check_batch(target)
-        d = self.forward(batch) - target
-        return float(np.mean(d * d))
-
-    def gradients(self, batch, target):
-        """Mean-squared-error gradients for every weight and bias."""
-        batch, target = self._check_pair(batch, target)
         ws = _Workspace(self.config.all_dims, len(batch))
-        loss = self._backward(batch, target, ws)
-        return loss, [g.copy() for g in ws.grad_w], [g.copy() for g in ws.grad_b]
+        self._backward(batch, ws)
+        return [g.copy() for g in ws.grad_w], [g.copy() for g in ws.grad_b]
 
-    def train_step(self, batch, target) -> float:
-        """One full-batch Adam step toward ``target``; returns the pre-step loss.
+    def train_step(self, batch) -> None:
+        """One full-batch Adam step toward reconstructing ``batch``.
 
         A non-finite gradient raises before any state changes.
         """
-        batch, target = self._check_pair(batch, target)
+        batch = self._check_batch(batch)
         ws = self._workspace
         if ws is None:
             ws = _Workspace(self.config.all_dims, len(batch))
-        loss = self._backward(batch, target, ws)
+        self._backward(batch, ws)
         grad, tmp = ws.grad, ws.adam
         if not np.all(np.isfinite(grad)):
             raise NumericalError("non-finite gradient; reduce the learning rate")
@@ -343,48 +322,16 @@ class AutoencoderModel:
         self._params -= tmp
         if not np.all(np.isfinite(self._params)):
             raise NumericalError("parameters became non-finite during update")
-        return loss
 
     # each step's finiteness checks raise NumericalError, so numpy need not warn first
     @np.errstate(over="ignore", invalid="ignore")
-    def train(self, batch, target) -> list[float]:
+    def train(self, batch) -> None:
         """Run config.inner_epochs full-batch Adam steps, all in one workspace."""
         batch = self._check_batch(batch)
         self._workspace = _Workspace(self.config.all_dims, len(batch))
         try:
-            return [self.train_step(batch, target) for _ in range(self.config.inner_epochs)]
+            for _ in range(self.config.inner_epochs):
+                self.train_step(batch)
         finally:
             self._workspace = None
 
-
-def gradient_check(model: AutoencoderModel, batch, target) -> float:
-    """Max relative error of analytic vs central-difference gradients.
-
-    Perturbs every weight and bias entry by +-1e-5; 0/0 comparisons count
-    as zero error.
-    """
-    h = 1e-5
-    _, grads_w, grads_b = model.gradients(batch, target)
-    params = list(model.weights) + list(model.biases)
-    grads = list(grads_w) + list(grads_b)
-    # entries far below the dominant gradient are compared against that
-    # scale, so central-difference rounding noise on near-zero entries does
-    # not register as error
-    gscale = max((float(np.max(np.abs(g))) for g in grads), default=0.0)
-    floor = 1e-3 * gscale
-    worst = 0.0
-    for param, grad in zip(params, grads):
-        flat = param.ravel()
-        gflat = grad.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = model.loss(batch, target)
-            flat[i] = orig - h
-            down = model.loss(batch, target)
-            flat[i] = orig
-            numeric = (up - down) / (2.0 * h)
-            denom = max(abs(numeric), abs(gflat[i]), floor)
-            if denom > 0.0:
-                worst = max(worst, abs(numeric - gflat[i]) / denom)
-    return worst

@@ -414,6 +414,8 @@ EXPLAIN_MANIFEST = {
     "inputs": {"csv": "d.csv"},
     "outputs": {"json": "e.json"},
 }
+SCORES_CSV = "t,score,label\n0,0.9,1\n1,0.8,0\n2,0.1,0\n3,0.2,1\n"
+EVAL_MANIFEST = {"command": "eval", "inputs": {"csv": "sc.csv"}, "outputs": {"json": "e.json"}}
 SWEEP_MANIFEST = {
     "command": "sweep",
     "config": {"method": "rae", "base": {}, "grid": {"lam": [0.05]}, "n_random": 1},
@@ -562,6 +564,30 @@ def _write_files(directory, files):
           for key, value in (("length", 100.5), ("dims", 1.5), ("collective_run_length", 2.5))),
         pytest.param({"s.csv": SERIES_CSV, "c.json": {**QUICK_RAE, "seed": True}}, TRAIN, 2,
                      "c.json", id="train-seed-true"),
+        # positive real fields holding a bool (which would train as 1.0), a string or a
+        # non-finite value: refused with the field named
+        *(pytest.param({"s.csv": SERIES_CSV, "c.json": {**base, key: value}},
+                       ["train", "--method", method, *TRAIN[3:]], 2, f"{key} must be",
+                       id=f"train-{method}-{key}-{value}")
+          for method, base, key, value in (("rae", QUICK_RAE, "lam", True),
+                                           ("rae", QUICK_RAE, "lam", float("inf")),
+                                           ("rae", QUICK_RAE, "epsilon", "1e-5"),
+                                           ("rdae", QUICK_RDAE, "lam1", True),
+                                           ("rdae", QUICK_RDAE, "lam2", "0.1"))),
+        *(pytest.param({"s.csv": SERIES_CSV, "c.json": {**QUICK_RAE, "ae": {
+                           "input_dim": 8, "layer_dims": [4], key: value}}},
+                       TRAIN, 2, f"{key} must be", id=f"train-network-{key}-{value}")
+          for key, value in (("learning_rate", True), ("weight_init_scale", float("inf")))),
+        # a manifest records bare output names, which the replay puts under --out-dir
+        *(pytest.param({"sc.csv": SCORES_CSV,
+                        "m.json": {**EVAL_MANIFEST, "outputs": {"json": name}}},
+                       REPLAY, 2, f"m.json: output '{name}' is not a bare file name",
+                       id=f"replay-output-{name}")
+          for name in ("../x.csv", "sub/x.csv")),
+        # no input file, so a run that took the name would stop before writing to it
+        pytest.param({"m.json": {**EVAL_MANIFEST, "outputs": {"json": "/tmp/x.csv"}}},
+                     REPLAY, 2, "output '/tmp/x.csv' is not a bare file name",
+                     id="replay-output-absolute"),
         pytest.param({"s.csv": SERIES_CSV, "c.json": {"grid": {"lam": [0.05]}}},
                      SWEEP + ["--seed", "-1"], 2, "seed must be >= 0", id="sweep-seed-flag-negative"),
     ],
@@ -675,9 +701,9 @@ RUNNABLE = {
     "synth.json": {**SYNTH_CONFIG, "length": 40},
     "s.csv": SERIES_CSV,
     "c.json": {"base": QUICK_RAE, "grid": {"lam": [0.05]}},
-    "sc.csv": "t,score,label\n0,0.9,1\n1,0.8,0\n2,0.1,0\n3,0.2,1\n",
+    "sc.csv": SCORES_CSV,
     "d.csv": DECOMPOSITION_CSV,
-    "m.json": {"command": "eval", "inputs": {"csv": "sc.csv"}, "outputs": {"json": "e.json"}},
+    "m.json": EVAL_MANIFEST,
 }
 EXPLAIN = ["explain", "--input", "d.csv", "--method", "prm", "--gamma", "0.1"]
 

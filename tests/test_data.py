@@ -243,7 +243,7 @@ def trained_model(seed=0):
     cfg = AutoencoderConfig(input_dim=4, layer_dims=(3, 2, 3), inner_epochs=25, seed=seed)
     model = AutoencoderModel(cfg)
     x = np.random.default_rng(seed).standard_normal((10, 4))
-    model.train(x, x)
+    model.train(x)
     return model
 
 

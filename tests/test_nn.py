@@ -6,12 +6,47 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustae.errors import DimensionError, NumericalError, ParameterError
-from robustae.nn import (
-    AutoencoderConfig,
-    AutoencoderModel,
-    default_layer_dims,
-    gradient_check,
-)
+from robustae.nn import AutoencoderConfig, AutoencoderModel, default_layer_dims
+
+
+def loss(model, batch) -> float:
+    """Mean squared reconstruction error of the current parameters."""
+    d = model.forward(batch) - batch
+    return float(np.mean(d * d))
+
+
+def gradient_check(model, batch) -> float:
+    """Max relative error of analytic vs central-difference gradients of the
+    reconstruction error of ``batch``.
+
+    Perturbs every weight and bias entry by +-1e-5; 0/0 comparisons count
+    as zero error.
+    """
+    h = 1e-5
+    grads_w, grads_b = model.gradients(batch)
+    params = list(model.weights) + list(model.biases)
+    grads = list(grads_w) + list(grads_b)
+    # entries far below the dominant gradient are compared against that
+    # scale, so central-difference rounding noise on near-zero entries does
+    # not register as error
+    gscale = max((float(np.max(np.abs(g))) for g in grads), default=0.0)
+    floor = 1e-3 * gscale
+    worst = 0.0
+    for param, grad in zip(params, grads):
+        flat = param.ravel()
+        gflat = grad.ravel()
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            up = loss(model, batch)
+            flat[i] = orig - h
+            down = loss(model, batch)
+            flat[i] = orig
+            numeric = (up - down) / (2.0 * h)
+            denom = max(abs(numeric), abs(gflat[i]), floor)
+            if denom > 0.0:
+                worst = max(worst, abs(numeric - gflat[i]) / denom)
+    return worst
 
 
 def make_model(input_dim, layer_dims, activation="tanh", seed=0, lr=1e-3, epochs=20):
@@ -93,29 +128,24 @@ def test_forward_shape_mismatch():
         model.forward(np.zeros((3, 5)))
 
 
-def test_train_step_returns_prestep_loss():
-    model = make_model(3, (2,), seed=3)
-    x = np.random.default_rng(2).standard_normal((4, 3))
-    before = model.loss(x, x)
-    reported = model.train_step(x, x)
-    assert reported == pytest.approx(before, rel=1e-12)
-
-
 def test_stationary_point_leaves_parameters_unchanged():
+    # zero weights reconstruct zero data exactly, so every gradient is zero
     model = make_model(3, (2,), seed=5)
-    x = np.random.default_rng(3).standard_normal((4, 3))
-    target = model.forward(x)
-    snap_w = [w.copy() for w in model.weights]
-    model.train_step(x, target)
-    for w, old in zip(model.weights, snap_w):
-        assert np.max(np.abs(w - old)) < 1e-12
+    for w in model.weights:
+        w[:] = 0.0
+    model.train_step(np.zeros((4, 3)))
+    assert model.step_count == 1
+    assert all(not p.any() for p in model.weights + model.biases)
 
 
 def test_loss_decreases_smoothed():
-    model = make_model(6, (4, 2, 4), seed=7, lr=5e-3, epochs=200)
+    model = make_model(6, (4, 2, 4), seed=7, lr=5e-3)
     rng = np.random.default_rng(4)
     x = rng.standard_normal((20, 6))
-    losses = model.train(x, x)
+    losses = []
+    for _ in range(200):
+        losses.append(loss(model, x))
+        model.train_step(x)
     smoothed = np.convolve(losses, np.ones(10) / 10, mode="valid")
     assert np.all(np.diff(smoothed[10:]) <= 1e-6)
     assert losses[-1] < losses[0]
@@ -125,7 +155,7 @@ def test_determinism_after_training():
     def run():
         model = make_model(5, (3,), seed=11, lr=2e-3, epochs=50)
         x = np.random.default_rng(5).standard_normal((8, 5))
-        model.train(x, x)
+        model.train(x)
         return model
 
     a, b = run(), run()
@@ -139,16 +169,14 @@ def test_gradient_check_linear_small():
     model = make_model(2, (1,), activation="linear", seed=1)
     rng = np.random.default_rng(6)
     x = rng.standard_normal((5, 2))
-    y = rng.standard_normal((5, 2))
-    assert gradient_check(model, x, y) < 1e-6
+    assert gradient_check(model, x) < 1e-6
 
 
 def test_gradient_check_tanh():
     model = make_model(4, (2,), seed=2)
     rng = np.random.default_rng(7)
     x = rng.standard_normal((6, 4))
-    y = rng.standard_normal((6, 4))
-    assert gradient_check(model, x, y) < 1e-4
+    assert gradient_check(model, x) < 1e-4
 
 
 @pytest.mark.parametrize("activation", ["tanh", "sigmoid", "relu", "linear"])
@@ -160,7 +188,6 @@ def test_gradient_check_all_activations_deep(activation):
     model = make_model(6, (4, 2, 4), activation=activation, seed=seed)
     rng = np.random.default_rng(seed + 100)
     x = rng.standard_normal((7, 6))
-    y = rng.standard_normal((7, 6))
     if activation == "relu":
         # hidden pre-activations z = a @ w + b, with a = max(z, 0)
         a, pre = x, []
@@ -168,24 +195,24 @@ def test_gradient_check_all_activations_deep(activation):
             pre.append(a @ w + b)
             a = np.maximum(pre[-1], 0.0)
         assert min(float(np.min(np.abs(p))) for p in pre) > 1e-3
-    assert gradient_check(model, x, y) < 1e-4
+    assert gradient_check(model, x) < 1e-4
 
 
 def test_gradient_check_zero_everything():
     model = make_model(3, (2,), seed=0)
     for w in model.weights:
         w[:] = 0.0
-    assert gradient_check(model, np.zeros((4, 3)), np.zeros((4, 3))) == 0.0
+    assert gradient_check(model, np.zeros((4, 3))) == 0.0
 
 
 def test_non_finite_gradient_raises():
-    # squared loss overflows on extreme inputs, so the backward pass sees inf
+    # the weight gradients overflow on extreme inputs, so the backward pass sees inf
     model = make_model(4, (3,), seed=9, activation="linear", epochs=3)
-    model.train(np.eye(4), np.eye(4))
+    model.train(np.eye(4))
     state = [p.copy() for p in (*model.weights, *model.biases, model._adam_m, model._adam_v)]
     x = np.full((5, 4), 1e200)
     with np.errstate(over="ignore"), pytest.raises(NumericalError, match="non-finite gradient"):
-        model.train_step(x, np.zeros((5, 4)))
+        model.train_step(x)
     # the check runs before the update, so the raise leaves the model untouched
     after = (*model.weights, *model.biases, model._adam_m, model._adam_v)
     assert all(np.array_equal(a, b) for a, b in zip(after, state))
@@ -197,9 +224,9 @@ def test_forward_output_is_not_reused():
     x = np.random.default_rng(12).standard_normal((9, 5))
     out = model.forward(x)
     kept = out.copy()
-    model.train(x, x)
+    model.train(x)
     model.forward(x)
-    model.gradients(x, x)
+    model.gradients(x)
     assert np.array_equal(out, kept)
     # the workspace lives for one train() call
     assert model._workspace is None
@@ -214,16 +241,17 @@ _REFERENCE_ACTIVATIONS = {
 }
 
 
-def _reference_gradients(activation, weights, biases, x, target):
-    """Mean-squared-error (weight, bias) gradients, one allocating ufunc per
-    term; each bias gradient is its delta's ``sum(axis=0)``."""
+def _reference_gradients(activation, weights, biases, x):
+    """(weight, bias) gradients of the mean squared reconstruction error of
+    ``x``, one allocating ufunc per term; each bias gradient is its delta's
+    ``sum(axis=0)``."""
     f, df = _REFERENCE_ACTIVATIONS[activation]
     n = len(weights)
     pre, acts = [], [x]
     for layer, (w, b) in enumerate(zip(weights, biases)):
         pre.append(acts[-1] @ w + b)
         acts.append(pre[-1] if layer == n - 1 else f(pre[-1]))
-    delta = 2.0 * (acts[-1] - target) / acts[-1].size
+    delta = 2.0 * (acts[-1] - x) / acts[-1].size
     grads_w, grads_b = [None] * n, [None] * n
     for layer in range(n - 1, -1, -1):
         grads_w[layer] = acts[layer].T @ delta
@@ -244,9 +272,7 @@ def _reference_train_steps(model, x, steps):
     n = model.n_layers
     lr = model.config.learning_rate
     for t in range(1, steps + 1):
-        grads_w, grads_b = _reference_gradients(
-            model.config.activation, params[:n], params[n:], x, x
-        )
+        grads_w, grads_b = _reference_gradients(model.config.activation, params[:n], params[n:], x)
         for p, g, m, v in zip(params, grads_w + grads_b, moments[: 2 * n], moments[2 * n :]):
             m *= 0.9
             m += (1.0 - 0.9) * g
@@ -287,7 +313,7 @@ def test_train_steps_are_bit_stable(activation):
     model = make_model(8, (6, 3, 6), activation=activation, seed=21, lr=1e-2, epochs=25)
     x = np.random.default_rng(22).standard_normal((30, 8))
     expected = _reference_train_steps(model, x, 25)
-    model.train(x, x)
+    model.train(x)
     params = model.weights + model.biases
     assert all(np.array_equal(p, q) for p, q in zip(params, expected))
     if _platform() == RECORDED_PLATFORM:
@@ -299,20 +325,23 @@ def test_train_steps_are_bit_stable(activation):
         model = make_model(8, (6, 1, 6), activation=activation, seed=23, lr=1e-2, epochs=25)
         x = np.random.default_rng(rows).standard_normal((rows, 8))
         expected = _reference_train_steps(model, x, 25)
-        model.train(x, x)
+        model.train(x)
         assert all(np.array_equal(p, q) for p, q in zip(model.weights + model.biases, expected))
 
 
 @pytest.mark.parametrize("rows", [1, 7, 129, 1985])
 @pytest.mark.parametrize("width", [1, 2, 3, 8, 24])
 def test_bias_gradients_are_column_sums_bit_for_bit(width, rows):
-    # linear, so the hidden delta keeps the spread of the targets
+    # linear, so the hidden delta keeps the spread of the inputs. Over 1e+-30
+    # the largest entry of a 129-row column dwarfs the rest, so a pairwise
+    # and an in-order sum round alike; over 1e+-10 they differ at 129 and
+    # 1985 rows of width 1, where einsum would give other bits
     model = make_model(width + 1, (width,), activation="linear", seed=width)
     rng = np.random.default_rng(rows)
     shape = (rows, width + 1)
-    x, target = (rng.standard_normal(shape) * 10.0 ** rng.uniform(-30, 30, shape) for _ in range(2))
-    _, grads_w, grads_b = model.gradients(x, target)
-    ref_w, ref_b = _reference_gradients("linear", model.weights, model.biases, x, target)
+    x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-10, 10, shape)
+    grads_w, grads_b = model.gradients(x)
+    ref_w, ref_b = _reference_gradients("linear", model.weights, model.biases, x)
     assert all(np.array_equal(g, r) for g, r in zip(grads_w + grads_b, ref_w + ref_b))
 
 
@@ -338,8 +367,8 @@ def test_bottleneck_capacity_linear_subspace():
             seed=12,
         )
         model = AutoencoderModel(cfg)
-        model.train(data, data)
-        return np.sqrt(model.loss(data, data))
+        model.train(data)
+        return np.sqrt(loss(model, data))
 
     assert final_rmse(3) < 1e-3 < final_rmse(2)
 
@@ -347,7 +376,7 @@ def test_bottleneck_capacity_linear_subspace():
 def test_parameters_stay_finite_on_sane_config():
     model = make_model(5, (4, 2, 4), seed=13, lr=1e-2, epochs=300)
     x = np.random.default_rng(11).standard_normal((10, 5))
-    model.train(x, x)
+    model.train(x)
     for p in model.weights + model.biases:
         assert np.all(np.isfinite(p))
 
@@ -364,5 +393,4 @@ def test_gradient_check_random_seeds_tanh(seed):
     model = make_model(3, (2,), seed=seed)
     rng = np.random.default_rng(seed + 1)
     x = rng.standard_normal((4, 3))
-    y = rng.standard_normal((4, 3))
-    assert gradient_check(model, x, y) < 1e-4
+    assert gradient_check(model, x) < 1e-4
