@@ -57,6 +57,7 @@ from .errors import (
     RobustAEError,
     UpgradeError,
     require_int,
+    require_positive,
 )
 from .explain import DEFAULT_NMAX, es_prm, es_ssa
 from .metrics import evaluate
@@ -398,10 +399,10 @@ def _read_manifest(path: Path) -> dict:
         for key in ("n_max", "n_random", "window_len"):
             if key in config and (key != "window_len" or config[key] is not None):
                 require_int(config[key], f"config.{key}")
+        # json reads Infinity and 1e400 as inf, which a run would record as Infinity,
+        # not JSON
         if "gamma" in config:
-            gamma = config["gamma"]
-            if isinstance(gamma, bool) or not isinstance(gamma, (int, float)):
-                raise ParameterError(f"config.gamma must be a number, got {gamma!r}")
+            require_positive(config["gamma"], "config.gamma")
     except (ParameterError, OverflowError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
     # bool() would run "false", 0 or null as another flag than the one recorded

@@ -181,7 +181,8 @@ class _SeriesWindower:
 
 
 def _column_batch(planes: np.ndarray) -> np.ndarray:
-    """(D, B, K) lagged planes -> (K, B*D) window-column samples."""
+    """(D, B, K) lagged planes -> (K, B*D) window-column samples, a C-ordered
+    copy: the planes may be a read-only view of the series."""
     d, b, k = planes.shape
     return np.ascontiguousarray(planes.transpose(2, 1, 0).reshape(k, b * d))
 

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, require_positive
 from .hankel import TimeSeries, _antidiag_counts, default_window_len, embed_lagged
 from .hankel import hankelize, matrix_to_series  # traced by name: perfbench/spans.py _patch_table
 from .linalg import least_squares, rmse, svd
@@ -76,8 +76,7 @@ def _scan(method: str, gamma: float, n_max: int, pairs) -> ExplainabilityResult:
     ``pairs`` lazily yields the scan's (order, rmse) pairs in increasing
     order, so no fit runs before gamma and n_max are checked.
     """
-    if not gamma > 0:
-        raise ParameterError(f"gamma must be positive, got {gamma}")
+    require_positive(gamma, "gamma")
     if n_max < 1:
         raise ParameterError(f"n_max must be >= 1, got {n_max}")
     curve = tuple(pairs)
@@ -93,17 +92,32 @@ def es_prm(
     Degrees 1..n_max are scanned in order; the degree-0 (constant) RMSE is
     reported in the curve but does not count as a score.
     """
-    pairs = ((degree, fit_polynomial(clean, degree)[1]) for degree in range(n_max + 1))
-    return _scan("prm", gamma, n_max, pairs)
+
+    def pairs():
+        # the scan fits every degree up to n_max, so a series too short for the
+        # last is refused before the first fit (after _scan's checks)
+        if clean.length <= n_max:
+            raise ParameterError(f"series length {clean.length} must exceed n_max {n_max}")
+        for degree in range(n_max + 1):
+            yield degree, fit_polynomial(clean, degree)[1]
+
+    return _scan("prm", gamma, n_max, pairs())
+
+
+def _leading_triple(plane: np.ndarray, n: int | None):
+    """SVD of one plane with only its ``n`` leading right vectors kept (all for
+    None): a dimension gives at most n components, and a copy of the slice
+    frees the full V before the next dimension's SVD."""
+    u, s, v = svd(plane)
+    return u, s, v if n is None else v[:, :n].copy()
 
 
 def _leading_components(ts: TimeSeries, window_len: int | None, n: int | None) -> list[TimeSeries]:
     """The ``n`` leading spectrum components (all of them for None)."""
     b = window_len if window_len is not None else default_window_len(ts.length)
-    lagged = embed_lagged(ts, b)
-    triples = [svd(plane) for plane in lagged.planes]
+    triples = [_leading_triple(plane, n) for plane in embed_lagged(ts, b).planes]
     tagged = [(float(sigma), dim, i) for dim, (_, s, _) in enumerate(triples)
-              for i, sigma in enumerate(s)]
+              for i, sigma in enumerate(s[:n])]
     # stable, so equal singular values keep (dimension, index) order
     tagged.sort(key=lambda item: -item[0])
     counts = _antidiag_counts(b, ts.length - b + 1)

@@ -6,6 +6,10 @@ observation. ``diagonal_average`` maps planes to the series their
 anti-diagonal means read (``explain`` streams the same sums for rank-1
 planes it never builds); ``hankelize`` projects a matrix back onto Hankel
 structure through it, and ``matrix_to_series`` inverts the embedding.
+
+``embed_lagged`` copies nothing: its planes are a read-only view that
+aliases the series' values. Copy them to write to them, or to keep them
+past a change of the series.
 """
 
 from __future__ import annotations
@@ -67,7 +71,11 @@ class TimeSeries:
 
 @dataclass
 class LaggedMatrix:
-    """Per-dimension B x K sliding-window planes of a series, shape (D, B, K)."""
+    """Per-dimension B x K sliding-window planes of a series, shape (D, B, K).
+
+    Float64 planes are kept as given, views included: those of
+    ``embed_lagged`` alias the series and are read-only.
+    """
 
     planes: np.ndarray = field(repr=False)
 
@@ -93,7 +101,9 @@ def embed_lagged(ts: TimeSeries, window_len: int) -> LaggedMatrix:
     """Embed a series into its lagged matrix with window length B.
 
     Column j of dimension d holds observations j..j+B-1, so K = C - B + 1
-    columns and the Hankel property holds exactly.
+    columns and the Hankel property holds exactly. The planes are a
+    read-only view of ``ts.values``, not a copy: copy them to write to
+    them or to keep them past a change of the series.
     """
     c = ts.length
     if not 1 < window_len <= c:
@@ -102,7 +112,7 @@ def embed_lagged(ts: TimeSeries, window_len: int) -> LaggedMatrix:
         )
     # sliding_window_view over (C, D) gives (K, D, B); reorder to (D, B, K)
     win = np.lib.stride_tricks.sliding_window_view(ts.values, window_len, axis=0)
-    return LaggedMatrix(np.ascontiguousarray(win.transpose(1, 2, 0)))
+    return LaggedMatrix(win.transpose(1, 2, 0))
 
 
 def _antidiag_index(b: int, k: int) -> np.ndarray:

@@ -487,6 +487,22 @@ def _write_files(directory, files):
                      id="explain-manifest-gamma-string"),
         pytest.param({"m.json": _with(EXPLAIN_MANIFEST, window_len=2.5)}, REPLAY, 2, "m.json",
                      id="explain-manifest-window_len-fraction"),
+        # a gamma that is not finite, which the result would record as Infinity, not
+        # JSON: float() reads 1e400 as inf, and json reads Infinity
+        *(pytest.param({"d.csv": DECOMPOSITION_CSV},
+                       ["explain", "--input", "d.csv", "--method", "prm", "--gamma", value],
+                       2, "gamma must be finite and positive", id=f"explain-gamma-{value}")
+          for value in ("inf", "1e400")),
+        pytest.param({"d.csv": DECOMPOSITION_CSV,
+                      "m.json": _with(EXPLAIN_MANIFEST, gamma=float("inf"))},
+                     REPLAY, 2, "m.json: config.gamma must be finite and positive",
+                     id="explain-manifest-gamma-Infinity"),
+        # prm fits every degree up to n_max: a series too short for the last is
+        # refused before the first
+        pytest.param({"d.csv": DECOMPOSITION_CSV},
+                     ["explain", "--input", "d.csv", "--method", "prm", "--gamma", "0.1",
+                      "--nmax", "100000"],
+                     2, "series length 50 must exceed n_max 100000", id="explain-prm-nmax-100000"),
         pytest.param({"m.json": _with(EXPLAIN_MANIFEST, n_max=2.5)}, REPLAY, 2, "m.json",
                      id="explain-manifest-n_max-fraction"),
         # values equal to their conversion that the command line never records: a bool,

@@ -15,8 +15,9 @@ from robustae import (
     train,
     znormalize,
 )
-from robustae.decompose import Decomposition, _SeriesWindower
+from robustae.decompose import Decomposition, _column_batch, _SeriesWindower
 from robustae.errors import InputError, NumericalError, ParameterError
+from robustae.hankel import embed_lagged
 
 
 def quick_ts(seed=0, length=240, noise=0.3):
@@ -397,6 +398,19 @@ def test_series_windower_bit_equal_to_gather_and_bincount(dims):
             assert got.tobytes() == batch(values).tobytes()
             outputs = rng.standard_normal(got.shape) * 10.0 ** rng.uniform(-3, 3)
             assert windower.fold(outputs).tobytes() == fold(outputs).tobytes()
+
+
+@pytest.mark.parametrize("dims", [1, 3])
+def test_column_batch_copies_the_lagged_view(dims):
+    # the planes alias the series; the batch the networks train on must not
+    ts = TimeSeries(np.random.default_rng(dims).standard_normal((40, dims)))
+    planes = embed_lagged(ts, 6).planes
+    assert np.shares_memory(planes, ts.values)
+    batch = _column_batch(planes)
+    assert batch.flags.c_contiguous and batch.flags.writeable
+    assert not np.shares_memory(batch, ts.values)
+    # row j holds window j, step-major
+    assert np.array_equal(batch, np.stack([ts.values[j : j + 6].ravel() for j in range(35)]))
 
 
 def test_default_network_shapes_derived():

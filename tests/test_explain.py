@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from robustae.errors import ParameterError
 from robustae import explain
 from robustae.explain import es_prm, es_ssa, fit_polynomial, ssa_decompose
 from robustae.hankel import TimeSeries, default_window_len, diagonal_average, embed_lagged
-from robustae.linalg import rmse
+from robustae.linalg import least_squares, rmse
 from robustae.data import znormalize
 
 
@@ -121,9 +123,11 @@ def test_ssa_multivariate_components_are_single_dimension():
 
 def _averaged_rank1_planes(ts, window_len):
     """Each spectrum component as diagonal_average of its rank-1 plane, built
-    whole, from the triples of explain.svd in ssa_decompose's order."""
+    whole, from the triples of explain.svd in ssa_decompose's order. The SVDs
+    read a C-ordered copy of the planes, not the view the scan reads."""
     b = window_len or default_window_len(ts.length)
-    triples = [explain.svd(plane) for plane in embed_lagged(ts, b).planes]
+    planes = np.ascontiguousarray(embed_lagged(ts, b).planes)
+    triples = [explain.svd(plane) for plane in planes]
     tagged = sorted(((float(sigma), d, i) for d, (_, s, _) in enumerate(triples)
                      for i, sigma in enumerate(s)), key=lambda item: -item[0])
     expected = []
@@ -149,6 +153,40 @@ def test_ssa_components_bit_equal_to_averaged_rank1_planes(values, window_len):
     ts = TimeSeries(values)
     got = [comp.values.tobytes() for comp in ssa_decompose(ts, window_len)]
     assert got == _averaged_rank1_planes(ts, window_len)
+
+
+@pytest.mark.parametrize("values, window_len", [
+    (np.cumsum(np.random.default_rng(8).standard_normal(300)), None),
+    (np.cumsum(np.random.default_rng(9).standard_normal((200, 3)), axis=0), 17),
+], ids=["one-dim", "three-dims"])
+def test_ssa_of_the_lagged_view_bit_equal_to_a_copy(values, window_len):
+    ts = TimeSeries(values)
+    # the scan takes the SVD of the series' own memory, not a C-ordered copy
+    planes = embed_lagged(ts, window_len or default_window_len(ts.length)).planes
+    assert np.shares_memory(planes, ts.values) and not planes.flags.c_contiguous
+    expected = _averaged_rank1_planes(ts, window_len)
+    assert [comp.values.tobytes() for comp in ssa_decompose(ts, window_len)] == expected
+    partial, curve = np.zeros_like(ts.values), []
+    for n, comp in enumerate(expected[:9], start=1):
+        partial += np.frombuffer(comp).reshape(ts.values.shape)
+        curve.append((n, rmse(partial, ts.values)))
+    assert es_ssa(ts, 1e-12, 9, window_len).rmse_by_order == tuple(curve)
+
+
+@pytest.mark.parametrize("length, dims, bound", [(8000, 1, 1.5), (3000, 3, 2.0)])
+def test_es_ssa_traced_peak_stays_under_two_lagged_planes(length, dims, bound):
+    # numpy's svd allocates its B x K V^T; the scan adds no plane copy, and
+    # holds no full V^T of one dimension through the next one's SVD
+    ts = TimeSeries(np.cumsum(np.random.default_rng(10).standard_normal((length, dims)), axis=0))
+    b = default_window_len(length)
+    plane_bytes = 8 * b * (length - b + 1)
+    tracemalloc.start()
+    try:
+        es_ssa(ts, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * plane_bytes
 
 
 def test_ssa_reads_exactly_hankel_rank1_planes(monkeypatch):
@@ -231,7 +269,7 @@ def test_gamma_must_be_positive():
 
 
 @pytest.mark.parametrize("scan", [es_prm, es_ssa])
-@pytest.mark.parametrize("gamma, n_max", [(0.0, 9), (-1.0, 9), (0.1, 0)])
+@pytest.mark.parametrize("gamma, n_max", [(0.0, 9), (-1.0, 9), (float("inf"), 9), (0.1, 0)])
 def test_scans_check_gamma_and_n_max_before_any_fit(monkeypatch, scan, gamma, n_max):
     def no_fit(*args):
         raise AssertionError("fitted before the parameters were checked")
@@ -240,3 +278,21 @@ def test_scans_check_gamma_and_n_max_before_any_fit(monkeypatch, scan, gamma, n_
     monkeypatch.setattr(explain, "_leading_components", no_fit)
     with pytest.raises(ParameterError, match="gamma|n_max"):
         scan(TimeSeries(np.arange(30.0)), gamma, n_max)
+
+
+@pytest.mark.parametrize("n_max, fits", [(12, 0), (100000, 0), (11, 12)])
+def test_es_prm_refuses_n_max_not_below_length_before_any_fit(monkeypatch, n_max, fits):
+    calls = []
+
+    def counting_least_squares(*args):
+        calls.append(args[0].shape)
+        return least_squares(*args)
+
+    monkeypatch.setattr(explain, "least_squares", counting_least_squares)
+    ts = TimeSeries(np.sin(np.arange(12.0)))
+    if fits:
+        assert len(es_prm(ts, 0.1, n_max).rmse_by_order) == fits
+    else:
+        with pytest.raises(ParameterError, match=f"series length 12 must exceed n_max {n_max}"):
+            es_prm(ts, 0.1, n_max)
+    assert len(calls) == fits

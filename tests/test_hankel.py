@@ -38,6 +38,15 @@ def test_embed_window_out_of_range():
         embed_lagged(ts, 11)
 
 
+def test_embed_planes_are_a_read_only_view_of_the_series():
+    ts = TimeSeries(np.arange(24.0).reshape(12, 2))
+    planes = embed_lagged(ts, 4).planes
+    assert np.shares_memory(planes, ts.values)
+    assert not planes.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        planes[0, 0, 0] = 1.0
+
+
 def test_embed_hankel_property_exact():
     rng = np.random.default_rng(0)
     lm = embed_lagged(TimeSeries(rng.standard_normal((30, 2))), 7)
