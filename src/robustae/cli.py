@@ -396,9 +396,9 @@ def _read_manifest(path: Path) -> dict:
     # a number) would run, and be re-recorded, as another value
     config = request["config"]
     try:
-        for key in ("n_max", "n_random", "window_len"):
+        for key, low in (("n_max", 1), ("n_random", 1), ("window_len", None)):
             if key in config and (key != "window_len" or config[key] is not None):
-                require_int(config[key], f"config.{key}")
+                require_int(config[key], f"config.{key}", low)
         # json reads Infinity and 1e400 as inf, which a run would record as Infinity,
         # not JSON
         if "gamma" in config:

@@ -28,6 +28,7 @@ from .errors import (
     ParseError,
     UpgradeError,
     require_int,
+    require_real,
 )
 from .hankel import TimeSeries
 from .nn import AutoencoderConfig, AutoencoderModel
@@ -230,23 +231,21 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, low in (("length", 2), ("dims", 1), ("collective_run_length", None), ("seed", 0)):
+        for name, low in (("length", 2), ("dims", 1), ("collective_run_length", 1), ("seed", 0)):
             object.__setattr__(self, name, require_int(getattr(self, name), name, low))
-        object.__setattr__(self, "ar_coefficients", tuple(self.ar_coefficients))
-        object.__setattr__(self, "frequencies", tuple(self.frequencies))
-        object.__setattr__(self, "amplitudes", tuple(self.amplitudes))
+        for name in ("ar_coefficients", "frequencies", "amplitudes"):
+            entries = [require_real(x, f"{name}[{i}]") for i, x in enumerate(getattr(self, name))]
+            object.__setattr__(self, name, tuple(entries))
         if self.kind not in ("ar_process", "sinusoid_mix"):
             raise ConfigError(f"unknown kind {self.kind!r}")
         if self.outlier_kind not in ("point", "collective"):
             raise ConfigError(f"unknown outlier_kind {self.outlier_kind!r}")
-        if not 0.0 < self.outlier_ratio < 1.0:
+        if not 0.0 < require_real(self.outlier_ratio, "outlier_ratio") < 1.0:
             raise ConfigError(f"outlier_ratio must be in (0,1), got {self.outlier_ratio}")
         if int(self.outlier_ratio * self.length) < 1:
             raise ConfigError("outlier_ratio * length must be at least 1")
-        if self.outlier_magnitude < 0:
-            raise ConfigError("outlier_magnitude must be nonnegative")
-        if self.noise_std < 0:
-            raise ConfigError("noise_std must be nonnegative")
+        require_real(self.outlier_magnitude, "outlier_magnitude", 0)
+        require_real(self.noise_std, "noise_std", 0)
         if self.kind == "ar_process":
             _check_stationary(self.ar_coefficients)
         if self.kind == "sinusoid_mix" and len(self.frequencies) != len(self.amplitudes):
@@ -290,27 +289,20 @@ def _outlier_positions(cfg: SynthConfig, rng: np.random.Generator) -> np.ndarray
     budget = int(cfg.outlier_ratio * c)
     if cfg.outlier_kind == "point":
         return np.sort(rng.choice(c, size=budget, replace=False))
-    run = max(1, min(cfg.collective_run_length, budget))
+    run = min(cfg.collective_run_length, budget)
     taken = np.zeros(c, dtype=bool)
-    positions: list[int] = []
     remaining = budget
     attempts = 0
     while remaining > 0 and attempts < 10_000:
         attempts += 1
         length = min(run, remaining)
-        start = int(rng.integers(0, c - length + 1))
-        block = range(start, start + length)
-        if any(taken[i] for i in block):
-            continue
-        for i in block:
-            taken[i] = True
-            positions.append(i)
-        remaining -= length
-    if remaining > 0:
-        # dense fallback: fill from the free slots left to right
-        free = np.nonzero(~taken)[0][:remaining]
-        positions.extend(int(i) for i in free)
-    return np.sort(np.array(positions, dtype=int))
+        start = rng.integers(0, c - length + 1)
+        if not taken[start : start + length].any():
+            taken[start : start + length] = True
+            remaining -= length
+    # dense fallback: fill from the free slots left to right
+    taken[np.nonzero(~taken)[0][:remaining]] = True
+    return np.nonzero(taken)[0]
 
 
 def generate_synthetic(cfg: SynthConfig) -> TimeSeries:
@@ -324,20 +316,15 @@ def generate_synthetic(cfg: SynthConfig) -> TimeSeries:
     base = _base_signal(cfg, rng)
     positions = _outlier_positions(cfg, rng)
     signs = np.where(rng.random((positions.size, cfg.dims)) < 0.5, -1.0, 1.0)
+    if cfg.outlier_kind == "collective":
+        # a run is a stretch of consecutive positions (prepending -2 makes t = 0
+        # start one); it takes its first point's sign, so it reads as a level shift
+        starts = np.diff(positions, prepend=-2) != 1
+        signs = signs[np.flatnonzero(starts)[np.cumsum(starts) - 1]]
     sigma = base.std(axis=0, ddof=1)
     sigma = np.where(sigma <= 0, 1.0, sigma)
     values = base.copy()
-    if cfg.outlier_kind == "collective":
-        # one shared sign per run so the run reads as a level shift
-        run_sign = None
-        prev = None
-        for i, pos in enumerate(positions):
-            if prev is None or pos != prev + 1:
-                run_sign = signs[i]
-            values[pos] += run_sign * cfg.outlier_magnitude * sigma
-            prev = pos
-    else:
-        values[positions] += signs * cfg.outlier_magnitude * sigma
+    values[positions] += signs * cfg.outlier_magnitude * sigma
     labels = np.zeros(cfg.length, dtype=bool)
     labels[positions] = True
     return TimeSeries(values, labels=labels)
@@ -347,14 +334,6 @@ def generate_synthetic(cfg: SynthConfig) -> TimeSeries:
 # Persistence
 
 
-def _model_payload(model: AutoencoderModel) -> dict:
-    return {
-        "config": asdict(model.config),
-        "weights": [w.tolist() for w in model.weights],
-        "biases": [b.tolist() for b in model.biases],
-    }
-
-
 def _checksum(payload: dict) -> str:
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -362,14 +341,12 @@ def _checksum(payload: dict) -> str:
 
 def save_model(model: AutoencoderModel, path) -> None:
     """Write a model as versioned, checksummed JSON."""
-    payload = _model_payload(model)
-    doc = {
-        "version": MODEL_FORMAT_VERSION,
-        "config": payload["config"],
-        "weights": payload["weights"],
-        "biases": payload["biases"],
-        "checksum": _checksum(payload),
+    payload = {
+        "config": asdict(model.config),
+        "weights": [w.tolist() for w in model.weights],
+        "biases": [b.tolist() for b in model.biases],
     }
+    doc = {**payload, "version": MODEL_FORMAT_VERSION, "checksum": _checksum(payload)}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True)
 

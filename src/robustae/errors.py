@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the package, and the configs' integer and
-positive-number checks."""
+"""Exception hierarchy shared across the package, and the configs' integer,
+real and positive-number checks."""
 
 import math
 import numbers
@@ -61,6 +61,19 @@ def require_int(value, name: str, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise ParameterError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
+
+
+def require_real(value, name: str, minimum: float | None = None):
+    """``value``, unchanged, if it is a finite real number of at least
+    ``minimum``; ParameterError naming ``name`` for a bool, a non-number
+    ("5", None), a value that is not finite or a smaller value."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ParameterError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ParameterError(f"{name} must be finite, got {value}")
+    if minimum is not None and value < minimum:
+        raise ParameterError(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
 def require_positive(value, name: str):

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ParameterError, require_positive
+from .errors import ParameterError, require_int, require_positive
 from .hankel import TimeSeries, _antidiag_counts, default_window_len, embed_lagged
 from .hankel import hankelize, matrix_to_series  # traced by name: perfbench/spans.py _patch_table
 from .linalg import least_squares, rmse, svd
@@ -63,7 +63,7 @@ def fit_polynomial(ts: TimeSeries, degree: int) -> tuple[TimeSeries, float]:
     c = ts.length
     if c <= degree:
         raise ParameterError(f"series length {c} must exceed degree {degree}")
-    t = np.linspace(0.0, 1.0, c) if c > 1 else np.zeros(1)
+    t = np.linspace(0.0, 1.0, c)
     design = np.vander(t, degree + 1, increasing=True)
     coeffs = least_squares(design, ts.values)
     fitted = design @ coeffs
@@ -77,8 +77,7 @@ def _scan(method: str, gamma: float, n_max: int, pairs) -> ExplainabilityResult:
     order, so no fit runs before gamma and n_max are checked.
     """
     require_positive(gamma, "gamma")
-    if n_max < 1:
-        raise ParameterError(f"n_max must be >= 1, got {n_max}")
+    n_max = require_int(n_max, "n_max", 1)
     curve = tuple(pairs)
     score = next((n for n, err in curve if n >= 1 and err < gamma), None)
     return ExplainabilityResult(method, float(gamma), score, curve, n_max)
@@ -114,7 +113,8 @@ def _leading_triple(plane: np.ndarray, n: int | None):
 
 def _leading_components(ts: TimeSeries, window_len: int | None, n: int | None) -> list[TimeSeries]:
     """The ``n`` leading spectrum components (all of them for None)."""
-    b = window_len if window_len is not None else default_window_len(ts.length)
+    b = (default_window_len(ts.length) if window_len is None
+         else require_int(window_len, "window_len"))
     triples = [_leading_triple(plane, n) for plane in embed_lagged(ts, b).planes]
     tagged = [(float(sigma), dim, i) for dim, (_, s, _) in enumerate(triples)
               for i, sigma in enumerate(s[:n])]

@@ -92,9 +92,7 @@ def default_window_len(length: int) -> int:
     """Default window length (ln C)**2, rounded and clamped to (1, C/2)."""
     if length < 5:
         raise ParameterError(f"series length {length} too short for a lagged view")
-    b = int(round(math.log(length) ** 2))
-    upper = (length - 1) // 2 if length % 2 == 1 else length // 2 - 1
-    return min(max(b, 2), max(upper, 2))
+    return min(int(round(math.log(length) ** 2)), (length - 1) // 2)
 
 
 def embed_lagged(ts: TimeSeries, window_len: int) -> LaggedMatrix:

@@ -21,8 +21,6 @@ __all__ = [
 def frobenius_norm(m) -> float:
     """Square root of the sum of squared entries; 0 for an empty matrix."""
     m = np.asarray(m, dtype=np.float64)
-    if m.size == 0:
-        return 0.0
     return float(np.sqrt(np.sum(m * m)))
 
 

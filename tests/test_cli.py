@@ -505,6 +505,13 @@ def _write_files(directory, files):
                      2, "series length 50 must exceed n_max 100000", id="explain-prm-nmax-100000"),
         pytest.param({"m.json": _with(EXPLAIN_MANIFEST, n_max=2.5)}, REPLAY, 2, "m.json",
                      id="explain-manifest-n_max-fraction"),
+        # counts below 1, which the command would refuse without naming the manifest
+        pytest.param({"d.csv": DECOMPOSITION_CSV, "m.json": _with(EXPLAIN_MANIFEST, n_max=0)},
+                     REPLAY, 2, "m.json: config.n_max must be >= 1, got 0",
+                     id="explain-manifest-n_max-0"),
+        pytest.param({"s.csv": SERIES_CSV, "m.json": _with(SWEEP_MANIFEST, n_random=0)},
+                     REPLAY, 2, "m.json: config.n_random must be >= 1, got 0",
+                     id="sweep-manifest-n_random-0"),
         # values equal to their conversion that the command line never records: a bool,
         # or a float where an integer belongs
         *(pytest.param({"d.csv": DECOMPOSITION_CSV, "s.csv": SERIES_CSV,
@@ -578,6 +585,25 @@ def _write_files(directory, files):
         *(pytest.param({"synth.json": {"length": 100, "outlier_kind": "collective", key: value}},
                        SYNTH, 2, f"{key} must be", id=f"synth-{key}-{value}")
           for key, value in (("length", 100.5), ("dims", 1.5), ("collective_run_length", 2.5))),
+        pytest.param({"synth.json": {"outlier_kind": "collective", "collective_run_length": -3}},
+                     SYNTH, 2, "collective_run_length must be >= 1",
+                     id="synth-collective_run_length--3"),
+        # real fields and tuple entries holding a bool (which would run as 1.0), a string,
+        # null or a non-finite value: refused with the field named, not converted
+        *(pytest.param({"synth.json": {"length": 100, key: value}}, SYNTH, 2,
+                       f"synth.json: bad synth config: {says}", id=f"synth-{key}-{value}")
+          for key, value, says in (
+              ("frequencies", ["a"], "frequencies[0] must be a number"),
+              ("amplitudes", [None], "amplitudes[0] must be a number"),
+              ("amplitudes", [True], "amplitudes[0] must be a number"),
+              ("outlier_magnitude", True, "outlier_magnitude must be a number"),
+              ("outlier_magnitude", "5", "outlier_magnitude must be a number"),
+              ("noise_std", True, "noise_std must be a number"),
+              ("noise_std", float("nan"), "noise_std must be finite"),
+              ("outlier_ratio", "0.05", "outlier_ratio must be a number"))),
+        pytest.param({"synth.json": {"kind": "ar_process", "ar_coefficients": ["x"]}}, SYNTH, 2,
+                     "synth.json: bad synth config: ar_coefficients[0] must be a number",
+                     id="synth-ar_coefficients-x"),
         pytest.param({"s.csv": SERIES_CSV, "c.json": {**QUICK_RAE, "seed": True}}, TRAIN, 2,
                      "c.json", id="train-seed-true"),
         # positive real fields holding a bool (which would train as 1.0), a string or a

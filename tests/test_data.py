@@ -1,9 +1,13 @@
+import hashlib
+import itertools
 import json
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from robustae import data
 from robustae.data import (
     SynthConfig,
     _checksum,
@@ -232,11 +236,105 @@ def test_synth_bad_ratio_rejected():
 @pytest.mark.parametrize(
     "field, value",
     [("length", 100.5), ("dims", 1.5), ("collective_run_length", 2.5), ("seed", None),
-     ("seed", -1), ("length", 1)],
+     ("seed", -1), ("length", 1), ("collective_run_length", 0)],
 )
 def test_synth_refuses_non_integers(field, value):
     with pytest.raises(ParameterError, match=field):
         SynthConfig(**{field: value, "outlier_kind": "collective"})
+
+
+@pytest.mark.parametrize(
+    "field, value, says",
+    [("outlier_magnitude", True, "outlier_magnitude must be a number"),
+     ("outlier_magnitude", "5", "outlier_magnitude must be a number"),
+     ("outlier_magnitude", -1.0, "outlier_magnitude must be >= 0"),
+     ("outlier_magnitude", float("nan"), "outlier_magnitude must be finite"),
+     ("noise_std", True, "noise_std must be a number"),
+     ("noise_std", float("inf"), "noise_std must be finite"),
+     ("outlier_ratio", "0.05", "outlier_ratio must be a number"),
+     ("outlier_ratio", float("nan"), "outlier_ratio must be finite"),
+     ("frequencies", ("a",), "frequencies[0] must be a number"),
+     ("amplitudes", (1.0, None), "amplitudes[1] must be a number"),
+     ("amplitudes", (True,), "amplitudes[0] must be a number"),
+     ("ar_coefficients", ("x",), "ar_coefficients[0] must be a number")],
+)
+def test_synth_refuses_reals_that_are_not_finite_numbers(field, value, says):
+    with pytest.raises(ParameterError) as exc:
+        SynthConfig(**{field: value})
+    assert says in str(exc.value)
+
+
+def test_synth_keeps_valid_values_as_given():
+    given = {**asdict(SynthConfig()), "outlier_magnitude": 5, "noise_std": 0,
+             "frequencies": (0.02, 1), "amplitudes": (1, 0.5), "ar_coefficients": (0,)}
+    # json writes 5 and 5.0 apart, as a manifest would
+    assert json.dumps(asdict(SynthConfig(**given))) == json.dumps(given)
+
+
+def _reference_synthetic(cfg):
+    """generate_synthetic as first written, index by index: a collective block is
+    tested and marked one position at a time, and each run's sign is carried
+    from point to point."""
+    rng = np.random.default_rng(cfg.seed)
+    base = data._base_signal(cfg, rng)
+    c = cfg.length
+    budget = int(cfg.outlier_ratio * c)
+    if cfg.outlier_kind == "point":
+        positions = np.sort(rng.choice(c, size=budget, replace=False))
+    else:
+        run = max(1, min(cfg.collective_run_length, budget))
+        taken = np.zeros(c, dtype=bool)
+        found, remaining, attempts = [], budget, 0
+        while remaining > 0 and attempts < 10_000:
+            attempts += 1
+            length = min(run, remaining)
+            start = int(rng.integers(0, c - length + 1))
+            block = range(start, start + length)
+            if any(taken[i] for i in block):
+                continue
+            for i in block:
+                taken[i] = True
+                found.append(i)
+            remaining -= length
+        if remaining > 0:
+            found.extend(int(i) for i in np.nonzero(~taken)[0][:remaining])
+        positions = np.sort(np.array(found, dtype=int))
+    signs = np.where(rng.random((positions.size, cfg.dims)) < 0.5, -1.0, 1.0)
+    sigma = base.std(axis=0, ddof=1)
+    sigma = np.where(sigma <= 0, 1.0, sigma)
+    values = base.copy()
+    if cfg.outlier_kind == "collective":
+        run_sign, prev = None, None
+        for i, pos in enumerate(positions):
+            if prev is None or pos != prev + 1:
+                run_sign = signs[i]
+            values[pos] += run_sign * cfg.outlier_magnitude * sigma
+            prev = pos
+    else:
+        values[positions] += signs * cfg.outlier_magnitude * sigma
+    labels = np.zeros(c, dtype=bool)
+    labels[positions] = True
+    return values, labels
+
+
+def test_synth_equals_the_index_by_index_reference():
+    # ratio 0.9 reaches the dense fallback, which takes 10 000 draws first, so
+    # it gets fewer configs; a run length of 1 gives point-like runs
+    sparse = itertools.product(("sinusoid_mix", "ar_process"), (20, 100, 600), (1, 3),
+                               (0.05, 0.3), range(2))
+    dense = itertools.product(("sinusoid_mix",), (20, 600), (3,), (0.9,), range(1))
+    collective_at_0 = 0
+    for kind, length, dims, ratio, seed in itertools.chain(sparse, dense):
+        for outlier_kind, run in [("point", 10)] + [("collective", r) for r in (1, 3, 10, 50)]:
+            cfg = SynthConfig(kind=kind, length=length, dims=dims, outlier_ratio=ratio,
+                              outlier_kind=outlier_kind, collective_run_length=run, seed=seed)
+            ts = generate_synthetic(cfg)
+            values, labels = _reference_synthetic(cfg)
+            assert np.array_equal(ts.values, values), cfg
+            assert np.array_equal(ts.labels, labels), cfg
+            collective_at_0 += outlier_kind == "collective" and bool(labels[0])
+    # a run starting at t = 0 has no predecessor to differ from
+    assert collective_at_0 > 0
 
 
 def trained_model(seed=0):
@@ -257,6 +355,20 @@ def test_model_roundtrip_bit_exact(tmp_path):
         assert np.array_equal(a, b)
     for a, b in zip(model.biases, back.biases):
         assert np.array_equal(a, b)
+
+
+def test_model_file_bytes_equal_the_field_by_field_writer(tmp_path):
+    model = trained_model(seed=3)
+    payload = {
+        "config": asdict(model.config),
+        "weights": [w.tolist() for w in model.weights],
+        "biases": [b.tolist() for b in model.biases],
+    }
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    doc = {"version": 1, "config": payload["config"], "weights": payload["weights"],
+           "biases": payload["biases"], "checksum": hashlib.sha256(blob).hexdigest()}
+    save_model(model, tmp_path / "model.json")
+    assert (tmp_path / "model.json").read_text(encoding="utf-8") == json.dumps(doc, sort_keys=True)
 
 
 def test_model_file_schema(tmp_path):

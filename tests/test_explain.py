@@ -269,7 +269,8 @@ def test_gamma_must_be_positive():
 
 
 @pytest.mark.parametrize("scan", [es_prm, es_ssa])
-@pytest.mark.parametrize("gamma, n_max", [(0.0, 9), (-1.0, 9), (float("inf"), 9), (0.1, 0)])
+@pytest.mark.parametrize("gamma, n_max", [(0.0, 9), (-1.0, 9), (float("inf"), 9), (0.1, 0),
+                                          (0.1, True), (0.1, 2.5), (0.1, 4.0), (0.1, "4")])
 def test_scans_check_gamma_and_n_max_before_any_fit(monkeypatch, scan, gamma, n_max):
     def no_fit(*args):
         raise AssertionError("fitted before the parameters were checked")
@@ -296,3 +297,12 @@ def test_es_prm_refuses_n_max_not_below_length_before_any_fit(monkeypatch, n_max
         with pytest.raises(ParameterError, match=f"series length 12 must exceed n_max {n_max}"):
             es_prm(ts, 0.1, n_max)
     assert len(calls) == fits
+
+
+@pytest.mark.parametrize("window_len", [True, 2.5, 8.0])
+def test_ssa_refuses_a_window_len_that_is_not_an_integer(window_len):
+    ts = TimeSeries(np.sin(np.arange(30.0)))
+    with pytest.raises(ParameterError, match="window_len must be an integer"):
+        es_ssa(ts, 0.1, 3, window_len)
+    with pytest.raises(ParameterError, match="window_len must be an integer"):
+        ssa_decompose(ts, window_len)
