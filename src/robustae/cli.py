@@ -147,9 +147,9 @@ def _synth(config, seed, inputs, outputs, out_dir, verbose):
     config = _with_seed(config, seed)
     try:
         cfg = SynthConfig(**config)
+        ts = generate_synthetic(cfg)
     except (TypeError, ParameterError) as exc:
         raise ConfigError(f"bad synth config: {exc}") from None
-    ts = generate_synthetic(cfg)
     out_csv = outputs["csv"]
     out_csv.parent.mkdir(parents=True, exist_ok=True)
     save_csv(ts, out_csv)

@@ -25,6 +25,7 @@ from .errors import (
     FormatError,
     IntegrityError,
     InputError,
+    ParameterError,
     ParseError,
     UpgradeError,
     require_int,
@@ -310,10 +311,17 @@ def generate_synthetic(cfg: SynthConfig) -> TimeSeries:
 
     Deterministic per seed; the injected positions and signs are drawn even
     when the magnitude is zero, so runs differing only in magnitude share
-    the same base and labels.
+    the same base and labels. Finite fields large enough to overflow the
+    series raise ParameterError naming them.
     """
     rng = np.random.default_rng(cfg.seed)
-    base = _base_signal(cfg, rng)
+    # an overflow raises ParameterError below, so numpy need not warn of it first
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = _base_signal(cfg, rng)
+        sigma = base.std(axis=0, ddof=1)
+    if not np.all(np.isfinite(sigma)):
+        fields = "amplitudes or noise_std" if cfg.kind == "sinusoid_mix" else "noise_std"
+        raise ParameterError(f"{fields} too large: the base signal's std overflows")
     positions = _outlier_positions(cfg, rng)
     signs = np.where(rng.random((positions.size, cfg.dims)) < 0.5, -1.0, 1.0)
     if cfg.outlier_kind == "collective":
@@ -321,10 +329,12 @@ def generate_synthetic(cfg: SynthConfig) -> TimeSeries:
         # start one); it takes its first point's sign, so it reads as a level shift
         starts = np.diff(positions, prepend=-2) != 1
         signs = signs[np.flatnonzero(starts)[np.cumsum(starts) - 1]]
-    sigma = base.std(axis=0, ddof=1)
     sigma = np.where(sigma <= 0, 1.0, sigma)
     values = base.copy()
-    values[positions] += signs * cfg.outlier_magnitude * sigma
+    with np.errstate(over="ignore"):
+        values[positions] += signs * cfg.outlier_magnitude * sigma
+    if not np.all(np.isfinite(values[positions])):
+        raise ParameterError("outlier_magnitude too large: the outliers overflow")
     labels = np.zeros(cfg.length, dtype=bool)
     labels[positions] = True
     return TimeSeries(values, labels=labels)

@@ -242,39 +242,43 @@ def _alternate(
     given (zero) and the loop stops once the change of L drops below
     ``eps``; with no previous L that change is inf, so it never stops on
     its first iteration. Returns (L, S, iterations, the reconstruction RMSE
-    of each iteration).
+    of each iteration). The model's workspace is released when the stage
+    ends, raise or not, so networks of different stages never hold one at once.
     """
     losses: list[float] = []
     star = x  # the previous L + S, or the previous L without shrinkage
-    for it in range(1, cap + 1):
-        target = x - s
-        batch = to_batch(target)
-        try:
-            model.train(batch)
-        except NumericalError as exc:
-            raise NumericalError(f"{stage} iteration {it}: {exc}") from exc
-        recon = from_batch(model.forward(batch))
-        losses.append(rmse(target, recon))
-        if lam is None:
-            cond1 = 0.0
-            cond2 = np.inf if it == 1 else frobenius_norm(recon - star) / norm
-            star = recon
-            done = cond2 < eps
-        else:
-            s = soft_threshold(x - recon, lam)
-            if not np.all(np.isfinite(s)):
-                raise NumericalError(f"non-finite iterate at {stage} iteration {it}")
-            cond1 = frobenius_norm(x - recon - s) / norm
-            cond2 = frobenius_norm(star - recon - s) / norm
-            star = recon + s
-            done = cond1 < eps or cond2 < eps
-        if verbose:
-            sys.stderr.write(
-                f"[{stage}] iter={it} loss={losses[-1]:.6f} "
-                f"cond1={cond1:.3e} cond2={cond2:.3e}\n"
-            )
-        if done:
-            break
+    try:
+        for it in range(1, cap + 1):
+            target = x - s
+            batch = to_batch(target)
+            try:
+                model.train(batch)
+            except NumericalError as exc:
+                raise NumericalError(f"{stage} iteration {it}: {exc}") from exc
+            recon = from_batch(model.forward(batch))
+            losses.append(rmse(target, recon))
+            if lam is None:
+                cond1 = 0.0
+                cond2 = np.inf if it == 1 else frobenius_norm(recon - star) / norm
+                star = recon
+                done = cond2 < eps
+            else:
+                s = soft_threshold(x - recon, lam)
+                if not np.all(np.isfinite(s)):
+                    raise NumericalError(f"non-finite iterate at {stage} iteration {it}")
+                cond1 = frobenius_norm(x - recon - s) / norm
+                cond2 = frobenius_norm(star - recon - s) / norm
+                star = recon + s
+                done = cond1 < eps or cond2 < eps
+            if verbose:
+                sys.stderr.write(
+                    f"[{stage}] iter={it} loss={losses[-1]:.6f} "
+                    f"cond1={cond1:.3e} cond2={cond2:.3e}\n"
+                )
+            if done:
+                break
+    finally:
+        model.release()
     return recon, s, it, losses
 
 

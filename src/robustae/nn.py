@@ -9,11 +9,15 @@ own batch. A step computes only the gradient of that error, not the error
 itself, and ``train`` returns nothing; the trainers' loss trace is the
 reconstruction RMSE that ``decompose._alternate`` takes once per iteration.
 
-A train step allocates no array the size of a batch: ``train`` makes one
-workspace of layer, delta and scratch buffers for all its steps, and every
-ufunc and matmul of the step writes into it with ``out=``. Parameters,
-gradients and the two Adam moments are one flat vector each, so Adam and
-the finiteness checks sweep each of them once per step.
+A train step allocates no array the size of a batch: the model holds one
+workspace of layer, delta and scratch buffers, and every ufunc and matmul
+of a step or a forward pass writes into it with ``out=``. The workspace
+lasts until ``release()`` or until a batch with another row count comes,
+so the refits of one alternation stage (``decompose._alternate``) reuse
+the same pages instead of faulting in fresh ones on every call. ``forward``
+returns a copy of the last layer, so the caller's array is its own.
+Parameters, gradients and the two Adam moments are one flat vector each,
+so Adam and the finiteness checks sweep each of them once per step.
 
 A bias gradient is the column sum of a layer's (rows, width) delta, taken
 with ``np.einsum("ij->j")``. It adds the rows in order, as ``sum(axis=0)``
@@ -180,8 +184,9 @@ class AutoencoderModel:
     Hidden layers use the configured activation, the output layer is linear.
     Parameters and the two Adam moments are one flat vector each;
     ``weights`` and ``biases`` are views into the parameter vector, so
-    writing to them changes the model. ``train`` keeps a workspace for its
-    steps and drops it when it returns.
+    writing to them changes the model. ``train``, ``train_step`` and
+    ``forward`` share one workspace while the batch's row count stays the
+    same; ``release()`` drops it.
     """
 
     config: AutoencoderConfig
@@ -218,6 +223,17 @@ class AutoencoderModel:
     @property
     def n_layers(self) -> int:
         return len(self.weights)
+
+    def _workspace_for(self, rows: int) -> _Workspace:
+        """The held workspace, rebuilt if it was made for another row count."""
+        if self._workspace is None or self._workspace.rows != rows:
+            self._workspace = None  # free the old buffers before the new ones
+            self._workspace = _Workspace(self.config.all_dims, rows)
+        return self._workspace
+
+    def release(self) -> None:
+        """Drop the workspace; the next step or forward pass builds a new one."""
+        self._workspace = None
 
     def _check_batch(self, batch: np.ndarray) -> np.ndarray:
         batch = np.asarray(batch, dtype=np.float64)
@@ -269,18 +285,21 @@ class AutoencoderModel:
     def forward(self, batch) -> np.ndarray:
         """Reconstruct a batch of row samples (n, input_dim) -> (n, input_dim).
 
-        The buffers are allocated per call, so the returned array is the
-        caller's alone.
+        The layers run in the workspace; the returned array is a copy of the
+        last one, so it is the caller's alone.
         """
         batch = self._check_batch(batch)
-        acts = [np.empty((len(batch), width)) for width in self.config.all_dims[1:]]
-        out = self._forward(batch, acts)
+        out = self._forward(batch, self._workspace_for(len(batch)).acts)
         if not np.all(np.isfinite(out)):
             raise NumericalError("forward pass produced non-finite values")
-        return out
+        return out.copy()
 
     def gradients(self, batch):
-        """(weight, bias) gradients of the mean squared reconstruction error."""
+        """(weight, bias) gradients of the mean squared reconstruction error.
+
+        They are computed in a workspace of their own, so the held one is
+        left as it is.
+        """
         batch = self._check_batch(batch)
         ws = _Workspace(self.config.all_dims, len(batch))
         self._backward(batch, ws)
@@ -292,9 +311,7 @@ class AutoencoderModel:
         A non-finite gradient raises before any state changes.
         """
         batch = self._check_batch(batch)
-        ws = self._workspace
-        if ws is None:
-            ws = _Workspace(self.config.all_dims, len(batch))
+        ws = self._workspace_for(len(batch))
         self._backward(batch, ws)
         grad, tmp = ws.grad, ws.adam
         if not np.all(np.isfinite(grad)):
@@ -326,12 +343,8 @@ class AutoencoderModel:
     # each step's finiteness checks raise NumericalError, so numpy need not warn first
     @np.errstate(over="ignore", invalid="ignore")
     def train(self, batch) -> None:
-        """Run config.inner_epochs full-batch Adam steps, all in one workspace."""
+        """Run config.inner_epochs full-batch Adam steps, all in the held workspace."""
         batch = self._check_batch(batch)
-        self._workspace = _Workspace(self.config.all_dims, len(batch))
-        try:
-            for _ in range(self.config.inner_epochs):
-                self.train_step(batch)
-        finally:
-            self._workspace = None
+        for _ in range(self.config.inner_epochs):
+            self.train_step(batch)
 

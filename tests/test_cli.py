@@ -604,6 +604,14 @@ def _write_files(directory, files):
         pytest.param({"synth.json": {"kind": "ar_process", "ar_coefficients": ["x"]}}, SYNTH, 2,
                      "synth.json: bad synth config: ar_coefficients[0] must be a number",
                      id="synth-ar_coefficients-x"),
+        # finite fields whose series overflows: the base signal's std, or an outlier
+        *(pytest.param({"synth.json": {"length": 100, **config}}, SYNTH, 2,
+                       f"synth.json: bad synth config: {says} too large", id=f"synth-{name}")
+          for name, config, says in (
+              ("base-overflow", {"frequencies": [0.02, 0.02], "amplitudes": [1e308, 1e308]},
+               "amplitudes or noise_std"),
+              ("outlier-overflow", {"amplitudes": [10.0], "outlier_magnitude": 1e308},
+               "outlier_magnitude"))),
         pytest.param({"s.csv": SERIES_CSV, "c.json": {**QUICK_RAE, "seed": True}}, TRAIN, 2,
                      "c.json", id="train-seed-true"),
         # positive real fields holding a bool (which would train as 1.0), a string or a

@@ -15,6 +15,7 @@ from robustae import (
     train,
     znormalize,
 )
+from robustae import decompose, nn
 from robustae.decompose import Decomposition, _column_batch, _SeriesWindower
 from robustae.errors import InputError, NumericalError, ParameterError
 from robustae.hankel import embed_lagged
@@ -281,14 +282,49 @@ def test_numerical_error_carries_iteration():
         train(ts, "rae", cfg)
 
 
-def test_smoothing_failure_names_the_kernel_iteration():
+def test_smoothing_failure_names_the_kernel_iteration(monkeypatch):
     # one Adam step at this rate leaves f1 finite and the second pass's refit
     # overflows; each pass refits f1 in one kernel iteration, so the error
     # names iteration 1, not the pass; the trainer silences numpy's warnings on
     # the way, so pytest's error::RuntimeWarning filter lets the NumericalError through
     f1 = AutoencoderConfig(input_dim=6, layer_dims=(4,), learning_rate=1e280, inner_epochs=1)
+    built = []
+
+    class Recorded(nn.AutoencoderModel):
+        def __post_init__(self):
+            super().__post_init__()
+            built.append(self)
+
+    monkeypatch.setattr(decompose, "AutoencoderModel", Recorded)
     with pytest.raises(NumericalError, match=r"^rdae/smoothing iteration 1: non-finite gradient"):
         train(quick_ts(), "rdae", replace(quick_rdae(), f1=f1))
+    # the failed stage still releases f1's buffers
+    assert [m._workspace for m in built if m.config is f1] == [None]
+
+
+@pytest.mark.parametrize("method", TRAIN_METHODS)
+def test_each_stage_builds_one_workspace_and_releases_it(monkeypatch, method):
+    # the refits of one kernel call share a workspace; it is dropped when the
+    # stage ends, so the networks of different stages never hold one at once
+    counts = {"workspaces": 0, "stages": 0}
+
+    class Counted(nn._Workspace):
+        def __init__(self, *args):
+            counts["workspaces"] += 1
+            super().__init__(*args)
+
+    def alternate(*args, **kwargs):
+        counts["stages"] += 1
+        return kernel(*args, **kwargs)
+
+    kernel = decompose._alternate
+    monkeypatch.setattr(nn, "_Workspace", Counted)
+    monkeypatch.setattr(decompose, "_alternate", alternate)
+    cfg = quick_rae() if method in ("rae", "nrae") else quick_rdae()
+    d = train(quick_ts(), method, cfg)
+    assert counts["stages"] > 0
+    assert counts["workspaces"] == counts["stages"]
+    assert all(model._workspace is None for model in d.models.values())
 
 
 @pytest.mark.parametrize("method, lines", [("rdae", 2), ("rdae-f2", 2), ("rdae-f1", 0)])

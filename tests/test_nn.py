@@ -228,8 +228,29 @@ def test_forward_output_is_not_reused():
     model.forward(x)
     model.gradients(x)
     assert np.array_equal(out, kept)
-    # the workspace lives for one train() call
+    # the workspace outlives train() and is dropped by release()
+    assert model._workspace is not None
+    model.release()
     assert model._workspace is None
+
+
+def test_workspace_is_kept_while_the_row_count_holds():
+    model = make_model(8, (6, 3, 6), seed=24, lr=1e-2, epochs=5)
+    rng = np.random.default_rng(25)
+    small, large = rng.standard_normal((30, 8)), rng.standard_normal((300, 8))
+    expected = _reference_adam(model, [small] * 10 + [large] * 5 + [small] * 5)
+    model.train(small)
+    acts = model._workspace.acts[0]
+    model.train(small)
+    assert np.shares_memory(model._workspace.acts[0], acts)
+    # another row count rebuilds it, and the steps keep the same bits
+    for x in (large, small):
+        model.train(x)
+        assert model._workspace.rows == len(x)
+        assert not np.shares_memory(model._workspace.acts[0], acts)
+        acts = model._workspace.acts[0]
+    params = model.weights + model.biases
+    assert all(np.array_equal(p, q) for p, q in zip(params, expected))
 
 
 # activation f and its derivative f' from the pre-activation z and the activation a
@@ -262,7 +283,12 @@ def _reference_gradients(activation, weights, biases, x):
 
 
 def _reference_train_steps(model, x, steps):
-    """Adam steps on (weights, biases) copies, one allocating ufunc per term.
+    return _reference_adam(model, [x] * steps)
+
+
+def _reference_adam(model, batches):
+    """Adam steps on (weights, biases) copies, one step per batch and one
+    allocating ufunc per term.
 
     Every arithmetic step is the one the model's step must make, in the same
     order, so the two agree bit for bit on any machine.
@@ -271,7 +297,7 @@ def _reference_train_steps(model, x, steps):
     moments = [np.zeros_like(p) for p in params + params]
     n = model.n_layers
     lr = model.config.learning_rate
-    for t in range(1, steps + 1):
+    for t, x in enumerate(batches, 1):
         grads_w, grads_b = _reference_gradients(model.config.activation, params[:n], params[n:], x)
         for p, g, m, v in zip(params, grads_w + grads_b, moments[: 2 * n], moments[2 * n :]):
             m *= 0.9
