@@ -117,8 +117,8 @@ def _columns(path, rows, cols, label=None, increasing=False):
 
     Raises for a file without data rows, and for the earliest row whose field
     count differs from the header's, with a non-numeric value in ``cols``, a
-    label other than 0/1, or, with ``increasing``, a first column not above
-    the previous row's.
+    label other than 0/1, or, with ``increasing``, a first column that is NaN
+    or not above the previous row's.
     """
     data = [row for row in rows[1:] if row]
     if not data:
@@ -128,7 +128,9 @@ def _columns(path, rows, cols, label=None, increasing=False):
         fields = [column[1:] for column in zip(rows[0], *data, strict=True)]
         values = [np.array(list(map(float, fields[c]))) for c in cols]
         tags = None if label is None else [tag.strip() for tag in fields[label]]
-        if set(tags or ()) - {"0", "1"} or (increasing and np.any(values[0][1:] <= values[0][:-1])):
+        first = values[0]  # a NaN compares false either way, so it is checked apart
+        unordered = increasing and (np.isnan(first).any() or np.any(first[1:] <= first[:-1]))
+        if set(tags or ()) - {"0", "1"} or unordered:
             raise ValueError
     except ValueError:
         raise _first_bad_row(path, rows, cols, label, increasing) from None
@@ -150,7 +152,7 @@ def _first_bad_row(path, rows, cols, label, increasing):
         tag = "0" if label is None else row[label].strip()
         if tag not in ("0", "1"):
             return ParseError(f"{path}:{lineno}: label must be 0 or 1, got {tag!r}")
-        if increasing and prev is not None and first <= prev:
+        if increasing and (math.isnan(first) or (prev is not None and first <= prev)):
             return FormatError(f"{path}:{lineno}: t not strictly increasing")
         prev = first
 
@@ -214,8 +216,11 @@ class SynthConfig:
     """Recipe for a labeled synthetic series with injected outliers.
 
     ``outlier_magnitude`` is expressed in units of the clean series'
-    standard deviation. Point outliers are isolated spikes; collective
-    outliers are level-shifted runs of ``collective_run_length``.
+    standard deviation. Point outliers are spikes; collective outliers are
+    level-shifted blocks of ``collective_run_length`` (the last maybe
+    shorter), one sign per block and at least one clean step between blocks.
+    A collective config whose blocks and steps do not fit in ``length`` is
+    refused.
     """
 
     kind: str = "sinusoid_mix"
@@ -243,8 +248,17 @@ class SynthConfig:
             raise ConfigError(f"unknown outlier_kind {self.outlier_kind!r}")
         if not 0.0 < require_real(self.outlier_ratio, "outlier_ratio") < 1.0:
             raise ConfigError(f"outlier_ratio must be in (0,1), got {self.outlier_ratio}")
-        if int(self.outlier_ratio * self.length) < 1:
+        budget = int(self.outlier_ratio * self.length)
+        if budget < 1:
             raise ConfigError("outlier_ratio * length must be at least 1")
+        blocks = -(-budget // self.collective_run_length)
+        if self.outlier_kind == "collective" and budget + blocks - 1 > self.length:
+            raise ConfigError(
+                f"outlier_ratio {self.outlier_ratio} and collective_run_length "
+                f"{self.collective_run_length} need {budget + blocks - 1} steps ({budget} "
+                f"outliers in {blocks} blocks, one clean step between blocks), but length "
+                f"is {self.length}"
+            )
         require_real(self.outlier_magnitude, "outlier_magnitude", 0)
         require_real(self.noise_std, "noise_std", 0)
         if self.kind == "ar_process":
@@ -285,27 +299,6 @@ def _base_signal(cfg: SynthConfig, rng: np.random.Generator) -> np.ndarray:
     return base
 
 
-def _outlier_positions(cfg: SynthConfig, rng: np.random.Generator) -> np.ndarray:
-    c = cfg.length
-    budget = int(cfg.outlier_ratio * c)
-    if cfg.outlier_kind == "point":
-        return np.sort(rng.choice(c, size=budget, replace=False))
-    run = min(cfg.collective_run_length, budget)
-    taken = np.zeros(c, dtype=bool)
-    remaining = budget
-    attempts = 0
-    while remaining > 0 and attempts < 10_000:
-        attempts += 1
-        length = min(run, remaining)
-        start = rng.integers(0, c - length + 1)
-        if not taken[start : start + length].any():
-            taken[start : start + length] = True
-            remaining -= length
-    # dense fallback: fill from the free slots left to right
-    taken[np.nonzero(~taken)[0][:remaining]] = True
-    return np.nonzero(taken)[0]
-
-
 def generate_synthetic(cfg: SynthConfig) -> TimeSeries:
     """Labeled series: clean base plus exactly floor(ratio*length) outliers.
 
@@ -322,13 +315,21 @@ def generate_synthetic(cfg: SynthConfig) -> TimeSeries:
     if not np.all(np.isfinite(sigma)):
         fields = "amplitudes or noise_std" if cfg.kind == "sinusoid_mix" else "noise_std"
         raise ParameterError(f"{fields} too large: the base signal's std overflows")
-    positions = _outlier_positions(cfg, rng)
-    signs = np.where(rng.random((positions.size, cfg.dims)) < 0.5, -1.0, 1.0)
-    if cfg.outlier_kind == "collective":
-        # a run is a stretch of consecutive positions (prepending -2 makes t = 0
-        # start one); it takes its first point's sign, so it reads as a level shift
-        starts = np.diff(positions, prepend=-2) != 1
-        signs = signs[np.flatnonzero(starts)[np.cumsum(starts) - 1]]
+    budget = int(cfg.outlier_ratio * cfg.length)
+    if cfg.outlier_kind == "point":
+        lengths = np.ones(budget, dtype=int)
+        positions = np.sort(rng.choice(cfg.length, size=budget, replace=False))
+    else:
+        # blocks of the run length, the last one maybe shorter, in random order;
+        # block i starts at gaps[i] plus the blocks before it, so sorted distinct
+        # gaps leave a clean step between blocks
+        run = cfg.collective_run_length
+        lengths = rng.permutation(np.minimum(run, budget - np.arange(0, budget, run)))
+        gaps = np.sort(rng.choice(cfg.length - budget + 1, size=lengths.size, replace=False))
+        positions = np.repeat(gaps, lengths) + np.arange(budget)
+    # one sign per block, so a collective block reads as a level shift
+    signs = np.where(rng.random((lengths.size, cfg.dims)) < 0.5, -1.0, 1.0)
+    signs = np.repeat(signs, lengths, axis=0)
     sigma = np.where(sigma <= 0, 1.0, sigma)
     values = base.copy()
     with np.errstate(over="ignore"):

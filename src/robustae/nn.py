@@ -294,17 +294,6 @@ class AutoencoderModel:
             raise NumericalError("forward pass produced non-finite values")
         return out.copy()
 
-    def gradients(self, batch):
-        """(weight, bias) gradients of the mean squared reconstruction error.
-
-        They are computed in a workspace of their own, so the held one is
-        left as it is.
-        """
-        batch = self._check_batch(batch)
-        ws = _Workspace(self.config.all_dims, len(batch))
-        self._backward(batch, ws)
-        return [g.copy() for g in ws.grad_w], [g.copy() for g in ws.grad_b]
-
     def train_step(self, batch) -> None:
         """One full-batch Adam step toward reconstructing ``batch``.
 

@@ -588,6 +588,11 @@ def _write_files(directory, files):
         pytest.param({"synth.json": {"outlier_kind": "collective", "collective_run_length": -3}},
                      SYNTH, 2, "collective_run_length must be >= 1",
                      id="synth-collective_run_length--3"),
+        # 92 outliers in blocks of 10 need 101 steps, one clean step between blocks
+        pytest.param({"synth.json": {"length": 100, "outlier_ratio": 0.92,
+                                     "outlier_kind": "collective", "collective_run_length": 10}},
+                     SYNTH, 2, "synth.json: outlier_ratio 0.92 and collective_run_length 10 "
+                     "need 101 steps", id="synth-collective-blocks-overfill"),
         # real fields and tuple entries holding a bool (which would run as 1.0), a string,
         # null or a non-finite value: refused with the field named, not converted
         *(pytest.param({"synth.json": {"length": 100, key: value}}, SYNTH, 2,

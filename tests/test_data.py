@@ -118,6 +118,11 @@ NON_NUMERIC = "non-numeric value (could not convert string to float: {!r})".form
         (load_csv, SERIES + "0,1.0,0\n\n1,2.0, 2\n", ParseError,
          ":4: label must be 0 or 1, got '2'"),
         (load_csv, SERIES + "0,1.0,0\n\n0,2.0,1\n", FormatError, ":4: t not strictly increasing"),
+        # NaN compares false with any t, so it would pass an order check alone
+        (load_csv, SERIES + "nan,1.0,0\n1,2.0,1\n", FormatError, ":2: t not strictly increasing"),
+        (load_csv, SERIES + "0,1.0,0\n\nnan,2.0,1\n3,2.0,1\n", FormatError,
+         ":4: t not strictly increasing"),
+        (load_csv, SERIES + "nan,1.0,0\n", FormatError, ":2: t not strictly increasing"),
         (load_csv, SERIES + "\n", ParseError, ": no data rows"),
         (load_scores, SCORES + "\n", ParseError, ": no data rows"),
         (load_decomposition, DECOMPOSITION, ParseError, ": no data rows"),
@@ -191,21 +196,51 @@ def test_synth_zero_magnitude_keeps_base():
     assert np.all(diff[base.labels] >= 0.9 * 4.0 * sigma)
 
 
+def _runs(labels):
+    """(start, stop) of each stretch of consecutive labelled steps."""
+    edges = np.diff(np.concatenate(([0], labels.astype(int), [0])))
+    return list(zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)))
+
+
 def test_synth_collective_runs():
-    cfg = SynthConfig(
-        length=1000,
-        outlier_ratio=0.05,
-        outlier_kind="collective",
-        collective_run_length=10,
-        seed=7,
+    # 11 leaves a shorter last block at every ratio; 600 makes the whole budget
+    # one block up to ratio 0.6, and blocks of 600 and 300 at 0.9
+    for ratio, run, seed in itertools.product((0.05, 0.3, 0.6, 0.9), (10, 11, 600), range(4)):
+        common = dict(length=1000, dims=2, outlier_ratio=ratio, outlier_kind="collective",
+                      collective_run_length=run, seed=seed)
+        ts = generate_synthetic(SynthConfig(**common))
+        base = generate_synthetic(SynthConfig(**common, outlier_magnitude=0.0))
+        budget = int(ratio * 1000)
+        block = min(run, budget)
+        assert int(ts.labels.sum()) == budget
+        lengths = [stop - start for start, stop in _runs(ts.labels)]
+        # touching blocks would merge into fewer, longer runs
+        assert len(lengths) == -(-budget // block)
+        assert sum(length != block for length in lengths) <= 1
+        assert all(length <= block for length in lengths)
+        for start, stop in _runs(ts.labels):
+            signs = np.sign(ts.values[start:stop] - base.values[start:stop])
+            assert np.all(signs == signs[0]) and np.all(signs != 0), (ratio, run, seed, start)
+
+
+def test_synth_collective_refuses_blocks_that_do_not_fit():
+    # 91 outliers in 10 blocks of at most 10, with 9 clean steps between them,
+    # fill 100 steps exactly: the blocks start at 0, end at 99 and are one apart
+    fits = SynthConfig(length=100, outlier_ratio=0.91, outlier_kind="collective",
+                       collective_run_length=10, seed=3)
+    runs = _runs(generate_synthetic(fits).labels)
+    assert runs[0][0] == 0 and runs[-1][1] == 100 and len(runs) == 10
+    assert all(start == stop + 1 for (_, stop), (start, _) in zip(runs, runs[1:]))
+    # one outlier more needs 101 steps
+    with pytest.raises(ConfigError) as exc:
+        SynthConfig(length=100, outlier_ratio=0.92, outlier_kind="collective",
+                    collective_run_length=10)
+    assert str(exc.value) == (
+        "outlier_ratio 0.92 and collective_run_length 10 need 101 steps (92 outliers in "
+        "10 blocks, one clean step between blocks), but length is 100"
     )
-    ts = generate_synthetic(cfg)
-    assert int(ts.labels.sum()) == 50
-    # labels form contiguous runs
-    starts = np.nonzero(np.diff(np.concatenate(([0], ts.labels.astype(int)))) == 1)[0]
-    ends = np.nonzero(np.diff(np.concatenate((ts.labels.astype(int), [0]))) == -1)[0]
-    lengths = ends - starts + 1
-    assert lengths.max() >= 5
+    # point outliers are spikes, not blocks: the same ratio is accepted
+    SynthConfig(length=100, outlier_ratio=0.92, collective_run_length=10)
 
 
 def test_synth_ar_variance():
@@ -272,68 +307,60 @@ def test_synth_keeps_valid_values_as_given():
 
 
 def _reference_synthetic(cfg):
-    """generate_synthetic as first written, index by index: a collective block is
-    tested and marked one position at a time, and each run's sign is carried
-    from point to point."""
+    """generate_synthetic index by index: each block's steps are marked one
+    at a time and take the block's one sign; a point outlier is a block of
+    one step."""
     rng = np.random.default_rng(cfg.seed)
     base = data._base_signal(cfg, rng)
     c = cfg.length
     budget = int(cfg.outlier_ratio * c)
     if cfg.outlier_kind == "point":
         positions = np.sort(rng.choice(c, size=budget, replace=False))
+        blocks = [[int(pos)] for pos in positions]
     else:
-        run = max(1, min(cfg.collective_run_length, budget))
-        taken = np.zeros(c, dtype=bool)
-        found, remaining, attempts = [], budget, 0
-        while remaining > 0 and attempts < 10_000:
-            attempts += 1
-            length = min(run, remaining)
-            start = int(rng.integers(0, c - length + 1))
-            block = range(start, start + length)
-            if any(taken[i] for i in block):
-                continue
-            for i in block:
-                taken[i] = True
-                found.append(i)
-            remaining -= length
-        if remaining > 0:
-            found.extend(int(i) for i in np.nonzero(~taken)[0][:remaining])
-        positions = np.sort(np.array(found, dtype=int))
-    signs = np.where(rng.random((positions.size, cfg.dims)) < 0.5, -1.0, 1.0)
+        run = min(cfg.collective_run_length, budget)
+        lengths = [run] * (budget // run) + ([budget % run] if budget % run else [])
+        lengths = [int(n) for n in rng.permutation(lengths)]
+        gaps = sorted(int(g) for g in rng.choice(c - budget + 1, size=len(lengths), replace=False))
+        # block i starts at its gap plus the lengths of the blocks before it
+        blocks, before = [], 0
+        for gap, length in zip(gaps, lengths):
+            blocks.append([gap + before + k for k in range(length)])
+            before += length
+    signs = np.where(rng.random((len(blocks), cfg.dims)) < 0.5, -1.0, 1.0)
     sigma = base.std(axis=0, ddof=1)
     sigma = np.where(sigma <= 0, 1.0, sigma)
     values = base.copy()
-    if cfg.outlier_kind == "collective":
-        run_sign, prev = None, None
-        for i, pos in enumerate(positions):
-            if prev is None or pos != prev + 1:
-                run_sign = signs[i]
-            values[pos] += run_sign * cfg.outlier_magnitude * sigma
-            prev = pos
-    else:
-        values[positions] += signs * cfg.outlier_magnitude * sigma
     labels = np.zeros(c, dtype=bool)
-    labels[positions] = True
+    for sign, block in zip(signs, blocks):
+        for pos in block:
+            values[pos] += sign * cfg.outlier_magnitude * sigma
+            labels[pos] = True
     return values, labels
 
 
 def test_synth_equals_the_index_by_index_reference():
-    # ratio 0.9 reaches the dense fallback, which takes 10 000 draws first, so
-    # it gets fewer configs; a run length of 1 gives point-like runs
+    # ratio 0.9 fits blocks of 10 and 50 but not of 1 and 3: those configs are
+    # refused; a run length of 1 gives point-like runs
     sparse = itertools.product(("sinusoid_mix", "ar_process"), (20, 100, 600), (1, 3),
                                (0.05, 0.3), range(2))
     dense = itertools.product(("sinusoid_mix",), (20, 600), (3,), (0.9,), range(1))
     collective_at_0 = 0
     for kind, length, dims, ratio, seed in itertools.chain(sparse, dense):
         for outlier_kind, run in [("point", 10)] + [("collective", r) for r in (1, 3, 10, 50)]:
-            cfg = SynthConfig(kind=kind, length=length, dims=dims, outlier_ratio=ratio,
-                              outlier_kind=outlier_kind, collective_run_length=run, seed=seed)
+            fields = dict(kind=kind, length=length, dims=dims, outlier_ratio=ratio,
+                          outlier_kind=outlier_kind, collective_run_length=run, seed=seed)
+            if outlier_kind == "collective" and ratio == 0.9 and run in (1, 3):
+                with pytest.raises(ConfigError, match="collective_run_length"):
+                    SynthConfig(**fields)
+                continue
+            cfg = SynthConfig(**fields)
             ts = generate_synthetic(cfg)
             values, labels = _reference_synthetic(cfg)
             assert np.array_equal(ts.values, values), cfg
             assert np.array_equal(ts.labels, labels), cfg
             collective_at_0 += outlier_kind == "collective" and bool(labels[0])
-    # a run starting at t = 0 has no predecessor to differ from
+    # a run starting at t = 0 has no clean step before it
     assert collective_at_0 > 0
 
 
