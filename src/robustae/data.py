@@ -2,7 +2,8 @@
 series, and model/decomposition persistence.
 
 CSV schema: header ``t,dim_0,...,dim_{D-1}[,label]``, rows ordered by t,
-label in {0,1}. Every CSV file (series, scores, decomposition) is UTF-8
+label in {0,1}. Every CSV file (series, scores, decomposition) is UTF-8,
+read with or without a leading byte order mark and written without one,
 with as many fields in each row as in its header. It is read whole and
 parsed column by column; only a bad file is rescanned row by row, to name
 its first bad line. Floats are written as shortest-roundtrip decimals, so a
@@ -102,7 +103,7 @@ def _read_csv(path) -> tuple[list[str], list[list[str]]]:
     Raises ParseError for an empty file and a file that is not UTF-8.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 (byte 0x{exc.object[exc.start]:02x})") from None
@@ -363,7 +364,9 @@ def save_model(model: AutoencoderModel, path) -> None:
 
 
 def load_model(path) -> AutoencoderModel:
-    """Read a model back; verifies version and checksum before building."""
+    """Read a model back: check version and checksum, build the model of the
+    file's config, and write the file's parameters, which must match its layer
+    shapes and be finite, into it."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -381,12 +384,19 @@ def load_model(path) -> AutoencoderModel:
     if _checksum(payload) != doc.get("checksum"):
         raise IntegrityError(f"{path}: checksum mismatch")
     try:
-        config = AutoencoderConfig(**payload["config"])
-        weights = [np.array(w, dtype=np.float64) for w in payload["weights"]]
-        biases = [np.array(b, dtype=np.float64) for b in payload["biases"]]
-        return AutoencoderModel(config, weights=weights, biases=biases)
-    except (TypeError, ValueError) as exc:  # ParameterError and DimensionError included
+        model = AutoencoderModel(AutoencoderConfig(**payload["config"]))
+        views = model.weights + model.biases
+        arrays = [np.array(a, dtype=np.float64) for a in payload["weights"] + payload["biases"]]
+        got, want = [a.shape for a in arrays], [v.shape for v in views]
+        if got != want:
+            raise ValueError(f"parameter shapes {got} do not match the config's {want}")
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise ValueError("non-finite parameters")
+        for view, a in zip(views, arrays):
+            view[...] = a
+    except (TypeError, ValueError) as exc:  # ParameterError included
         raise FormatError(f"{path}: payload does not build a model ({exc})") from None
+    return model
 
 
 def _decomposition_header(dims: int) -> list[str]:

@@ -197,22 +197,23 @@ def _child_seeds(seed: int, n: int) -> list[int]:
     return [int(c.generate_state(1, dtype=np.uint64)[0]) for c in ss.spawn(n)]
 
 
-def _resolve_ae(
+def _network(
     user_cfg: AutoencoderConfig | None, input_dim: int, seed: int, thin: bool = False
-) -> AutoencoderConfig:
+) -> AutoencoderModel:
+    """The network of ``user_cfg``, or of a default shape for ``input_dim`` and ``seed``."""
     if user_cfg is not None:
         if user_cfg.input_dim != input_dim:
             raise ParameterError(
                 f"network input_dim {user_cfg.input_dim} does not match "
                 f"expected width {input_dim}"
             )
-        return user_cfg
+        return AutoencoderModel(user_cfg)
     if thin:
         # single mildly narrowed hidden layer: smoothing, not compression
         dims = (max(2, round(0.75 * input_dim)),)
     else:
         dims = default_layer_dims(input_dim)
-    return AutoencoderConfig(input_dim=input_dim, layer_dims=dims, seed=seed)
+    return AutoencoderModel(AutoencoderConfig(input_dim=input_dim, layer_dims=dims, seed=seed))
 
 
 def _identity(a: np.ndarray) -> np.ndarray:
@@ -323,9 +324,7 @@ def _finish(
 def _train_series(values: np.ndarray, t_norm: float, cfg: RaeConfig, robust: bool, verbose: bool):
     c, d = values.shape
     windower = _SeriesWindower(c, d, cfg.window_len)
-    model = AutoencoderModel(
-        _resolve_ae(cfg.ae, windower.input_dim, _child_seeds(cfg.seed, 1)[0])
-    )
+    model = _network(cfg.ae, windower.input_dim, _child_seeds(cfg.seed, 1)[0])
     recon, s, iterations, trace = _alternate(
         values, np.zeros_like(values), model, cfg.lam if robust else None, cfg.epsilon,
         cfg.max_outer_iters, t_norm, "rae" if robust else "nrae", verbose,
@@ -357,16 +356,12 @@ def _train_dual(
     c, d = values.shape
     b = _resolve_lagged_window(cfg, c)
     seeds = _child_seeds(cfg.seed, 3)
-    f1 = (
-        AutoencoderModel(_resolve_ae(cfg.f1, b * d, seeds[0], thin=True))
-        if use_f1
-        else None
-    )
-    inner = AutoencoderModel(_resolve_ae(cfg.inner_ae, b * d, seeds[1]))
+    f1 = _network(cfg.f1, b * d, seeds[0], thin=True) if use_f1 else None
+    inner = _network(cfg.inner_ae, b * d, seeds[1])
     windower = f2 = None
     if use_f2:
         windower = _SeriesWindower(c, d, cfg.window_len)
-        f2 = AutoencoderModel(_resolve_ae(cfg.f2, windower.input_dim, seeds[2]))
+        f2 = _network(cfg.f2, windower.input_dim, seeds[2])
 
     tag = "rdae" if robust else "nrdae"
     lam1, lam2 = (cfg.lam1, cfg.lam2) if robust else (None, None)

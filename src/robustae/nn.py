@@ -2,8 +2,11 @@
 
 One network class serves every learned transformation in the package: the
 reconstruction autoencoders and the input/output-width-preserving smoothing
-networks. Layers are symmetric around a bottleneck; the final layer is
-linear so reconstructions are unbounded reals. Every network is an
+networks. A network is built one way, ``AutoencoderModel(config)``, which
+draws its weights from ``config.seed`` and starts its biases at zero;
+``data.load_model`` builds one the same way, then writes a file's
+parameters into it. Layers are symmetric around a bottleneck; the final
+layer is linear so reconstructions are unbounded reals. Every network is an
 autoencoder: a step descends the mean squared error of reconstructing its
 own batch. A step computes only the gradient of that error, not the error
 itself, and ``train`` returns nothing; the trainers' loss trace is the
@@ -176,46 +179,31 @@ class _Workspace:
         return self._scratch[: self.rows * width].reshape(self.rows, width)
 
 
-@dataclass
+@dataclass(eq=False)
 class AutoencoderModel:
-    """Network parameters plus Adam state; built from a config.
+    """Network parameters plus Adam state, drawn from a config.
 
-    Weights are (fan_in, fan_out) matrices applied to row-sample batches.
-    Hidden layers use the configured activation, the output layer is linear.
-    Parameters and the two Adam moments are one flat vector each;
-    ``weights`` and ``biases`` are views into the parameter vector, so
-    writing to them changes the model. ``train``, ``train_step`` and
-    ``forward`` share one workspace while the batch's row count stays the
-    same; ``release()`` drops it.
+    The one constructor draws each layer's (fan_in, fan_out) weights from
+    ``default_rng(config.seed)`` as ``uniform(-s, s)``, s = weight_init_scale
+    / sqrt(fan_in), first layer first, and starts every bias at zero. Weights
+    apply to row-sample batches; hidden layers use the configured activation,
+    the output layer is linear. ``weights`` and ``biases`` are views into one
+    flat parameter vector, so writing to them changes the model. ``train``,
+    ``train_step`` and ``forward`` share one workspace while the batch's row
+    count stays the same; ``release()`` drops it. Models compare by identity.
     """
 
     config: AutoencoderConfig
-    weights: list[np.ndarray] = field(default_factory=list, repr=False)
-    biases: list[np.ndarray] = field(default_factory=list, repr=False)
     step_count: int = field(default=0, init=False)
 
     def __post_init__(self):
         dims = self.config.all_dims
-        shapes = list(zip(dims[:-1], dims[1:]))
-        if not self.weights:
-            rng = np.random.default_rng(self.config.seed)
-            weights = []
-            for fan_in, fan_out in shapes:
-                s = self.config.weight_init_scale / np.sqrt(fan_in)
-                weights.append(rng.uniform(-s, s, size=(fan_in, fan_out)))
-            biases = [np.zeros(fan_out) for _, fan_out in shapes]
-        else:
-            weights, biases = self.weights, self.biases
-            got = [np.shape(w) for w in weights]
-            if got != shapes:
-                raise DimensionError(f"weight shapes {got} do not chain as {shapes}")
-            got = [np.shape(b) for b in biases]
-            if got != [(fan_out,) for _, fan_out in shapes]:
-                raise DimensionError(f"bias shapes {got} do not match fan-outs {dims[1:]}")
-        self._params = np.empty(_n_params(dims))
+        self._params = np.zeros(_n_params(dims))
         self.weights, self.biases = _layer_views(self._params, dims)
-        for view, value in zip(self.weights + self.biases, weights + biases):
-            view[...] = value
+        rng = np.random.default_rng(self.config.seed)
+        for w in self.weights:
+            s = self.config.weight_init_scale / np.sqrt(w.shape[0])
+            w[...] = rng.uniform(-s, s, size=w.shape)
         self._adam_m = np.zeros_like(self._params)
         self._adam_v = np.zeros_like(self._params)
         self._workspace: _Workspace | None = None

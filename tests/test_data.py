@@ -105,6 +105,7 @@ def test_csv_parse_error_names_line(tmp_path):
 
 SERIES, SCORES, DECOMPOSITION = "t,dim_0,label\n", "t,score,label\n", "t,clean_0,outlier_0,score\n"
 NON_NUMERIC = "non-numeric value (could not convert string to float: {!r})".format
+BOM = b"\xef\xbb\xbf"
 
 
 # each bad row follows a good row and a blank line, so it sits on line 4 only
@@ -152,6 +153,9 @@ NON_NUMERIC = "non-numeric value (could not convert string to float: {!r})".form
          ":4: label must be 0 or 1, got '2'"),
         (load_decomposition, DECOMPOSITION + "0,1.0,0.0,0.0\n\n1,1.0,0.0,x\n2,y,0.0\n",
          ParseError, ":4: " + NON_NUMERIC("x")),
+        # a byte order mark is not a line, so the bad row is still on line 4
+        (load_csv, BOM + (SERIES + "0,1.0,0\n\n1,oops,0\n").encode(), ParseError,
+         ":4: " + NON_NUMERIC("oops")),
     ],
 )
 def test_csv_reader_errors_name_file_and_line(tmp_path, load, text, error, message):
@@ -163,6 +167,36 @@ def test_csv_reader_errors_name_file_and_line(tmp_path, load, text, error, messa
     with pytest.raises(error) as exc:
         load(path)
     assert str(exc.value) == f"{path}{message}"
+
+
+def _arrays(result):
+    """The arrays a CSV reader returns, labels included (None when absent)."""
+    parts = result if isinstance(result, tuple) else (result,)
+    return [x for p in parts for x in ((p.values, p.labels) if isinstance(p, TimeSeries) else (p,))]
+
+
+@pytest.mark.parametrize(
+    "load, text",
+    [
+        (load_csv, SERIES + "0,1.5,0\n1,-2.25,1\n"),
+        # a mark before "t" alone would not show: the scores reader never reads t
+        (load_scores, "score,label\n0.5,1\n0.125,0\n"),
+        (load_decomposition, DECOMPOSITION + "0,1.0,0.5,0.25\n1,-2.0,0.0,0.0\n"),
+    ],
+    ids=["series", "scores", "decomposition"],
+)
+def test_csv_reader_ignores_a_byte_order_mark(tmp_path, load, text):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(BOM + text.encode())
+    for got, want in zip(_arrays(load(marked)), _arrays(load(plain)), strict=True):
+        assert (got is None and want is None) or np.array_equal(got, want)
+
+
+def test_csv_writers_add_no_byte_order_mark(tmp_path):
+    path = tmp_path / "series.csv"
+    save_csv(TimeSeries(np.ones((2, 1))), path)
+    assert path.read_bytes().startswith(b"t,dim_0\r\n")
 
 
 def test_csv_non_monotone_t(tmp_path):
@@ -443,8 +477,14 @@ def test_model_file_that_does_not_parse(tmp_path, content):
         lambda doc: doc["config"].update(stride=1),
         lambda doc: doc["config"].update(learning_rate=-1.0),
         lambda doc: doc["weights"].pop(),
+        # one entry would broadcast over the whole bias
+        lambda doc: doc["biases"].__setitem__(0, doc["biases"][0][:1]),
+        # json reads and writes NaN and Infinity, though they are not JSON
+        lambda doc: doc["weights"][0][0].__setitem__(0, float("nan")),
+        lambda doc: doc["biases"][0].__setitem__(0, float("inf")),
     ],
-    ids=["unknown-config-field", "bad-config-value", "missing-layer"],
+    ids=["unknown-config-field", "bad-config-value", "missing-layer", "one-entry-bias",
+         "nan-weight", "infinite-bias"],
 )
 def test_model_payload_that_does_not_build(tmp_path, edit):
     # the checksum is recomputed, so only the payload itself is at fault
