@@ -15,20 +15,30 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from bench import LAMBDAS, lambda_runs, rae_config, robustness_runs, spiked_sine  # noqa: E402
+from bench import (  # noqa: E402
+    LAMBDAS,
+    lambda_runs,
+    outlier_free_sine,
+    rae_config,
+    robustness_runs,
+    spiked_sine,
+)
 
 from robustae import es_prm, es_ssa, evaluate, outlier_scores, train, znormalize  # noqa: E402
 from robustae.data import write_columns  # noqa: E402
+from robustae.linalg import rmse  # noqa: E402
 
 N_MAX = 9  # an ES score of N_MAX + 1 means not explainable within N_MAX
 
 
 def robustness_rows(seed, args):
-    """PR/ROC of the robust and non-robust trainers, per seed"""
-    labels = spiked_sine(seed).labels
+    """PR/ROC, recovery RMSE against the outlier-free series and outlier-support
+    size of the robust and non-robust trainers, per seed"""
+    labels, truth = spiked_sine(seed).labels, outlier_free_sine(seed).values
     for method, dec in robustness_runs(seed):
         res = evaluate(outlier_scores(dec), labels)
-        yield seed, method, res.pr_auc, res.roc_auc
+        yield (seed, method, res.pr_auc, res.roc_auc, rmse(dec.clean.values, truth),
+               int(np.count_nonzero(dec.outlier.values)))
 
 
 def lambda_rows(seed, args):
@@ -61,7 +71,12 @@ def explainability_rows(seed, args):
 
 # name -> (rows of one seed, CSV header, column the summary groups by, flags and defaults)
 EXPERIMENTS = {
-    "robustness": (robustness_rows, ["seed", "method", "pr", "roc"], "method", {"seeds": 10}),
+    "robustness": (
+        robustness_rows,
+        ["seed", "method", "pr", "roc", "recovery", "support"],
+        "method",
+        {"seeds": 10},
+    ),
     "lambda": (lambda_rows, ["seed", "lambda", "pr", "roc", "nonzero"], "lambda", {"seeds": 5}),
     "convergence": (
         convergence_rows,

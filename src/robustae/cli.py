@@ -243,10 +243,14 @@ def _sampled_config(method: str, base: dict, pick: dict, input_dims: int, seed: 
             doc.update(dict.fromkeys(("lam",) if series else ("lam1", "lam2"), value))
         elif key not in ("depth", "width"):
             doc[key] = value
-    if "depth" in pick:
+    block = "ae" if series else "f2"
+    net = {} if doc.get(block) is None else doc[block]
+    # base's other fields stay; a block that is not an object fails in the build
+    if "depth" in pick and isinstance(net, dict):
         window_len = doc.get("window_len", (RaeConfig if series else RdaeConfig).window_len)
         input_dim = require_int(window_len, "window_len") * input_dims
-        doc["ae" if series else "f2"] = {
+        doc[block] = {
+            **net,
             "input_dim": input_dim,
             "layer_dims": _dims_from_shape(pick["depth"], pick["width"], input_dim),
             "seed": seed,

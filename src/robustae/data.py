@@ -112,14 +112,14 @@ def _read_csv(path) -> tuple[list[str], list[list[str]]]:
     return [h.strip() for h in rows[0]], rows
 
 
-def _columns(path, rows, cols, label=None, increasing=False):
+def _columns(path, rows, cols, label=None, increasing=False, finite=()):
     """The float arrays of columns ``cols`` over the non-blank data rows, and
     the 0/1 column ``label`` as bools (None without one).
 
     Raises for a file without data rows, and for the earliest row whose field
     count differs from the header's, with a non-numeric value in ``cols``, a
-    label other than 0/1, or, with ``increasing``, a first column that is NaN
-    or not above the previous row's.
+    non-finite one in a column of ``finite``, a label other than 0/1, or, with
+    ``increasing``, a first column that is NaN or not above the previous row's.
     """
     data = [row for row in rows[1:] if row]
     if not data:
@@ -131,14 +131,15 @@ def _columns(path, rows, cols, label=None, increasing=False):
         tags = None if label is None else [tag.strip() for tag in fields[label]]
         first = values[0]  # a NaN compares false either way, so it is checked apart
         unordered = increasing and (np.isnan(first).any() or np.any(first[1:] <= first[:-1]))
-        if set(tags or ()) - {"0", "1"} or unordered:
+        infinite = any(not np.isfinite(v).all() for c, v in zip(cols, values) if c in finite)
+        if set(tags or ()) - {"0", "1"} or unordered or infinite:
             raise ValueError
     except ValueError:
-        raise _first_bad_row(path, rows, cols, label, increasing) from None
+        raise _first_bad_row(path, rows, cols, label, increasing, finite) from None
     return values, None if tags is None else np.array([tag == "1" for tag in tags], dtype=bool)
 
 
-def _first_bad_row(path, rows, cols, label, increasing):
+def _first_bad_row(path, rows, cols, label, increasing, finite):
     """The error :func:`_columns` raises, found by checking row by row."""
     prev = None
     for lineno, row in enumerate(rows[1:], start=2):
@@ -150,6 +151,10 @@ def _first_bad_row(path, rows, cols, label, increasing):
             first = [float(row[c]) for c in cols][0]
         except ValueError as exc:
             return ParseError(f"{path}:{lineno}: non-numeric value ({exc})")
+        bad = [c for c in finite if not math.isfinite(float(row[c]))]
+        if bad:
+            return ParseError(f"{path}:{lineno}: {rows[0][bad[0]].strip()} must be finite, "
+                              f"got {row[bad[0]].strip()!r}")
         tag = "0" if label is None else row[label].strip()
         if tag not in ("0", "1"):
             return ParseError(f"{path}:{lineno}: label must be 0 or 1, got {tag!r}")
@@ -187,7 +192,7 @@ def load_csv(path) -> TimeSeries:
             f"{path}: header must be t,dim_0,..,dim_<D-1>[,label], got {','.join(header)!r}"
         )
     (t, *values), labels = _columns(path, rows, range(dims + 1), dims + 1 if has_label else None,
-                                    increasing=True)
+                                    increasing=True, finite=range(1, dims + 1))
     return TimeSeries(np.column_stack(values), labels=labels)
 
 
@@ -422,5 +427,5 @@ def load_decomposition(path) -> tuple[TimeSeries, TimeSeries, np.ndarray]:
     d = (len(header) - 2) // 2
     if d < 1 or header != _decomposition_header(d):
         raise FormatError(f"{path}: not a decomposition file (t,clean_0..,outlier_0..,score)")
-    cols, _ = _columns(path, rows, range(1, 2 * d + 2))
+    cols, _ = _columns(path, rows, range(1, 2 * d + 2), finite=range(1, 2 * d + 1))
     return TimeSeries(np.column_stack(cols[:d])), TimeSeries(np.column_stack(cols[d:-1])), cols[-1]

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ParameterError, require_int, require_positive
-from .hankel import TimeSeries, _antidiag_counts, default_window_len, embed_lagged
+from .hankel import TimeSeries, default_window_len, embed_lagged, fold_rows
 from .hankel import hankelize, matrix_to_series  # traced by name: perfbench/spans.py _patch_table
 from .linalg import least_squares, rmse, svd
 
@@ -112,7 +112,8 @@ def _leading_triple(plane: np.ndarray, n: int | None):
 
 
 def _leading_components(ts: TimeSeries, window_len: int | None, n: int | None) -> list[TimeSeries]:
-    """The ``n`` leading spectrum components (all of them for None)."""
+    """The ``n`` leading spectrum components (all of them for None), each the
+    ``fold_rows`` of its rank-1 plane's rows, made one at a time."""
     b = (default_window_len(ts.length) if window_len is None
          else require_int(window_len, "window_len"))
     triples = [_leading_triple(plane, n) for plane in embed_lagged(ts, b).planes]
@@ -120,19 +121,12 @@ def _leading_components(ts: TimeSeries, window_len: int | None, n: int | None) -
               for i, sigma in enumerate(s[:n])]
     # stable, so equal singular values keep (dimension, index) order
     tagged.sort(key=lambda item: -item[0])
-    counts = _antidiag_counts(b, ts.length - b + 1)
     components = []
     for _, dim, i in tagged[:n]:
         u, s, v = triples[dim]
         us, vi = u[:, i] * s[i], v[:, i]
-        # diagonal_average of outer(us, vi), streamed by rows; an exactly Hankel plane is read
-        acc, row, hankel = np.zeros(ts.length), None, True
-        for r in range(b):
-            prev, row = row, us[r] * vi
-            acc[r : r + vi.size] += row
-            hankel = hankel and (prev is None or np.array_equal(row[:-1], prev[1:]))
         values = np.zeros_like(ts.values)
-        values[:, dim] = np.concatenate((us * vi[0], row[1:])) if hankel else acc / counts
+        values[:, dim] = fold_rows((x * vi for x in us), b, vi.size)
         components.append(TimeSeries(values))
     return components
 

@@ -2,9 +2,9 @@
 
 A series of length C embeds into a B x K sliding-window matrix per
 dimension (K = C - B + 1), whose anti-diagonals all read the same
-observation. ``diagonal_average`` maps planes to the series their
-anti-diagonal means read (``explain`` streams the same sums for rank-1
-planes it never builds); ``hankelize`` projects a matrix back onto Hankel
+observation. ``fold_rows`` maps a plane fed row by row to its anti-diagonal
+means, for ``diagonal_average``'s stored planes and the rank-1 planes
+``explain`` never builds alike; ``hankelize`` projects onto Hankel
 structure through it, and ``matrix_to_series`` inverts the embedding.
 
 ``embed_lagged`` copies nothing: its planes are a read-only view that
@@ -26,6 +26,7 @@ __all__ = [
     "LaggedMatrix",
     "embed_lagged",
     "diagonal_average",
+    "fold_rows",
     "hankelize",
     "matrix_to_series",
     "default_window_len",
@@ -113,30 +114,33 @@ def embed_lagged(ts: TimeSeries, window_len: int) -> LaggedMatrix:
     return LaggedMatrix(win.transpose(1, 2, 0))
 
 
-def _antidiag_index(b: int, k: int) -> np.ndarray:
-    return np.add.outer(np.arange(b), np.arange(k))
-
-
-def _antidiag_counts(b: int, k: int) -> np.ndarray:
-    a = np.arange(b + k - 1)
-    return np.minimum(np.minimum(a + 1, b + k - 1 - a), min(b, k))
+def fold_rows(rows, b: int, k: int) -> np.ndarray:
+    """(C,) anti-diagonal means of a B x K plane given as an iterator over its
+    rows. Each sums from 0.0 in increasing-row order. An exactly Hankel plane
+    is read from its first column and last row, not averaged: a mean of equal
+    entries can differ from them in the last bit.
+    """
+    acc, firsts, hankel = np.zeros(b + k - 1), np.empty(b), True
+    for r, row in enumerate(rows):
+        if hankel:
+            hankel = r == 0 or np.array_equal(row[:-1], prev[1:])
+            firsts[r], prev = row[0], row
+        acc[r : r + k] += row
+    if hankel:
+        return np.concatenate((firsts, prev[1:]))
+    m = min(b, k)  # anti-diagonal a has min(a + 1, C - a, m) entries
+    acc[: m - 1] /= np.arange(1, m)
+    acc[m - 1 : b + k - m] /= m
+    acc[b + k - m :] /= np.arange(m - 1, 0, -1)
+    return acc
 
 
 def diagonal_average(planes: np.ndarray) -> np.ndarray:
-    """(D, B, K) planes -> (C, D) series of anti-diagonal means, C = B + K - 1.
-
-    Each anti-diagonal sums from 0.0, adding its entries in increasing-row
-    order. An exactly Hankel plane is read, not averaged: a mean of equal
-    entries can differ from them in the last bit.
-    """
+    """(D, B, K) planes -> (C, D) series, C = B + K - 1: each plane's ``fold_rows``."""
     d, b, k = planes.shape
-    acc = np.zeros((b + k - 1, d))
-    for r in range(b):
-        acc[r : r + k] += planes[:, r, :].T
-    out = acc / _antidiag_counts(b, k)[:, None]
+    out = np.empty((b + k - 1, d))
     for di, plane in enumerate(planes):
-        if np.array_equal(plane[1:, :-1], plane[:-1, 1:]):
-            out[:, di] = np.concatenate((plane[:, 0], plane[-1, 1:]))
+        out[:, di] = fold_rows(plane, b, k)
     return out
 
 
@@ -148,7 +152,7 @@ def hankelize(m: LaggedMatrix | np.ndarray) -> LaggedMatrix:
     """
     lm = m if isinstance(m, LaggedMatrix) else LaggedMatrix(m)
     _, b, k = lm.planes.shape
-    out = diagonal_average(lm.planes).T[:, _antidiag_index(b, k)]
+    out = diagonal_average(lm.planes).T[:, np.add.outer(np.arange(b), np.arange(k))]
     for di, plane in enumerate(lm.planes):
         if np.array_equal(out[di], plane):
             # already Hankel: return it unchanged, signed zeros included,
@@ -166,7 +170,7 @@ def matrix_to_series(h: LaggedMatrix | np.ndarray) -> TimeSeries:
     """
     lm = h if isinstance(h, LaggedMatrix) else LaggedMatrix(h)
     _, b, k = lm.planes.shape
-    idx = _antidiag_index(b, k)
+    idx = np.add.outer(np.arange(b), np.arange(k))
     scale = max(1.0, float(np.max(np.abs(lm.planes))) if lm.planes.size else 1.0)
     # representative entry per anti-diagonal: last row where it appears
     values = np.concatenate((lm.planes[:, :, 0], lm.planes[:, -1, 1:]), axis=1)

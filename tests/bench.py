@@ -126,3 +126,31 @@ def lambda_runs(seed: int):
 
 def median(values):
     return float(np.median(np.asarray(values, dtype=float)))
+
+
+def outlier_free_sine(seed: int, length: int = SERIES_LEN, noise: float = NOISE_STD) -> TimeSeries:
+    """spiked_sine(seed) without its spikes, in the same units.
+
+    The same recipe with outlier_magnitude=0 draws the same base series, and
+    it is normalized with the spiked raw series' mean and std, so it is what
+    a trainer's clean part of spiked_sine(seed) should recover.
+    """
+
+    def raw(magnitude):
+        return generate_synthetic(
+            SynthConfig(
+                kind="sinusoid_mix",
+                length=length,
+                dims=1,
+                outlier_ratio=OUTLIER_RATIO,
+                outlier_magnitude=magnitude,
+                outlier_kind="point",
+                frequencies=(0.02,),
+                amplitudes=(1.0,),
+                noise_std=noise,
+                seed=seed,
+            )
+        )
+
+    _, stats = znormalize(raw(OUTLIER_MAGNITUDE))
+    return TimeSeries((raw(0.0).values - stats.mean) / stats.std)

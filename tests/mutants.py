@@ -94,6 +94,47 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
+        "fold-without-hankel-read", "hankel.py",
+        "    if hankel:\n        return np.concatenate((firsts, prev[1:]))",
+        "    if False:\n        return np.concatenate((firsts, prev[1:]))",
+        ("tests/test_hankel.py::test_row_fold_reads_hankel_planes_with_mixed_signed_zeros",
+         "tests/test_hankel.py::test_diagonal_average_reads_exactly_hankel_planes",
+         "tests/test_explain.py::test_ssa_reads_exactly_hankel_rank1_planes"),
+        "killed",
+    ),
+    Mutant(
+        "fold-sums-rows-in-decreasing-order", "hankel.py",
+        "        acc[r : r + k] += row\n    if hankel:\n",
+        "        acc[r : r + k] += row\n    acc[:] = 0.0\n"
+        "    for r in range(b - 1, -1, -1):\n        acc[r : r + k] += rows[r]\n    if hankel:\n",
+        ("tests/test_hankel.py::test_row_fold_bit_equal_to_accumulator_average",
+         "tests/test_hankel.py::test_diagonal_average_bit_equal_to_bincount"),
+        "killed",
+        "re-adds a stored plane's rows last row first",
+    ),
+    Mutant(
+        "sweep-block-replaced-not-merged", "cli.py",
+        "            **net,\n",
+        "",
+        ("tests/test_cli.py::test_sweep_depth_and_width_keep_the_base_network_fields",),
+        "killed",
+    ),
+    Mutant(
+        "csv-readers-accept-non-finite", "data.py",
+        "infinite = any(not np.isfinite(v).all() for c, v in zip(cols, values) if c in finite)",
+        "infinite = False",
+        ("tests/test_data.py::test_csv_reader_errors_name_file_and_line",),
+        "killed",
+    ),
+    Mutant(
+        "csv-rescan-without-finiteness", "data.py",
+        "        if bad:\n",
+        "        if False:\n",
+        ("tests/test_data.py::test_csv_reader_errors_name_file_and_line",),
+        "killed",
+        "the bulk check still fails the file, and the rescan then names no row",
+    ),
+    Mutant(
         "finish-residual-zero", "decompose.py",
         "            frobenius_norm(values - clean - s) / t_norm,",
         "            0.0,",

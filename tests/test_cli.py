@@ -559,6 +559,14 @@ def _write_files(directory, files):
                      TRAIN, 2, None, id="train-nan-in-series"),
         pytest.param({"s.csv": SERIES_CSV.replace("3,3,0", "3,inf,0"), "c.json": QUICK_RAE},
                      TRAIN, 2, None, id="train-inf-in-series"),
+        # a non-finite value is refused by the reader, which names the file and line
+        *(pytest.param({"s.csv": SERIES_CSV.replace("3,3,0", f"3,{v},0"), "c.json": QUICK_RAE},
+                       TRAIN, 2, f"s.csv:5: dim_0 must be finite, got '{v}'",
+                       id=f"train-series-{v}-names-line") for v in ("inf", "-inf", "nan")),
+        *(pytest.param({"d.csv": DECOMPOSITION_CSV.replace("5,2.5,", f"5,{v},")},
+                       ["explain", "--input", "d.csv", "--method", "ssa", "--gamma", "0.1"],
+                       2, f"d.csv:7: clean_0 must be finite, got '{v}'",
+                       id=f"explain-decomposition-{v}-names-line") for v in ("inf", "-inf", "nan")),
         pytest.param({"s.csv": "t,dim_0\n" + "".join(f"{i},{i % 7}e300\n" for i in range(40)),
                       "c.json": QUICK_RAE}, TRAIN, 2, "too large to z-normalize",
                      id="train-1e300-magnitude"),
@@ -841,6 +849,47 @@ def test_sweep_sets_every_other_grid_key_on_the_trainer_config(tmp_path, monkeyp
     assert run(SWEEP[:-1] + ["6"]) == 0
     assert {lam1 for lam1, _ in drawn} == {1e-4, 10.0}
     assert {iters for _, iters in drawn} == {1, 2}
+
+
+@pytest.mark.parametrize("method, base, block", [
+    ("rae", QUICK_RAE, "ae"),
+    ("rdae", QUICK_RDAE, "f2"),
+], ids=["rae", "rdae"])
+def test_sweep_depth_and_width_keep_the_base_network_fields(tmp_path, monkeypatch, capsys,
+                                                            method, base, block):
+    drawn = []
+
+    def spy(ts, method, cfg):
+        drawn.append((cfg.seed, getattr(cfg, block)))
+        return train(ts, method, cfg)
+
+    net = {"input_dim": 99, "layer_dims": [5], "learning_rate": 0.05, "inner_epochs": 3,
+           "activation": "relu", "seed": 11}
+    _write_files(tmp_path, {"s.csv": SERIES_CSV, "c.json": {
+        "method": method, "base": {**base, block: net},
+        "grid": {"depth": [1, 3], "width": [16]}, "seed": 2}})
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "train", spy)
+    assert run(SWEEP[:-1] + ["4"]) == 0
+    # only the shape and the run seed are drawn; base's other fields stay
+    assert {ae.layer_dims for _, ae in drawn} == {(4,), (16, 4, 16)}
+    for seed, ae in drawn:
+        assert (ae.input_dim, ae.seed) == (8, seed)
+        assert (ae.learning_rate, ae.inner_epochs, ae.activation) == (0.05, 3, "relu")
+
+
+@pytest.mark.parametrize("net", ["abc", 0, []], ids=repr)
+def test_sweep_depth_and_width_fail_a_base_network_block_that_is_not_an_object(
+        tmp_path, monkeypatch, capsys, net):
+    _write_files(tmp_path, {"s.csv": SERIES_CSV, "c.json": {
+        "method": "rae", "base": {**QUICK_RAE, "ae": net},
+        "grid": {"depth": [1], "width": [8]}, "seed": 2}})
+    monkeypatch.chdir(tmp_path)
+    assert run(SWEEP[:-1] + ["2", "--out", "t.csv"]) == 0
+    with open(tmp_path / "t.csv") as fh:
+        statuses = [row["status"] for row in csv.DictReader(fh)]
+    assert len(statuses) == 2
+    assert all(s.startswith("failed: bad network config") for s in statuses)
 
 
 # every library error class and the exit code and stderr prefix main gives it

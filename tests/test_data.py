@@ -156,6 +156,15 @@ BOM = b"\xef\xbb\xbf"
         # a byte order mark is not a line, so the bad row is still on line 4
         (load_csv, BOM + (SERIES + "0,1.0,0\n\n1,oops,0\n").encode(), ParseError,
          ":4: " + NON_NUMERIC("oops")),
+        # a series or decomposition value that is not finite, named with its
+        # column and line; a later non-numeric row does not hide it
+        *((load_csv, f"t,dim_0,dim_1\n0,1.0,1.0\n\n1,1.0,{v}\n2,x,1.0\n", ParseError,
+           f":4: dim_1 must be finite, got '{v}'") for v in ("inf", "-inf", "nan")),
+        *((load_decomposition, DECOMPOSITION + f"0,1.0,0.0,0.0\n\n1,{v},0.0,0.0\n", ParseError,
+           f":4: clean_0 must be finite, got '{v}'") for v in ("inf", "-inf", "nan")),
+        *((load_decomposition, DECOMPOSITION + f"0,1.0,0.0,0.0\n\n1,1.0, {v},0.0\n",
+           ParseError, f":4: outlier_0 must be finite, got '{v}'")
+          for v in ("Infinity", "-inf", "NaN")),
     ],
 )
 def test_csv_reader_errors_name_file_and_line(tmp_path, load, text, error, message):
@@ -167,6 +176,16 @@ def test_csv_reader_errors_name_file_and_line(tmp_path, load, text, error, messa
     with pytest.raises(error) as exc:
         load(path)
     assert str(exc.value) == f"{path}{message}"
+
+
+def test_score_columns_keep_infinite_scores(tmp_path):
+    # only series and decomposition values must be finite; a score may be inf
+    path = tmp_path / "in.csv"
+    path.write_text(SCORES + "0,inf,1\n1,-inf,0\n")
+    scores, _ = load_scores(path)
+    assert list(scores) == [np.inf, -np.inf]
+    path.write_text(DECOMPOSITION + "0,1.0,0.0,inf\n1,2.0,0.0,0.0\n")
+    assert list(load_decomposition(path)[2]) == [np.inf, 0.0]
 
 
 def _arrays(result):

@@ -9,6 +9,7 @@ from robustae.hankel import (
     default_window_len,
     diagonal_average,
     embed_lagged,
+    fold_rows,
     hankelize,
     matrix_to_series,
 )
@@ -212,3 +213,61 @@ def test_hankelize_returns_hankel_plane_with_its_signed_zeros():
     plane = np.array([[0.0, -0.0, 2.0], [0.0, 2.0, -0.0], [2.0, -0.0, 0.0]])
     _assert_matches_bincount(plane[None])
     assert np.array_equal(np.signbit(hankelize(plane).planes[0]), np.signbit(plane))
+
+
+def _accumulator_average(planes):
+    """Reference anti-diagonal averaging with one (C, D) accumulator that adds
+    every plane's row r at offset r, in increasing row order, then divides by
+    the counts; an exactly Hankel plane is read from its first column and last
+    row."""
+    d, b, k = planes.shape
+    acc = np.zeros((b + k - 1, d))
+    for r in range(b):
+        acc[r : r + k] += planes[:, r, :].T
+    a = np.arange(b + k - 1)
+    out = acc / np.minimum(np.minimum(a + 1, b + k - 1 - a), min(b, k))[:, None]
+    for di, plane in enumerate(planes):
+        if np.array_equal(plane[1:, :-1], plane[:-1, 1:]):
+            out[:, di] = np.concatenate((plane[:, 0], plane[-1, 1:]))
+    return out
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dims", [1, 2, 3])
+def test_row_fold_bit_equal_to_accumulator_average(dims):
+    rng = np.random.default_rng(20 + dims)
+    shapes = [(2, 2), (81, 2), (2, 8000), (81, 8000), (16, 1985), (10, 1991)]
+    shapes += [(int(rng.integers(2, 82)), int(rng.integers(2, 8001))) for _ in range(6)]
+    for b, k in shapes:
+        scale = 10.0 ** rng.integers(-3, 4, size=(dims, 1, 1))
+        planes = scale * rng.standard_normal((dims, b, k))
+        _assert_same_bits(diagonal_average(planes), _accumulator_average(planes))
+        # strided and reversed views, as the trainers' window folds pass them
+        _assert_same_bits(diagonal_average(planes[:, ::-1, ::-1]),
+                          _accumulator_average(planes[:, ::-1, ::-1]))
+        for plane in planes:
+            rows = (row.copy() for row in plane)
+            _assert_same_bits(fold_rows(rows, b, k), _accumulator_average(plane[None])[:, 0])
+
+
+def test_row_fold_reads_hankel_planes_with_mixed_signed_zeros():
+    rng = np.random.default_rng(30)
+    for _ in range(30):
+        dims, b = int(rng.integers(1, 4)), int(rng.integers(2, 82))
+        k = int(rng.integers(2, 400))
+        # each observation is +0.0, -0.0 or a repeated nonzero value
+        values = rng.choice([0.0, -0.0, 0.1, -0.3], size=(b + k - 1, dims))
+        planes = embed_lagged(TimeSeries(values), b).planes
+        got = diagonal_average(planes)
+        _assert_same_bits(got, _accumulator_average(planes))
+        _assert_same_bits(got, values)
+        # one entry changed off its anti-diagonal: averaged, not read
+        broken = planes.copy()
+        broken[0, b - 1, 0] += 1.0
+        _assert_same_bits(diagonal_average(broken), _accumulator_average(broken))
+        rows = (row for row in planes[0])
+        _assert_same_bits(fold_rows(rows, b, k), values[:, 0].copy())
