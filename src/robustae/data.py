@@ -4,11 +4,12 @@ series, and model/decomposition persistence.
 CSV schema: header ``t,dim_0,...,dim_{D-1}[,label]``, rows ordered by t,
 label in {0,1}. Every CSV file (series, scores, decomposition) is UTF-8,
 read with or without a leading byte order mark and written without one,
-with as many fields in each row as in its header. It is read whole and
-parsed column by column; only a bad file is rescanned row by row, to name
-its first bad line. Floats are written as shortest-roundtrip decimals, so a
-write/read roundtrip is bit-exact. Model files are JSON with a sha256
-checksum over the payload.
+with as many fields in each row as in its header. Its data rows are parsed
+in one call to numpy's C tokenizer; a file the tokenizer refuses, or might
+read unlike the csv module and Python's float, is read row by row instead,
+which loads it or names its first bad line. Floats are written as
+shortest-roundtrip decimals, so a write/read roundtrip is bit-exact. Model
+files are JSON with a sha256 checksum over the payload.
 """
 
 from __future__ import annotations
@@ -92,75 +93,133 @@ def denormalize(ts: TimeSeries, stats: NormalizationStats) -> TimeSeries:
 
 
 # ---------------------------------------------------------------------------
-# CSV files: every one is read whole through _read_csv and _columns and written
-# through write_columns
+# CSV files: every one is read through _read_csv and _columns and written
+# through write_columns. numpy's C tokenizer parses the data rows in one call;
+# _scan reads them row by row, as the csv module and Python's float do, where
+# numpy refuses them or may read them otherwise.
 
 
-def _read_csv(path) -> tuple[list[str], list[list[str]]]:
-    """The stripped header of a CSV file and all its rows, header and blank
-    rows included, so row i sits on line i + 1.
+def _read_csv(path) -> tuple[list[str], str, int | None]:
+    """The stripped header of a CSV file, its text, and the offset in the text
+    of the line after the header: None for a file that numpy may read unlike
+    the csv module and ``float``. That is one with a quote in its first line,
+    a NUL (a numpy string drops it) or a character in \\x1c-\\x1f (numpy
+    strips it from a float cell as whitespace, ``float`` does not).
 
-    Raises ParseError for an empty file and a file that is not UTF-8.
+    Raises ParseError for an empty file, a file that is not UTF-8 and a cell
+    over the csv module's field limit, which numpy does not have, and, at
+    None, for any row the csv module refuses.
     """
+    with open(path, "rb") as fh:
+        raw = fh.read()
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = list(csv.reader(fh))
+        text = raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 (byte 0x{exc.object[exc.start]:02x})") from None
-    if not rows:
+    if not text:
         raise ParseError(f"{path}: empty file")
-    return [h.strip() for h in rows[0]], rows
+    newline = text.find("\n")
+    end = len(text) if newline < 0 else newline
+    cr = text.find("\r", 0, end)  # the first line ends at its first \r or \n
+    end = end if cr < 0 else cr
+    if _may_pass_field_limit(raw):
+        _rows(path, text)  # for its error, which precedes the header's
+    if '"' in text[:end] or any(c in text for c in "\x00\x1c\x1d\x1e\x1f"):
+        return [h.strip() for h in _rows(path, text)[0]], text, None
+    return [h.strip() for h in next(csv.reader([text[:end]]))], text, end + 1
 
 
-def _columns(path, rows, cols, label=None, increasing=False, finite=()):
+def _may_pass_field_limit(raw: bytes) -> bool:
+    """Whether a cell of ``raw`` may be longer than the csv module's field
+    limit, which numpy does not have: a quoted cell may span lines, and a line
+    at least twice half the limit long holds a whole aligned half-limit block."""
+    half = csv.field_size_limit() // 2
+    return len(raw) > 2 * half and (b'"' in raw or any(
+        raw.find(b"\n", i, i + half) < 0 for i in range(0, len(raw) - half + 1, half)))
+
+
+def _rows(path, text) -> list[list[str]]:
+    """All rows of a CSV file's text, header and blank rows included, so row
+    i sits on line i + 1. A row the csv module refuses is a ParseError."""
+    from io import StringIO  # io is loaded with the interpreter: a lookup, not an import
+
+    reader = csv.reader(StringIO(text, newline=""))
+    try:
+        return list(reader)
+    except csv.Error as exc:
+        raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+
+
+def _columns(path, header, text, start, cols, label=None, increasing=False, finite=()):
     """The float arrays of columns ``cols`` over the non-blank data rows, and
     the 0/1 column ``label`` as bools (None without one).
 
     Raises for a file without data rows, and for the earliest row whose field
     count differs from the header's, with a non-numeric value in ``cols``, a
     non-finite one in a column of ``finite``, a label other than 0/1, or, with
-    ``increasing``, a first column that is NaN or not above the previous row's.
+    ``increasing``, a first column that is not finite (NaN: out of order) or
+    not above the previous row's.
     """
-    data = [row for row in rows[1:] if row]
-    if not data:
-        raise ParseError(f"{path}: no data rows")
-    try:
-        # each column starts with its header cell: the strict zip checks field counts
-        fields = [column[1:] for column in zip(rows[0], *data, strict=True)]
-        values = [np.array(list(map(float, fields[c]))) for c in cols]
-        tags = None if label is None else [tag.strip() for tag in fields[label]]
-        first = values[0]  # a NaN compares false either way, so it is checked apart
-        unordered = increasing and (np.isnan(first).any() or np.any(first[1:] <= first[:-1]))
-        infinite = any(not np.isfinite(v).all() for c, v in zip(cols, values) if c in finite)
-        if set(tags or ()) - {"0", "1"} or unordered or infinite:
-            raise ValueError
-    except ValueError:
-        raise _first_bad_row(path, rows, cols, label, increasing, finite) from None
-    return values, None if tags is None else np.array([tag == "1" for tag in tags], dtype=bool)
+    if start is not None and len(text.rstrip("\r\n")) > start:
+        try:
+            return _table(text, start, len(header), cols, label, increasing, finite)
+        except ValueError:  # numpy refused a row, or a row fails a check
+            pass
+    return _scan(path, _rows(path, text), cols, label, increasing, finite)
 
 
-def _first_bad_row(path, rows, cols, label, increasing, finite):
-    """The error :func:`_columns` raises, found by checking row by row."""
-    prev = None
+def _table(text, start, width, cols, label, increasing, finite):
+    """:func:`_columns` by one ``np.loadtxt`` call over the rows from offset
+    ``start``, which must number ``width`` fields each. Columns outside
+    ``cols`` are read as text (up to two characters), so a ``label`` of 1.0,
+    +1 or 01 is refused. Raises ValueError when numpy refuses a row or a row
+    fails a check."""
+    from io import StringIO  # io is loaded with the interpreter: a lookup, not an import
+
+    body = StringIO(text)
+    body.seek(start)
+    dtype = [(str(c), float if c in cols else "U2") for c in range(width)]
+    table = np.loadtxt(body, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1)
+    values = [np.ascontiguousarray(table[str(c)]) for c in cols]
+    tags = None if label is None else table[str(label)]
+    first = values[0]
+    if (increasing and not (np.isfinite(first).all() and np.all(first[1:] > first[:-1]))
+            or any(not np.isfinite(v).all() for c, v in zip(cols, values) if c in finite)
+            or tags is not None and not np.isin(tags, ("0", "1")).all()):
+        raise ValueError
+    return values, None if tags is None else tags == "1"
+
+
+def _scan(path, rows, cols, label, increasing, finite):
+    """:func:`_columns` row by row, each cell through Python's ``float``: its
+    arrays, or the error of the earliest bad row."""
+    header, kept, tags, prev = rows[0], [], [], None
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
-        if len(row) != len(rows[0]):
-            return ParseError(f"{path}:{lineno}: expected {len(rows[0])} fields, got {len(row)}")
+        if len(row) != len(header):
+            raise ParseError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
         try:
-            first = [float(row[c]) for c in cols][0]
+            cells = [float(row[c]) for c in cols]
         except ValueError as exc:
-            return ParseError(f"{path}:{lineno}: non-numeric value ({exc})")
-        bad = [c for c in finite if not math.isfinite(float(row[c]))]
+            raise ParseError(f"{path}:{lineno}: non-numeric value ({exc})") from None
+        bad = [c for c, x in zip(cols, cells) if c in finite and not math.isfinite(x)]
+        if increasing and math.isinf(cells[0]):
+            bad.insert(0, cols[0])
         if bad:
-            return ParseError(f"{path}:{lineno}: {rows[0][bad[0]].strip()} must be finite, "
-                              f"got {row[bad[0]].strip()!r}")
+            raise ParseError(f"{path}:{lineno}: {header[bad[0]].strip()} must be finite, "
+                             f"got {row[bad[0]].strip()!r}")
         tag = "0" if label is None else row[label].strip()
         if tag not in ("0", "1"):
-            return ParseError(f"{path}:{lineno}: label must be 0 or 1, got {tag!r}")
-        if increasing and (math.isnan(first) or (prev is not None and first <= prev)):
-            return FormatError(f"{path}:{lineno}: t not strictly increasing")
-        prev = first
+            raise ParseError(f"{path}:{lineno}: label must be 0 or 1, got {tag!r}")
+        if increasing and (math.isnan(cells[0]) or (prev is not None and cells[0] <= prev)):
+            raise FormatError(f"{path}:{lineno}: t not strictly increasing")
+        kept.append(cells)
+        tags.append(tag == "1")
+        prev = cells[0]
+    if not kept:
+        raise ParseError(f"{path}: no data rows")
+    return list(np.array(kept).T.copy()), None if label is None else np.array(tags)
 
 
 def write_columns(path, header: list[str], columns, labels=None) -> None:
@@ -184,14 +243,15 @@ def write_columns(path, header: list[str], columns, labels=None) -> None:
 
 def load_csv(path) -> TimeSeries:
     """Read a series from the documented CSV schema."""
-    header, rows = _read_csv(path)
+    header, text, start = _read_csv(path)
     has_label = header[-1:] == ["label"]
     dims = len(header) - 1 - has_label
     if dims < 1 or header[: dims + 1] != ["t"] + [f"dim_{d}" for d in range(dims)]:
         raise FormatError(
             f"{path}: header must be t,dim_0,..,dim_<D-1>[,label], got {','.join(header)!r}"
         )
-    (t, *values), labels = _columns(path, rows, range(dims + 1), dims + 1 if has_label else None,
+    (t, *values), labels = _columns(path, header, text, start, range(dims + 1),
+                                    dims + 1 if has_label else None,
                                     increasing=True, finite=range(1, dims + 1))
     return TimeSeries(np.column_stack(values), labels=labels)
 
@@ -204,12 +264,12 @@ def save_csv(ts: TimeSeries, path) -> None:
 
 def load_scores(path) -> tuple[np.ndarray, np.ndarray]:
     """Read (scores, labels) from a CSV with ``score`` and ``label`` columns."""
-    header, rows = _read_csv(path)
+    header, text, start = _read_csv(path)
     try:
         score, label = header.index("score"), header.index("label")
     except ValueError:
         raise FormatError(f"{path}: needs 'score' and 'label' columns") from None
-    (scores,), labels = _columns(path, rows, [score], label)
+    (scores,), labels = _columns(path, header, text, start, [score], label)
     return scores, labels
 
 
@@ -423,9 +483,10 @@ def save_decomposition(decomposition, path) -> None:
 
 def load_decomposition(path) -> tuple[TimeSeries, TimeSeries, np.ndarray]:
     """Read back (clean, outlier, scores) from a decomposition CSV."""
-    header, rows = _read_csv(path)
+    header, text, start = _read_csv(path)
     d = (len(header) - 2) // 2
     if d < 1 or header != _decomposition_header(d):
         raise FormatError(f"{path}: not a decomposition file (t,clean_0..,outlier_0..,score)")
-    cols, _ = _columns(path, rows, range(1, 2 * d + 2), finite=range(1, 2 * d + 1))
+    cols, _ = _columns(path, header, text, start, range(1, 2 * d + 2),
+                       finite=range(1, 2 * d + 1))
     return TimeSeries(np.column_stack(cols[:d])), TimeSeries(np.column_stack(cols[d:-1])), cols[-1]

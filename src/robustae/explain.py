@@ -60,11 +60,17 @@ def fit_polynomial(ts: TimeSeries, degree: int) -> tuple[TimeSeries, float]:
     """
     if degree < 0:
         raise ParameterError(f"degree must be >= 0, got {degree}")
-    c = ts.length
-    if c <= degree:
-        raise ParameterError(f"series length {c} must exceed degree {degree}")
-    t = np.linspace(0.0, 1.0, c)
-    design = np.vander(t, degree + 1, increasing=True)
+    if ts.length <= degree:
+        raise ParameterError(f"series length {ts.length} must exceed degree {degree}")
+    return _fit(ts, _powers(ts.length, degree))
+
+
+def _powers(c: int, degree: int) -> np.ndarray:
+    """The (c, degree + 1) design of powers 0..degree of c times in [0, 1]."""
+    return np.vander(np.linspace(0.0, 1.0, c), degree + 1, increasing=True)
+
+
+def _fit(ts: TimeSeries, design: np.ndarray) -> tuple[TimeSeries, float]:
     coeffs = least_squares(design, ts.values)
     fitted = design @ coeffs
     return TimeSeries(fitted), rmse(fitted, ts.values)
@@ -97,8 +103,11 @@ def es_prm(
         # last is refused before the first fit (after _scan's checks)
         if clean.length <= n_max:
             raise ParameterError(f"series length {clean.length} must exceed n_max {n_max}")
+        # a power's column is the same in any wider design, so degree d fits on
+        # the first d + 1 columns of the last degree's
+        design = _powers(clean.length, n_max)
         for degree in range(n_max + 1):
-            yield degree, fit_polynomial(clean, degree)[1]
+            yield degree, _fit(clean, design[:, : degree + 1])[1]
 
     return _scan("prm", gamma, n_max, pairs())
 

@@ -81,8 +81,8 @@ MUTANTS = (
     ),
     Mutant(
         "csv-reader-keeps-bom", "data.py",
-        'encoding="utf-8-sig"',
-        'encoding="utf-8"',
+        'raw.decode("utf-8-sig")',
+        'raw.decode("utf-8")',
         ("tests/test_data.py::test_csv_reader_ignores_a_byte_order_mark",),
         "killed",
     ),
@@ -121,8 +121,8 @@ MUTANTS = (
     ),
     Mutant(
         "csv-readers-accept-non-finite", "data.py",
-        "infinite = any(not np.isfinite(v).all() for c, v in zip(cols, values) if c in finite)",
-        "infinite = False",
+        "or any(not np.isfinite(v).all() for c, v in zip(cols, values) if c in finite)",
+        "or False",
         ("tests/test_data.py::test_csv_reader_errors_name_file_and_line",),
         "killed",
     ),
@@ -132,7 +132,49 @@ MUTANTS = (
         "        if False:\n",
         ("tests/test_data.py::test_csv_reader_errors_name_file_and_line",),
         "killed",
-        "the bulk check still fails the file, and the rescan then names no row",
+        "numpy's check still fails the file, and the scan then loads it",
+    ),
+    Mutant(
+        "csv-fast-path-without-field-count", "data.py",
+        "np.loadtxt(body, dtype=dtype, delimiter=",
+        "np.loadtxt(body, dtype=dtype, usecols=range(width), delimiter=",
+        ("tests/test_data.py::test_reader_equals_the_cell_by_cell_reference",),
+        "killed",
+        "with usecols, numpy drops the fields past the header's instead of refusing the row",
+    ),
+    Mutant(
+        "csv-fast-path-labels-by-value", "data.py",
+        "tags = None if label is None else table[str(label)]",
+        "tags = None if label is None else table[str(label)].astype(float).astype(int).astype(str)",
+        ("tests/test_data.py::test_reader_equals_the_cell_by_cell_reference",),
+        "killed",
+        "1.0, +1 and 01 would load as labels",
+    ),
+    Mutant(
+        "csv-fast-path-reads-ascii-separators", "data.py",
+        'any(c in text for c in "\\x00\\x1c\\x1d\\x1e\\x1f")',
+        'any(c in text for c in "\\x00")',
+        ("tests/test_data.py::test_reader_equals_the_cell_by_cell_reference_on_tricky_cells",),
+        "killed",
+        "numpy strips \\x1c-\\x1f around a float as whitespace; float() refuses them",
+    ),
+    Mutant(
+        "csv-field-limit-unchecked-across-lines", "data.py",
+        """(b'"' in raw or any(""",
+        "(any(",
+        ("tests/test_data.py::test_reader_equals_the_cell_by_cell_reference",),
+        "killed",
+        "a quoted cell of short lines may pass the field limit, and numpy reads it",
+    ),
+    Mutant(
+        "csv-without-scan-fallback", "data.py",
+        "        except ValueError:  # numpy refused a row, or a row fails a check\n"
+        "            pass",
+        "        except ValueError:  # numpy refused a row, or a row fails a check\n"
+        "            raise",
+        ("tests/test_data.py::test_reader_equals_the_cell_by_cell_reference",),
+        "killed",
+        "1_0 and the other cells only float() reads would be refused",
     ),
     Mutant(
         "finish-residual-zero", "decompose.py",

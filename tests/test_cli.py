@@ -570,6 +570,14 @@ def _write_files(directory, files):
         pytest.param({"s.csv": "t,dim_0\n" + "".join(f"{i},{i % 7}e300\n" for i in range(40)),
                       "c.json": QUICK_RAE}, TRAIN, 2, "too large to z-normalize",
                      id="train-1e300-magnitude"),
+        # a cell over the csv module's field limit, which float() would read or not
+        pytest.param({"sc.csv": SCORES_CSV.replace("1,0.8,0", f"1,{'x' * 140000},0")}, EVAL, 2,
+                     "sc.csv:3: field larger than field limit (131072)",
+                     id="eval-cell-over-field-limit"),
+        pytest.param({"d.csv": DECOMPOSITION_CSV.replace("5,2.5,", f"5,{'1' * 140000},")},
+                     ["explain", "--input", "d.csv", "--method", "ssa", "--gamma", "0.1"], 2,
+                     "d.csv:7: field larger than field limit (131072)",
+                     id="explain-cell-over-field-limit"),
         # header-only inputs: the loader names the file, not the empty arrays' consumer
         pytest.param({"sc.csv": "t,score,label\n"}, EVAL, 2, "sc.csv: no data rows",
                      id="eval-header-only"),

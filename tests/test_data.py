@@ -1,11 +1,16 @@
+import csv
 import hashlib
+import io
 import itertools
 import json
+import math
 import warnings
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from robustae import data
 from robustae.data import (
@@ -165,6 +170,10 @@ BOM = b"\xef\xbb\xbf"
         *((load_decomposition, DECOMPOSITION + f"0,1.0,0.0,0.0\n\n1,1.0, {v},0.0\n",
            ParseError, f":4: outlier_0 must be finite, got '{v}'")
           for v in ("Infinity", "-inf", "NaN")),
+        # an infinite t is refused on its line too (a NaN t stays out of order)
+        *((load_csv, SERIES + f"0,1.0,0\n\n{v},2.0,1\n", ParseError,
+           f":4: t must be finite, got '{v}'") for v in ("inf", "Infinity", "-inf")),
+        (load_csv, "t,dim_0\n-inf,1.0\n1,1.0\n", ParseError, ":2: t must be finite, got '-inf'"),
     ],
 )
 def test_csv_reader_errors_name_file_and_line(tmp_path, load, text, error, message):
@@ -176,6 +185,16 @@ def test_csv_reader_errors_name_file_and_line(tmp_path, load, text, error, messa
     with pytest.raises(error) as exc:
         load(path)
     assert str(exc.value) == f"{path}{message}"
+
+
+@pytest.mark.parametrize("cell", ["x" * 140000, "1" * 140000], ids=["text", "digits"])
+def test_csv_cell_over_the_field_limit_names_its_line(tmp_path, cell):
+    # the csv module's limit holds even for a cell float() reads
+    path = tmp_path / "in.csv"
+    path.write_text(SCORES + f"0,0.5,1\n\n1,{cell},0\n")
+    with pytest.raises(ParseError) as exc:
+        load_scores(path)
+    assert str(exc.value) == f"{path}:4: field larger than field limit (131072)"
 
 
 def test_score_columns_keep_infinite_scores(tmp_path):
@@ -543,3 +562,231 @@ def test_decomposition_header_must_match_exactly(tmp_path, header):
     path.write_text(header + "\n" + ",".join(["0"] * len(header.split(","))) + "\n")
     with pytest.raises(FormatError, match="not a decomposition file"):
         load_decomposition(path)
+
+
+def _reference_read(load, path):
+    """What ``load`` returns for ``path``, read with the csv module and Python's
+    float alone: every row listed, each needed column converted cell by cell,
+    and a file that fails a check rescanned row by row for its earliest bad line."""
+    raw = path.read_bytes()
+    try:
+        text = raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 (byte 0x{exc.object[exc.start]:02x})") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+    if not rows:
+        raise ParseError(f"{path}: empty file")
+    header = [h.strip() for h in rows[0]]
+    if load is load_csv:
+        has_label = header[-1:] == ["label"]
+        dims = len(header) - 1 - has_label
+        if dims < 1 or header[: dims + 1] != ["t"] + [f"dim_{d}" for d in range(dims)]:
+            raise FormatError(f"{path}: header must be t,dim_0,..,dim_<D-1>[,label], "
+                              f"got {','.join(header)!r}")
+        (_, *values), labels = _reference_columns(
+            path, rows, range(dims + 1), dims + 1 if has_label else None, True,
+            range(1, dims + 1))
+        return TimeSeries(np.column_stack(values), labels=labels)
+    if load is load_scores:
+        if "score" not in header or "label" not in header:
+            raise FormatError(f"{path}: needs 'score' and 'label' columns")
+        (scores,), labels = _reference_columns(
+            path, rows, [header.index("score")], header.index("label"), False, ())
+        return scores, labels
+    d = (len(header) - 2) // 2
+    if d < 1 or header != ["t", *(f"{p}_{i}" for p in ("clean", "outlier") for i in range(d)),
+                           "score"]:
+        raise FormatError(f"{path}: not a decomposition file (t,clean_0..,outlier_0..,score)")
+    cols, _ = _reference_columns(path, rows, range(1, 2 * d + 2), None, False,
+                                 range(1, 2 * d + 1))
+    return TimeSeries(np.column_stack(cols[:d])), TimeSeries(np.column_stack(cols[d:-1])), cols[-1]
+
+
+def _reference_columns(path, rows, cols, label, increasing, finite):
+    data = [row for row in rows[1:] if row]
+    if not data:
+        raise ParseError(f"{path}: no data rows")
+    try:
+        fields = [column[1:] for column in zip(rows[0], *data, strict=True)]
+        values = [np.array([float(cell) for cell in fields[c]]) for c in cols]
+        tags = None if label is None else [tag.strip() for tag in fields[label]]
+        first = values[0]
+        unordered = increasing and (not np.isfinite(first).all() or np.any(first[1:] <= first[:-1]))
+        infinite = any(not np.isfinite(v).all() for c, v in zip(cols, values) if c in finite)
+        if set(tags or ()) - {"0", "1"} or unordered or infinite:
+            raise ValueError
+    except ValueError:
+        raise _reference_first_bad_row(path, rows, cols, label, increasing, finite) from None
+    return values, None if tags is None else np.array([tag == "1" for tag in tags], dtype=bool)
+
+
+def _reference_first_bad_row(path, rows, cols, label, increasing, finite):
+    prev = None
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != len(rows[0]):
+            return ParseError(f"{path}:{lineno}: expected {len(rows[0])} fields, got {len(row)}")
+        try:
+            first = [float(row[c]) for c in cols][0]
+        except ValueError as exc:
+            return ParseError(f"{path}:{lineno}: non-numeric value ({exc})")
+        bad = [c for c in finite if not math.isfinite(float(row[c]))]
+        if increasing and math.isinf(first):
+            bad = [cols[0], *bad]
+        if bad:
+            return ParseError(f"{path}:{lineno}: {rows[0][bad[0]].strip()} must be finite, "
+                              f"got {row[bad[0]].strip()!r}")
+        tag = "0" if label is None else row[label].strip()
+        if tag not in ("0", "1"):
+            return ParseError(f"{path}:{lineno}: label must be 0 or 1, got {tag!r}")
+        if increasing and (math.isnan(first) or (prev is not None and first <= prev)):
+            return FormatError(f"{path}:{lineno}: t not strictly increasing")
+        prev = first
+    raise AssertionError("the bulk check failed a file without a bad row")
+
+
+def _outcome(read, path):
+    """The arrays ``read(path)`` returns, each as (dtype, shape, C-contiguity,
+    bytes), or the class and message of the error it raises."""
+    try:
+        result = read(path)
+    except (ParseError, FormatError) as exc:
+        return type(exc), str(exc)
+    return [None if a is None else (a.dtype, a.shape, a.flags.c_contiguous, a.tobytes())
+            for a in _arrays(result)]
+
+
+def _check_reader(path, content, load):
+    if isinstance(content, str):
+        content = content.encode()
+    path.write_bytes(content)
+    want = _outcome(lambda p: _reference_read(load, p), path)
+    assert _outcome(load, path) == want, content[:200]
+    return want
+
+
+LOADERS = {load_csv: SERIES, load_scores: SCORES, load_decomposition: DECOMPOSITION}
+# cells that float() and numpy's tokenizer may read apart: whitespace of every
+# kind, quotes, digits only float() reads, separators and NUL
+TRICKY_CELLS = ("1_0", "\u0661", "\u0661.5", " 1", "1 ", "\t2\x0c", "\x0c1", "\xa01", "1\x85",
+                "1\u2028", "\x1c1", "1\x1f", '"1"', '"1"2', ' "1"', '1"2', '"1"""', '"1,5"',
+                '"1\n"', "", " ", "#1", "1#", "1\x00", "\x001", "inf", "-Infinity", "nan", "-nan",
+                "1e999", "0x10", "1.", ".5", "+.5e-3", "1e", "\ufeff1", "1,", "nan(1)")
+
+
+@pytest.mark.parametrize("load", list(LOADERS), ids=["series", "scores", "decomposition"])
+def test_reader_equals_the_cell_by_cell_reference_on_tricky_cells(tmp_path, load):
+    header = LOADERS[load]
+    width = header.count(",") + 1
+    path = tmp_path / "in.csv"
+    for cell, col in itertools.product(TRICKY_CELLS, range(width)):
+        rows = [["0", "1.0", "0.5", "0.25"][:width], ["1", "2.0", "1", "0"][:width]]
+        rows[1][col] = cell
+        _check_reader(path, header + "".join(",".join(r) + "\n" for r in rows), load)
+
+
+# the (load, text) pairs of the error table above
+ERROR_TABLE = [case[:2] for case in test_csv_reader_errors_name_file_and_line.pytestmark[0].args[1]]
+
+
+@pytest.mark.parametrize(
+    "load, content",
+    [
+        *ERROR_TABLE,
+        # line ends: \n, \r\n (what write_columns writes), a bare \r, and blank
+        # lines of each kind; whitespace-only lines and trailing commas
+        *((load, LOADERS[load].replace("\n", end) + f"0,1,0,1{end}{end}1,2,1,2{end}")
+          for load in LOADERS for end in ("\n", "\r\n", "\r")),
+        (load_csv, SERIES + "0,1.0,0\n \n1,2.0,1\n"),
+        (load_csv, SERIES + "0,1.0,0\r\n\t\r\n1,2.0,1\r\n"),
+        (load_csv, SERIES + "0,1.0,0,\n1,2.0,1,\n"),
+        (load_csv, SERIES + "0,1.0,0\n\x0c\n"),
+        (load_decomposition, DECOMPOSITION + "0,1,2,3\n1,4,5,6\n\n\n\r\n"),
+        (load_decomposition, DECOMPOSITION + "0,1,2,3"),
+        # a first line that ends at a bare \r, and quoted headers
+        (load_scores, "t,score,label\r0,0.5,1\r1,0.25,0"),
+        (load_scores, '"t","score","label"\n0,0.5,1\n'),
+        (load_scores, '"t\nx",score,label\n0,0.5,1\n'),
+        (load_csv, '"t",dim_0\n0,1\n1,2\n'),
+        # eval reads any file with score and label columns: text in the others
+        (load_scores, "t,score,label\na,0.5,1\nb,0.25,0\n"),
+        (load_scores, "name,score,note,label\nx,0.5,hi there,1\ny,0.25,,0\n"),
+        (load_decomposition, DECOMPOSITION + "start,1,2,3\nend,4,5,6\n"),
+        # a label is exactly 0 or 1 once stripped, quoted or not
+        *((load, LOADERS[load] + f"0,1.0,{tag}\n1,2.0,0\n")
+          for load in (load_csv, load_scores)
+          for tag in (" 1", "1 ", "\t0", '"1"', '" 1"', "1.0", "+1", "01", "-0", "1e0", "", "10")),
+        # byte order marks and files that are not UTF-8
+        *((load, BOM + (LOADERS[load] + "0,1,0,1\n").encode()) for load in LOADERS),
+        *((load, BOM + BOM + (LOADERS[load] + "0,1,0,1\n").encode()) for load in LOADERS),
+        *((load, (LOADERS[load] + "0,1,0,1\n").encode() + b"\x80\n") for load in LOADERS),
+        *((load, b"\xff" + LOADERS[load].encode()) for load in LOADERS),
+        (load_csv, BOM),
+        (load_csv, (SERIES + "0,1.0,0\n1,\xe9,0\n").encode("latin-1")),
+        (load_csv, (SERIES + "0,1.0,0\n1,\xe9,0\n").encode("utf-8")),
+        # long files: one with a quote or a long line is first listed by the csv
+        # module, for a cell over its field limit
+        (load_csv, SERIES + "".join(f"{i},{i / 7!r},{i % 2}\n" for i in range(8000))),
+        (load_csv, SERIES + "".join(f'{i},"{i / 7!r}",{i % 2}\n' for i in range(8000))),
+        (load_csv, SERIES + "".join(f"{i},{i / 7!r},{i % 2}\r" for i in range(8000))),
+        (load_scores, SCORES + "0,0.5,1\n1," + " " * 131060 + "2,0\n"),
+        (load_scores, SCORES + "0,0.5,1\n1," + " " * 140000 + "2,0\n"),
+        (load_scores, SCORES + "0," + "9" * 131072 + ",1\n"),
+        (load_scores, SCORES + "0," + "9" * 131073 + ",1\n"),
+        (load_scores, SCORES + "0,0.5,1\n" * 20000 + '1,"0.5\n",0\n'),
+        (load_scores, SCORES + "0,0.5,1\n\n1," + "1" * 140000 + ",0\n"),
+        (load_scores, SCORES + "0,0.5,1\n" * 9 + '1,"' + "1\n" * 70000 + '",0\n'),
+        (load_scores, SCORES + "0,0.5,1\n" * 9 + '1,"1' + "\n" * 140000 + '",0\n'),
+    ],
+    ids=lambda v: f"{v[:30]!r}..{len(v)}" if isinstance(v, (str, bytes)) and len(v) > 60 else None,
+)
+def test_reader_equals_the_cell_by_cell_reference(tmp_path, load, content):
+    _check_reader(tmp_path / "in.csv", content, load)
+
+
+def test_reader_loads_what_only_float_reads_and_refuses_numeric_labels(tmp_path):
+    path = tmp_path / "in.csv"
+    assert _check_reader(path, SERIES + "0,1_0,0\n1,\u0661,1\n", load_csv)[0][1] == (2, 1)
+    for tag in ("1.0", "+1", "01"):
+        _, message = _check_reader(path, SCORES + f"0,0.5,{tag}\n", load_scores)
+        assert message.endswith(f":2: label must be 0 or 1, got {tag!r}")
+
+
+_CELL = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-5, 5).map(str),
+    st.sampled_from(TRICKY_CELLS),
+    st.text(alphabet=" \t\x0c\x1e\r\n\"#,.+-_0189eEinfaINFA\x00\xa0\u0661", max_size=5),
+)
+
+
+@st.composite
+def _csv_files(draw):
+    load = draw(st.sampled_from(list(LOADERS)))
+    header = draw(st.sampled_from([LOADERS[load], "t,dim_0,dim_1\n", "score,x,label\n",
+                                   "t,clean_0,clean_1,outlier_0,outlier_1,score\n"]))
+    width = header.count(",") + 1
+    lines = []
+    for i in range(draw(st.integers(0, 6))):
+        cells = [str(i)] + [draw(_CELL) for _ in range(width - 1)]
+        if "label" in header and draw(st.booleans()):
+            cells[header.strip().split(",").index("label")] = draw(st.sampled_from("01"))
+        if draw(st.integers(0, 9)) == 0:
+            cells = cells[:-1] if draw(st.booleans()) else cells + [draw(_CELL)]
+        lines.append(",".join(cells))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = header.replace("\n", end) + end.join(lines) + draw(st.sampled_from(["", end, end * 2]))
+    return load, (BOM if draw(st.booleans()) else b"") + text.encode()
+
+
+@given(case=_csv_files())
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_reader_equals_the_cell_by_cell_reference_on_generated_files(tmp_path, case):
+    load, content = case
+    _check_reader(tmp_path / "in.csv", content, load)

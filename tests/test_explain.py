@@ -68,6 +68,25 @@ def test_es_prm_exact_cubic():
     assert result.score == 3
 
 
+@pytest.mark.parametrize("length, dims", [(301, 1), (2000, 2), (8000, 1)])
+def test_es_prm_builds_one_design_and_fits_each_degree_like_fit_polynomial(
+    monkeypatch, length, dims
+):
+    calls = []
+
+    def counting_powers(c, degree):
+        calls.append(degree)
+        return powers(c, degree)
+
+    powers = explain._powers
+    monkeypatch.setattr(explain, "_powers", counting_powers)
+    ts = TimeSeries(np.cumsum(np.random.default_rng(length).standard_normal((length, dims)), 0))
+    curve = es_prm(ts, gamma=1e-9, n_max=9).rmse_by_order
+    assert calls == [9]
+    # bit for bit: each degree's columns, coefficients and fit are its own design's
+    assert curve == tuple((d, fit_polynomial(ts, d)[1]) for d in range(10))
+
+
 def test_es_prm_noise_not_explainable():
     rng = np.random.default_rng(1)
     noise = rng.standard_normal(400)
