@@ -348,7 +348,7 @@ def _execute(request: dict, out_dir: Path, verbose: bool) -> dict:
     ConfigError the command raises names the file the config was read from,
     the request's ``source``, if it has one.
     """
-    started = time.time()
+    started = time.perf_counter()
     inputs = {key: Path(value) for key, value in request["inputs"].items()}
     outputs = {key: out_dir / value for key, value in request["outputs"].items()}
     run = _COMMANDS[request["command"]][0]
@@ -366,7 +366,7 @@ def _execute(request: dict, out_dir: Path, verbose: bool) -> dict:
             "inputs": {key: str(path) for key, path in inputs.items()},
             "outputs": {key: path.name for key, path in outputs.items()},
             **record,
-            "duration_seconds": time.time() - started,
+            "duration_seconds": time.perf_counter() - started,
             "library_version": __version__,
         }
         _write_json(manifest, doc)

@@ -2,12 +2,12 @@
 series, and model/decomposition persistence.
 
 CSV schema: header ``t,dim_0,...,dim_{D-1}[,label]``, rows ordered by t,
-label in {0,1}. Every CSV file (series, scores, decomposition) is UTF-8,
-read with or without a leading byte order mark and written without one,
-with as many fields in each row as in its header. Its data rows are parsed
-in one call to numpy's C tokenizer; a file the tokenizer refuses, or might
-read unlike the csv module and Python's float, is read row by row instead,
-which loads it or names its first bad line. Floats are written as
+label exactly 0 or 1. Every CSV file (series, scores, decomposition) is
+UTF-8, read with or without a leading byte order mark and written without
+one, comma-separated without quoting, with LF or CRLF line ends and as many
+fields in each row as in its header. Its data rows are parsed in one call to
+numpy's C tokenizer, which decides what loads; a plain line scan only names
+the first bad line of a file it refuses. Floats are written as
 shortest-roundtrip decimals, so a write/read roundtrip is bit-exact. Model
 files are JSON with a sha256 checksum over the payload.
 """
@@ -94,22 +94,14 @@ def denormalize(ts: TimeSeries, stats: NormalizationStats) -> TimeSeries:
 
 # ---------------------------------------------------------------------------
 # CSV files: every one is read through _read_csv and _columns and written
-# through write_columns. numpy's C tokenizer parses the data rows in one call;
-# _scan reads them row by row, as the csv module and Python's float do, where
-# numpy refuses them or may read them otherwise.
+# through write_columns. One np.loadtxt call parses the data rows; _scan runs
+# only when numpy refuses them or a row fails a check, to name the bad line.
 
 
-def _read_csv(path) -> tuple[list[str], str, int | None]:
-    """The stripped header of a CSV file, its text, and the offset in the text
-    of the line after the header: None for a file that numpy may read unlike
-    the csv module and ``float``. That is one with a quote in its first line,
-    a NUL (a numpy string drops it) or a character in \\x1c-\\x1f (numpy
-    strips it from a float cell as whitespace, ``float`` does not).
-
-    Raises ParseError for an empty file, a file that is not UTF-8 and a cell
-    over the csv module's field limit, which numpy does not have, and, at
-    None, for any row the csv module refuses.
-    """
+def _read_csv(path) -> tuple[list[str], str, int]:
+    """The stripped header fields of a CSV file, its text, and the offset of
+    the line after the header. Raises ParseError for an empty file, a file
+    that is not UTF-8 and a header with a CR that does not end it."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
@@ -118,108 +110,82 @@ def _read_csv(path) -> tuple[list[str], str, int | None]:
         raise ParseError(f"{path}: not UTF-8 (byte 0x{exc.object[exc.start]:02x})") from None
     if not text:
         raise ParseError(f"{path}: empty file")
-    newline = text.find("\n")
-    end = len(text) if newline < 0 else newline
-    cr = text.find("\r", 0, end)  # the first line ends at its first \r or \n
-    end = end if cr < 0 else cr
-    if _may_pass_field_limit(raw):
-        _rows(path, text)  # for its error, which precedes the header's
-    if '"' in text[:end] or any(c in text for c in "\x00\x1c\x1d\x1e\x1f"):
-        return [h.strip() for h in _rows(path, text)[0]], text, None
-    return [h.strip() for h in next(csv.reader([text[:end]]))], text, end + 1
-
-
-def _may_pass_field_limit(raw: bytes) -> bool:
-    """Whether a cell of ``raw`` may be longer than the csv module's field
-    limit, which numpy does not have: a quoted cell may span lines, and a line
-    at least twice half the limit long holds a whole aligned half-limit block."""
-    half = csv.field_size_limit() // 2
-    return len(raw) > 2 * half and (b'"' in raw or any(
-        raw.find(b"\n", i, i + half) < 0 for i in range(0, len(raw) - half + 1, half)))
-
-
-def _rows(path, text) -> list[list[str]]:
-    """All rows of a CSV file's text, header and blank rows included, so row
-    i sits on line i + 1. A row the csv module refuses is a ParseError."""
-    from io import StringIO  # io is loaded with the interpreter: a lookup, not an import
-
-    reader = csv.reader(StringIO(text, newline=""))
-    try:
-        return list(reader)
-    except csv.Error as exc:
-        raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+    end = text.find("\n")
+    header = text if end < 0 else text[:end]
+    if "\r" in header[:-1]:
+        raise ParseError(f"{path}:1: carriage return not followed by a line feed")
+    return [h.strip() for h in header.split(",")], text, len(header) + 1
 
 
 def _columns(path, header, text, start, cols, label=None, increasing=False, finite=()):
     """The float arrays of columns ``cols`` over the non-blank data rows, and
-    the 0/1 column ``label`` as bools (None without one).
-
-    Raises for a file without data rows, and for the earliest row whose field
-    count differs from the header's, with a non-numeric value in ``cols``, a
-    non-finite one in a column of ``finite``, a label other than 0/1, or, with
-    ``increasing``, a first column that is not finite (NaN: out of order) or
-    not above the previous row's.
+    the 0/1 column ``label`` as bools (None without one), read by one
+    ``np.loadtxt`` call. Other columns are read as text of up to two
+    characters, so a ``label`` of 1.0, +1, 01 or " 1" is refused. A file that
+    numpy refuses, or whose rows fail a check, raises the error of :func:`_scan`.
     """
-    if start is not None and len(text.rstrip("\r\n")) > start:
-        try:
-            return _table(text, start, len(header), cols, label, increasing, finite)
-        except ValueError:  # numpy refused a row, or a row fails a check
-            pass
-    return _scan(path, _rows(path, text), cols, label, increasing, finite)
-
-
-def _table(text, start, width, cols, label, increasing, finite):
-    """:func:`_columns` by one ``np.loadtxt`` call over the rows from offset
-    ``start``, which must number ``width`` fields each. Columns outside
-    ``cols`` are read as text (up to two characters), so a ``label`` of 1.0,
-    +1 or 01 is refused. Raises ValueError when numpy refuses a row or a row
-    fails a check."""
     from io import StringIO  # io is loaded with the interpreter: a lookup, not an import
 
-    body = StringIO(text)
-    body.seek(start)
-    dtype = [(str(c), float if c in cols else "U2") for c in range(width)]
-    table = np.loadtxt(body, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1)
-    values = [np.ascontiguousarray(table[str(c)]) for c in cols]
-    tags = None if label is None else table[str(label)]
-    first = values[0]
-    if (increasing and not (np.isfinite(first).all() and np.all(first[1:] > first[:-1]))
-            or any(not np.isfinite(v).all() for c, v in zip(cols, values) if c in finite)
-            or tags is not None and not np.isin(tags, ("0", "1")).all()):
-        raise ValueError
+    dtype = [(str(c), float if c in cols else "U2") for c in range(len(header))]
+    try:
+        # a NUL goes straight to the scan, which refuses it: numpy drops it from a label
+        if len(text.rstrip("\r\n")) < start or text.find("\x00", start) >= 0:
+            raise ValueError
+        table = np.loadtxt(StringIO(text[start:]), dtype=dtype, delimiter=",", quotechar=None,
+                           comments=None, ndmin=1)
+        values = [np.ascontiguousarray(table[str(c)]) for c in cols]
+        tags = None if label is None else table[str(label)]
+        first = values[0]
+        if (increasing and not (np.isfinite(first).all() and np.all(first[1:] > first[:-1]))
+                or any(not np.isfinite(v).all() for c, v in zip(cols, values) if c in finite)
+                or tags is not None and not np.isin(tags, ("0", "1")).all()):
+            raise ValueError
+    except ValueError:  # numpy refused a line, or a row fails a check
+        raise _scan(path, header, text.split("\n"), cols, label, increasing, finite) from None
     return values, None if tags is None else tags == "1"
 
 
-def _scan(path, rows, cols, label, increasing, finite):
-    """:func:`_columns` row by row, each cell through Python's ``float``: its
-    arrays, or the error of the earliest bad row."""
-    header, kept, tags, prev = rows[0], [], [], None
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
+def _float(cell: str) -> float:
+    """``cell`` read as numpy reads a float: Python's ``float`` of the cell
+    stripped of whitespace, which must be ASCII without an underscore."""
+    number = cell.strip()
+    if not number.isascii() or "_" in number:
+        raise ValueError(f"could not convert string to float: {number!r}")
+    return float(number)
+
+
+def _scan(path, header, lines, cols, label, increasing, finite):
+    """The error of the earliest bad data line, or of a file without one. A
+    line ends at LF or CRLF, and a blank line is skipped. A line is bad for a
+    CR inside it, a NUL, a field count unlike the header's, a cell of ``cols``
+    that :func:`_float` refuses, or a value that fails a check."""
+    prev = -math.inf
+    for lineno, line in enumerate(lines[1:], start=2):
+        line = line.removesuffix("\r")
+        if not line:
             continue
+        if "\r" in line:
+            return ParseError(f"{path}:{lineno}: carriage return not followed by a line feed")
+        if "\x00" in line:
+            return ParseError(f"{path}:{lineno}: NUL character")
+        row = line.split(",")
         if len(row) != len(header):
-            raise ParseError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+            return ParseError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
         try:
-            cells = [float(row[c]) for c in cols]
+            cells = [_float(row[c]) for c in cols]
         except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: non-numeric value ({exc})") from None
-        bad = [c for c, x in zip(cols, cells) if c in finite and not math.isfinite(x)]
-        if increasing and math.isinf(cells[0]):
-            bad.insert(0, cols[0])
+            return ParseError(f"{path}:{lineno}: non-numeric value ({exc})")
+        bad = [c for c, x in zip(cols, cells)  # with increasing, an infinite t (column 0) too
+               if c in finite and not math.isfinite(x) or increasing and c == 0 and math.isinf(x)]
         if bad:
-            raise ParseError(f"{path}:{lineno}: {header[bad[0]].strip()} must be finite, "
-                             f"got {row[bad[0]].strip()!r}")
-        tag = "0" if label is None else row[label].strip()
-        if tag not in ("0", "1"):
-            raise ParseError(f"{path}:{lineno}: label must be 0 or 1, got {tag!r}")
-        if increasing and (math.isnan(cells[0]) or (prev is not None and cells[0] <= prev)):
-            raise FormatError(f"{path}:{lineno}: t not strictly increasing")
-        kept.append(cells)
-        tags.append(tag == "1")
+            return ParseError(f"{path}:{lineno}: {header[bad[0]]} must be finite, "
+                              f"got {row[bad[0]].strip()!r}")
+        if label is not None and row[label] not in ("0", "1"):
+            return ParseError(f"{path}:{lineno}: label must be 0 or 1, got {row[label]!r}")
+        if increasing and not cells[0] > prev:  # a NaN t is out of order
+            return FormatError(f"{path}:{lineno}: t not strictly increasing")
         prev = cells[0]
-    if not kept:
-        raise ParseError(f"{path}: no data rows")
-    return list(np.array(kept).T.copy()), None if label is None else np.array(tags)
+    return ParseError(f"{path}: no data rows")
 
 
 def write_columns(path, header: list[str], columns, labels=None) -> None:
@@ -265,11 +231,10 @@ def save_csv(ts: TimeSeries, path) -> None:
 def load_scores(path) -> tuple[np.ndarray, np.ndarray]:
     """Read (scores, labels) from a CSV with ``score`` and ``label`` columns."""
     header, text, start = _read_csv(path)
-    try:
-        score, label = header.index("score"), header.index("label")
-    except ValueError:
-        raise FormatError(f"{path}: needs 'score' and 'label' columns") from None
-    (scores,), labels = _columns(path, header, text, start, [score], label)
+    if "score" not in header or "label" not in header:
+        raise FormatError(f"{path}: needs 'score' and 'label' columns")
+    (scores,), labels = _columns(path, header, text, start, [header.index("score")],
+                                 header.index("label"))
     return scores, labels
 
 

@@ -101,27 +101,53 @@ def rdae_config(
     )
 
 
-def robustness_runs(seed: int):
-    """Yield (method, decomposition) of the robust-vs-non-robust comparison.
+def robustness_run(seed: int, method: str):
+    """One run of the robust-vs-non-robust comparison: ``method`` of
+    ROBUSTNESS_METHODS on spiked_sine(seed), with network seeds offset by 1000
+    from the series seed."""
+    configs = {"rae": rae_config, "rdae": rdae_config}
+    return train(spiked_sine(seed), method, configs[method.removeprefix("n")](seed + 1000))
 
-    Each trainer in ROBUSTNESS_METHODS runs on spiked_sine(seed), with
-    network seeds offset by 1000 from the series seed.
-    """
-    ts = spiked_sine(seed)
-    configs = {"rae": rae_config(seed + 1000), "rdae": rdae_config(seed + 1000)}
+
+def robustness_runs(seed: int):
+    """Yield (method, robustness_run(seed, method)) for each of ROBUSTNESS_METHODS."""
     for method in ROBUSTNESS_METHODS:
-        yield method, train(ts, method, configs[method.removeprefix("n")])
+        yield method, robustness_run(seed, method)
+
+
+def lambda_run(seed: int, lam: float):
+    """One run of the sparsity-weight sweep: a 30-iteration rae with weight
+    ``lam`` on spiked_sine(seed), with the network seed offset by 2000 from the
+    series seed."""
+    return train(spiked_sine(seed), "rae", rae_config(seed + 2000, lam=lam, outer=30))
 
 
 def lambda_runs(seed: int):
-    """Yield (lam, decomposition) of the sparsity-weight sweep over LAMBDAS.
-
-    Each run is a 30-iteration rae on spiked_sine(seed), with the network
-    seed offset by 2000 from the series seed.
-    """
-    ts = spiked_sine(seed)
+    """Yield (lam, lambda_run(seed, lam)) for each lam in LAMBDAS."""
     for lam in LAMBDAS:
-        yield lam, train(ts, "rae", rae_config(seed + 2000, lam=lam, outer=30))
+        yield lam, lambda_run(seed, lam)
+
+
+def map_runs(fn, jobs) -> list:
+    """``[fn(job) for job in jobs]``, run in a pool of spawned worker
+    processes, one per CPU and at most four, and returned in submission order.
+
+    ``fn`` must be a module-level function, and jobs and results must pickle.
+    A spawned worker starts from a fresh import and inherits no thread of the
+    caller's; its BLAS thread count comes from the environment, as the
+    caller's did. The trainers' runs do not depend on the process or the BLAS
+    thread count, so their results are byte-identical to a loop's. A worker
+    that dies raises BrokenProcessPool here instead of leaving the map waiting.
+    """
+    # imported here: perfbench loads this module in every cold set-up, and
+    # multiprocessing would add to its time
+    import multiprocessing
+    import os
+    from concurrent.futures import ProcessPoolExecutor
+
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(min(os.cpu_count() or 1, 4), mp_context=spawn) as pool:
+        return list(pool.map(fn, jobs))
 
 
 def median(values):

@@ -136,8 +136,8 @@ MUTANTS = (
     ),
     Mutant(
         "csv-fast-path-without-field-count", "data.py",
-        "np.loadtxt(body, dtype=dtype, delimiter=",
-        "np.loadtxt(body, dtype=dtype, usecols=range(width), delimiter=",
+        "np.loadtxt(StringIO(text[start:]), dtype=dtype, delimiter=",
+        "np.loadtxt(StringIO(text[start:]), dtype=dtype, usecols=range(len(header)), delimiter=",
         ("tests/test_data.py::test_reader_equals_the_cell_by_cell_reference",),
         "killed",
         "with usecols, numpy drops the fields past the header's instead of refusing the row",
@@ -151,30 +151,111 @@ MUTANTS = (
         "1.0, +1 and 01 would load as labels",
     ),
     Mutant(
-        "csv-fast-path-reads-ascii-separators", "data.py",
-        'any(c in text for c in "\\x00\\x1c\\x1d\\x1e\\x1f")',
-        'any(c in text for c in "\\x00")',
-        ("tests/test_data.py::test_reader_equals_the_cell_by_cell_reference_on_tricky_cells",),
+        "csv-scan-reads-cells-unstripped", "data.py",
+        "    number = cell.strip()\n",
+        "    number = cell\n",
+        ("tests/test_data.py::test_csv_reader_errors_name_file_and_line",),
         "killed",
-        "numpy strips \\x1c-\\x1f around a float as whitespace; float() refuses them",
-    ),
-    Mutant(
-        "csv-field-limit-unchecked-across-lines", "data.py",
-        """(b'"' in raw or any(""",
-        "(any(",
-        ("tests/test_data.py::test_reader_equals_the_cell_by_cell_reference",),
-        "killed",
-        "a quoted cell of short lines may pass the field limit, and numpy reads it",
+        "numpy strips whitespace, \\x1c-\\x1f included, around a float; float() keeps \\x1c-\\x1f",
     ),
     Mutant(
         "csv-without-scan-fallback", "data.py",
-        "        except ValueError:  # numpy refused a row, or a row fails a check\n"
-        "            pass",
-        "        except ValueError:  # numpy refused a row, or a row fails a check\n"
-        "            raise",
-        ("tests/test_data.py::test_reader_equals_the_cell_by_cell_reference",),
+        '        raise _scan(path, header, text.split("\\n"), cols, label, increasing, finite)'
+        " from None",
+        "        raise",
+        ("tests/test_data.py::test_csv_reader_errors_name_file_and_line",),
         "killed",
-        "1_0 and the other cells only float() reads would be refused",
+        "numpy's ValueError would escape, naming no line",
+    ),
+    Mutant(
+        "csv-tokenizer-reads-quotes", "data.py",
+        "quotechar=None",
+        "quotechar='\"'",
+        ("tests/test_data.py::test_csv_reader_errors_name_file_and_line",),
+        "killed",
+        "a quoted number would load",
+    ),
+    Mutant(
+        "csv-scan-reads-underscores", "data.py",
+        'if not number.isascii() or "_" in number:',
+        "if not number.isascii():",
+        ("tests/test_data.py::test_csv_reader_errors_name_file_and_line",),
+        "killed",
+        "the scan would pass 1_0, which numpy refuses, and name no line",
+    ),
+    Mutant(
+        "csv-scan-reads-non-ascii-digits", "data.py",
+        'if not number.isascii() or "_" in number:',
+        'if "_" in number:',
+        ("tests/test_data.py::test_csv_reader_errors_name_file_and_line",),
+        "killed",
+        "the scan would pass an Arabic-Indic digit, which numpy refuses, and name no line",
+    ),
+    Mutant(
+        "csv-scan-strips-labels", "data.py",
+        'if label is not None and row[label] not in ("0", "1"):',
+        'if label is not None and row[label].strip() not in ("0", "1"):',
+        ("tests/test_data.py::test_csv_reader_errors_name_file_and_line",),
+        "killed",
+        "the scan would pass a label of '1 ', which numpy refuses, and name no line",
+    ),
+    Mutant(
+        "csv-nul-reaches-numpy", "data.py",
+        'or text.find("\\x00", start) >= 0:',
+        "or False:",
+        ("tests/test_data.py::test_csv_reader_errors_name_file_and_line",),
+        "killed",
+        "numpy drops a NUL from the end of a label, so 1<NUL> would load as 1",
+    ),
+    Mutant(
+        "csv-scan-passes-bare-cr", "data.py",
+        '        if "\\r" in line:\n',
+        "        if False:\n",
+        ("tests/test_data.py::test_csv_reader_errors_name_file_and_line",),
+        "killed",
+        "a line with a bare CR would be named for its field count",
+    ),
+    Mutant(
+        "csv-header-passes-bare-cr", "data.py",
+        'if "\\r" in header[:-1]:',
+        "if False:",
+        ("tests/test_data.py::test_csv_reader_errors_name_file_and_line",),
+        "killed",
+        "a file of bare-CR lines would be refused for its header, not for its line ends",
+    ),
+    Mutant(
+        "manifest-duration-wall-clock", "cli.py",
+        "    started = time.perf_counter()\n",
+        "    started = time.time()\n",
+        ("tests/test_cli.py::test_manifest_duration_survives_a_wall_clock_step",),
+        "killed",
+        "a run timed from a wall-clock reading; with both readings on time.time() the test "
+        "fails too",
+    ),
+    Mutant(
+        "bias-sum-width-1-through-einsum", "nn.py",
+        "if delta.shape[1] > 1:",
+        "if True:",
+        ("tests/test_nn.py::test_train_steps_are_bit_stable[tanh]",),
+        "killed",
+        "a one-column bias gradient summed by einsum, not by np.sum, changes its last bits",
+    ),
+    Mutant(
+        "model-writer-compact-separators", "data.py",
+        "json.dump(doc, fh, sort_keys=True)",
+        'json.dump(doc, fh, sort_keys=True, separators=(",", ":"))',
+        ("tests/test_data.py::test_model_file_bytes_equal_the_field_by_field_writer",),
+        "killed",
+    ),
+    Mutant(
+        "synth-signs-per-point", "data.py",
+        "    signs = np.where(rng.random((lengths.size, cfg.dims)) < 0.5, -1.0, 1.0)\n"
+        "    signs = np.repeat(signs, lengths, axis=0)\n",
+        "    signs = np.where(rng.random((budget, cfg.dims)) < 0.5, -1.0, 1.0)\n",
+        ("tests/test_data.py::test_synth_collective_runs",
+         "tests/test_data.py::test_synth_equals_the_index_by_index_reference"),
+        "killed",
+        "a collective block would no longer read as one level shift",
     ),
     Mutant(
         "finish-residual-zero", "decompose.py",

@@ -13,10 +13,11 @@ import pytest
 from bench import (
     LAMBDAS,
     ROBUSTNESS_METHODS,
-    lambda_runs,
+    lambda_run,
+    map_runs,
     median,
     outlier_free_sine,
-    robustness_runs,
+    robustness_run,
     spiked_sine,
 )
 from test_metrics import brute_force_roc, exhaustive_threshold_ap
@@ -55,18 +56,28 @@ def report(num: int, description: str, ok: bool, detail: str = "") -> None:
     assert ok, f"criterion {num}: {description}{suffix}"
 
 
+def _bench_record(job):
+    seed, name = job
+    dec = robustness_run(seed, name)
+    result = evaluate(outlier_scores(dec), spiked_sine(seed).labels)
+    return {"seed": seed, "decomposition": dec, "pr": result.pr_auc, "roc": result.roc_auc}
+
+
+def _sweep_record(job):
+    seed, lam = job
+    dec = lambda_run(seed, lam)
+    result = evaluate(outlier_scores(dec), spiked_sine(seed).labels)
+    return {"seed": seed, "pr": result.pr_auc, "nonzero": int(np.count_nonzero(dec.outlier.values))}
+
+
 @pytest.fixture(scope="module")
 def bench_runs():
     """Ten-seed benchmark decompositions for the four trainers."""
     start = time.time()
+    jobs = [(seed, name) for seed in SEEDS for name in ROBUSTNESS_METHODS]
     runs = {name: [] for name in ROBUSTNESS_METHODS}
-    for seed in SEEDS:
-        labels = spiked_sine(seed).labels
-        for name, dec in robustness_runs(seed):
-            result = evaluate(outlier_scores(dec), labels)
-            runs[name].append(
-                {"seed": seed, "decomposition": dec, "pr": result.pr_auc, "roc": result.roc_auc}
-            )
+    for (_, name), record in zip(jobs, map_runs(_bench_record, jobs)):
+        runs[name].append(record)
     runs["elapsed"] = time.time() - start
     return runs
 
@@ -75,18 +86,10 @@ def bench_runs():
 def lambda_sweep():
     """PR and outlier-support size per lambda, several seeds."""
     start = time.time()
+    jobs = [(seed, lam) for seed in SWEEP_SEEDS for lam in LAMBDAS]
     table = {lam: [] for lam in LAMBDAS}
-    for seed in SWEEP_SEEDS:
-        labels = spiked_sine(seed).labels
-        for lam, dec in lambda_runs(seed):
-            result = evaluate(outlier_scores(dec), labels)
-            table[lam].append(
-                {
-                    "seed": seed,
-                    "pr": result.pr_auc,
-                    "nonzero": int(np.count_nonzero(dec.outlier.values)),
-                }
-            )
+    for (_, lam), record in zip(jobs, map_runs(_sweep_record, jobs)):
+        table[lam].append(record)
     table["elapsed"] = time.time() - start
     return table
 

@@ -66,6 +66,23 @@ def test_synth_writes_csv_and_manifest(workdir, capsys):
     assert int(ts.labels.sum()) == 15
 
 
+def test_manifest_duration_survives_a_wall_clock_step(workdir, monkeypatch):
+    # the wall clock steps back an hour after its first reading (NTP, suspend)
+    import time
+
+    readings = []
+
+    def stepping_clock(real=time.time):
+        readings.append(None)
+        return real() - (3600.0 if len(readings) > 1 else 0.0)
+
+    monkeypatch.setattr(time, "time", stepping_clock)
+    assert run(["synth", "--config", workdir / "synth.json", "--out", "data.csv",
+                "--out-dir", workdir]) == 0
+    manifest = json.loads((workdir / "data.csv.manifest.json").read_text())
+    assert 0.0 <= manifest["duration_seconds"] < 600.0
+
+
 def test_synth_missing_config_exits_2(workdir):
     assert run(["synth", "--config", workdir / "nope.json", "--out-dir", workdir]) == 2
 
@@ -570,14 +587,21 @@ def _write_files(directory, files):
         pytest.param({"s.csv": "t,dim_0\n" + "".join(f"{i},{i % 7}e300\n" for i in range(40)),
                       "c.json": QUICK_RAE}, TRAIN, 2, "too large to z-normalize",
                      id="train-1e300-magnitude"),
-        # a cell over the csv module's field limit, which float() would read or not
+        # cells have no length limit: long text is not a number, and a long
+        # run of digits reads as inf
         pytest.param({"sc.csv": SCORES_CSV.replace("1,0.8,0", f"1,{'x' * 140000},0")}, EVAL, 2,
-                     "sc.csv:3: field larger than field limit (131072)",
-                     id="eval-cell-over-field-limit"),
+                     "sc.csv:3: non-numeric value (could not convert string to float: 'xxx",
+                     id="eval-long-text-cell"),
         pytest.param({"d.csv": DECOMPOSITION_CSV.replace("5,2.5,", f"5,{'1' * 140000},")},
                      ["explain", "--input", "d.csv", "--method", "ssa", "--gamma", "0.1"], 2,
-                     "d.csv:7: field larger than field limit (131072)",
-                     id="explain-cell-over-field-limit"),
+                     "d.csv:7: clean_0 must be finite, got '111",
+                     id="explain-long-digit-cell"),
+        # a quoted number and a label with a space are refused on their line
+        pytest.param({"sc.csv": SCORES_CSV.replace("1,0.8,0", '1,"0.8",0')}, EVAL, 2,
+                     "sc.csv:3: non-numeric value (could not convert string to float: '\"0.8\"')",
+                     id="eval-quoted-score"),
+        pytest.param({"sc.csv": SCORES_CSV.replace("1,0.8,0", "1,0.8, 0")}, EVAL, 2,
+                     "sc.csv:3: label must be 0 or 1, got ' 0'", id="eval-label-with-space"),
         # header-only inputs: the loader names the file, not the empty arrays' consumer
         pytest.param({"sc.csv": "t,score,label\n"}, EVAL, 2, "sc.csv: no data rows",
                      id="eval-header-only"),

@@ -1,6 +1,4 @@
-import csv
 import hashlib
-import io
 import itertools
 import json
 import math
@@ -111,6 +109,7 @@ def test_csv_parse_error_names_line(tmp_path):
 SERIES, SCORES, DECOMPOSITION = "t,dim_0,label\n", "t,score,label\n", "t,clean_0,outlier_0,score\n"
 NON_NUMERIC = "non-numeric value (could not convert string to float: {!r})".format
 BOM = b"\xef\xbb\xbf"
+BARE_CR = "carriage return not followed by a line feed"
 
 
 # each bad row follows a good row and a blank line, so it sits on line 4 only
@@ -122,7 +121,7 @@ BOM = b"\xef\xbb\xbf"
         (load_csv, SERIES + "0,1.0,0\n\n1,oops,0\n", ParseError, ":4: " + NON_NUMERIC("oops")),
         (load_csv, SERIES + "0,1.0,0\n\nx,1.0,0\n", ParseError, ":4: " + NON_NUMERIC("x")),
         (load_csv, SERIES + "0,1.0,0\n\n1,2.0, 2\n", ParseError,
-         ":4: label must be 0 or 1, got '2'"),
+         ":4: label must be 0 or 1, got ' 2'"),
         (load_csv, SERIES + "0,1.0,0\n\n0,2.0,1\n", FormatError, ":4: t not strictly increasing"),
         # NaN compares false with any t, so it would pass an order check alone
         (load_csv, SERIES + "nan,1.0,0\n1,2.0,1\n", FormatError, ":2: t not strictly increasing"),
@@ -174,6 +173,33 @@ BOM = b"\xef\xbb\xbf"
         *((load_csv, SERIES + f"0,1.0,0\n\n{v},2.0,1\n", ParseError,
            f":4: t must be finite, got '{v}'") for v in ("inf", "Infinity", "-inf")),
         (load_csv, "t,dim_0\n-inf,1.0\n1,1.0\n", ParseError, ":2: t must be finite, got '-inf'"),
+        # whitespace around a number, \x1c-\x1f and U+00A0 included, is stripped
+        # as numpy strips it, so the line after such a number is the bad one
+        (load_csv, SERIES + "0,\x1c1.0\x1f,0\n\n1,\xa0oops ,0\n", ParseError,
+         ":4: " + NON_NUMERIC("oops")),
+        # no quoting, no spelling that only Python's float reads, labels exactly
+        # 0 or 1, no NUL in a data line, and no CR that does not end its line
+        (load_csv, SERIES + '0,1.0,0\n\n1,"2.0",1\n', ParseError, ":4: " + NON_NUMERIC('"2.0"')),
+        (load_scores, SCORES + '0,0.5,1\n\n1,"0,5",0\n', ParseError,
+         ":4: expected 3 fields, got 4"),
+        (load_csv, SERIES + "0,1.0,0\n\n1,1_0,1\n", ParseError, ":4: " + NON_NUMERIC("1_0")),
+        (load_scores, SCORES + "0,0.5,1\n\n1,\u0661,0\n", ParseError,
+         ":4: " + NON_NUMERIC("\u0661")),
+        (load_decomposition, DECOMPOSITION + "0,1.0,0.0,0.0\n\n1,1.0,0.0, \u0662.5\n", ParseError,
+         ":4: " + NON_NUMERIC("\u0662.5")),
+        (load_scores, SCORES + '0,0.5,1\n\n1,0.5,"1"\n', ParseError,
+         ":4: label must be 0 or 1, got '\"1\"'"),
+        (load_csv, SERIES + "0,1.0,0\n\n1,2.0,1 \n", ParseError,
+         ":4: label must be 0 or 1, got '1 '"),
+        *((load_csv, SERIES + f"0,1.0,0\n\n1,2.0,{tag}\n", ParseError,
+           f":4: label must be 0 or 1, got {tag!r}") for tag in (" 1", "1.0")),
+        (load_scores, SCORES + "0,0.5,1\n\n1,0x10,0\n", ParseError, ":4: " + NON_NUMERIC("0x10")),
+        (load_csv, SERIES + "0,1.0,0\n\n1,2.0,1\x00\n", ParseError, ":4: NUL character"),
+        (load_scores, "t,score,label\n0,0.5,1\n\nb\x00,0.5,0\n", ParseError, ":4: NUL character"),
+        (load_csv, SERIES + "0,1.0,0\n\n1,2.0,1\r2,3.0,0\n", ParseError, ":4: " + BARE_CR),
+        (load_scores, "t,score,label\r0,0.5,1\r1,0.25,0\r", ParseError, ":1: " + BARE_CR),
+        (load_csv, '"t",dim_0\n0,1\n', FormatError,
+         ": header must be t,dim_0,..,dim_<D-1>[,label], got '\"t\",dim_0'"),
     ],
 )
 def test_csv_reader_errors_name_file_and_line(tmp_path, load, text, error, message):
@@ -187,14 +213,16 @@ def test_csv_reader_errors_name_file_and_line(tmp_path, load, text, error, messa
     assert str(exc.value) == f"{path}{message}"
 
 
-@pytest.mark.parametrize("cell", ["x" * 140000, "1" * 140000], ids=["text", "digits"])
-def test_csv_cell_over_the_field_limit_names_its_line(tmp_path, cell):
-    # the csv module's limit holds even for a cell float() reads
+def test_csv_cells_have_no_length_limit(tmp_path):
+    # 140000 digits read as inf: a score may be infinite, a series value not
+    digits = "1" * 140000
     path = tmp_path / "in.csv"
-    path.write_text(SCORES + f"0,0.5,1\n\n1,{cell},0\n")
+    path.write_text(SCORES + f"0,0.5,1\n\n1,{digits},0\n")
+    assert list(load_scores(path)[0]) == [0.5, np.inf]
+    path.write_text(SERIES + f"0,1.0,0\n\n1,{digits},1\n")
     with pytest.raises(ParseError) as exc:
-        load_scores(path)
-    assert str(exc.value) == f"{path}:4: field larger than field limit (131072)"
+        load_csv(path)
+    assert str(exc.value) == f"{path}:4: dim_0 must be finite, got {digits!r}"
 
 
 def test_score_columns_keep_infinite_scores(tmp_path):
@@ -565,22 +593,22 @@ def test_decomposition_header_must_match_exactly(tmp_path, header):
 
 
 def _reference_read(load, path):
-    """What ``load`` returns for ``path``, read with the csv module and Python's
-    float alone: every row listed, each needed column converted cell by cell,
-    and a file that fails a check rescanned row by row for its earliest bad line."""
-    raw = path.read_bytes()
+    """What ``load`` returns for ``path`` under the stated grammar, read line
+    by line with str.split and Python's float: UTF-8 with an optional byte
+    order mark, lines ending at LF or CRLF and holding no other CR, no NUL
+    in a data line, fields split at every comma, a numeric cell stripped of
+    whitespace and read by float only if ASCII without an underscore, and a
+    label exactly 0 or 1."""
     try:
-        text = raw.decode("utf-8-sig")
+        text = path.read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 (byte 0x{exc.object[exc.start]:02x})") from None
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        rows = list(reader)
-    except csv.Error as exc:
-        raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
-    if not rows:
+    if not text:
         raise ParseError(f"{path}: empty file")
-    header = [h.strip() for h in rows[0]]
+    lines = [line.removesuffix("\r") for line in text.split("\n")]
+    if "\r" in lines[0]:
+        raise ParseError(f"{path}:1: {BARE_CR}")
+    header = [h.strip() for h in lines[0].split(",")]
     if load is load_csv:
         has_label = header[-1:] == ["label"]
         dims = len(header) - 1 - has_label
@@ -588,66 +616,64 @@ def _reference_read(load, path):
             raise FormatError(f"{path}: header must be t,dim_0,..,dim_<D-1>[,label], "
                               f"got {','.join(header)!r}")
         (_, *values), labels = _reference_columns(
-            path, rows, range(dims + 1), dims + 1 if has_label else None, True,
+            path, header, lines, range(dims + 1), dims + 1 if has_label else None, True,
             range(1, dims + 1))
         return TimeSeries(np.column_stack(values), labels=labels)
     if load is load_scores:
         if "score" not in header or "label" not in header:
             raise FormatError(f"{path}: needs 'score' and 'label' columns")
         (scores,), labels = _reference_columns(
-            path, rows, [header.index("score")], header.index("label"), False, ())
+            path, header, lines, [header.index("score")], header.index("label"), False, ())
         return scores, labels
     d = (len(header) - 2) // 2
     if d < 1 or header != ["t", *(f"{p}_{i}" for p in ("clean", "outlier") for i in range(d)),
                            "score"]:
         raise FormatError(f"{path}: not a decomposition file (t,clean_0..,outlier_0..,score)")
-    cols, _ = _reference_columns(path, rows, range(1, 2 * d + 2), None, False,
+    cols, _ = _reference_columns(path, header, lines, range(1, 2 * d + 2), None, False,
                                  range(1, 2 * d + 1))
     return TimeSeries(np.column_stack(cols[:d])), TimeSeries(np.column_stack(cols[d:-1])), cols[-1]
 
 
-def _reference_columns(path, rows, cols, label, increasing, finite):
-    data = [row for row in rows[1:] if row]
-    if not data:
-        raise ParseError(f"{path}: no data rows")
+def _reference_number(cell):
+    """A numeric cell's float, or None where the grammar refuses it."""
+    number = cell.strip()
     try:
-        fields = [column[1:] for column in zip(rows[0], *data, strict=True)]
-        values = [np.array([float(cell) for cell in fields[c]]) for c in cols]
-        tags = None if label is None else [tag.strip() for tag in fields[label]]
-        first = values[0]
-        unordered = increasing and (not np.isfinite(first).all() or np.any(first[1:] <= first[:-1]))
-        infinite = any(not np.isfinite(v).all() for c, v in zip(cols, values) if c in finite)
-        if set(tags or ()) - {"0", "1"} or unordered or infinite:
-            raise ValueError
+        return float(number) if number.isascii() and "_" not in number else None
     except ValueError:
-        raise _reference_first_bad_row(path, rows, cols, label, increasing, finite) from None
-    return values, None if tags is None else np.array([tag == "1" for tag in tags], dtype=bool)
+        return None
 
 
-def _reference_first_bad_row(path, rows, cols, label, increasing, finite):
-    prev = None
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
+def _reference_columns(path, header, lines, cols, label, increasing, finite):
+    """The columns and labels of the data lines, or the first bad line's error."""
+    numbers, tags = [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
             continue
-        if len(row) != len(rows[0]):
-            return ParseError(f"{path}:{lineno}: expected {len(rows[0])} fields, got {len(row)}")
-        try:
-            first = [float(row[c]) for c in cols][0]
-        except ValueError as exc:
-            return ParseError(f"{path}:{lineno}: non-numeric value ({exc})")
-        bad = [c for c in finite if not math.isfinite(float(row[c]))]
-        if increasing and math.isinf(first):
-            bad = [cols[0], *bad]
+        at, fields = f"{path}:{lineno}: ", line.split(",")
+        if "\r" in line or "\x00" in line:
+            raise ParseError(at + (BARE_CR if "\r" in line else "NUL character"))
+        if len(fields) != len(header):
+            raise ParseError(at + f"expected {len(header)} fields, got {len(fields)}")
+        row = [_reference_number(fields[c]) for c in cols]
+        if None in row:
+            raise ParseError(at + NON_NUMERIC(fields[cols[row.index(None)]].strip()))
+        # an infinite t is not finite; a NaN t is out of order
+        bad = [c for c, x in zip(cols, row)
+               if c in finite and not math.isfinite(x) or increasing and c == 0 and math.isinf(x)]
         if bad:
-            return ParseError(f"{path}:{lineno}: {rows[0][bad[0]].strip()} must be finite, "
-                              f"got {row[bad[0]].strip()!r}")
-        tag = "0" if label is None else row[label].strip()
+            raise ParseError(at + f"{header[bad[0]]} must be finite, "
+                             f"got {fields[bad[0]].strip()!r}")
+        tag = "0" if label is None else fields[label]
         if tag not in ("0", "1"):
-            return ParseError(f"{path}:{lineno}: label must be 0 or 1, got {tag!r}")
-        if increasing and (math.isnan(first) or (prev is not None and first <= prev)):
-            return FormatError(f"{path}:{lineno}: t not strictly increasing")
-        prev = first
-    raise AssertionError("the bulk check failed a file without a bad row")
+            raise ParseError(at + f"label must be 0 or 1, got {tag!r}")
+        if increasing and not row[0] > (numbers[-1][0] if numbers else -math.inf):
+            raise FormatError(at + "t not strictly increasing")
+        numbers.append(row)
+        tags.append(tag == "1")
+    if not numbers:
+        raise ParseError(f"{path}: no data rows")
+    values = [np.array(column, dtype=float) for column in zip(*numbers)]
+    return values, None if label is None else np.array(tags, dtype=bool)
 
 
 def _outcome(read, path):
@@ -672,11 +698,14 @@ def _check_reader(path, content, load):
 
 LOADERS = {load_csv: SERIES, load_scores: SCORES, load_decomposition: DECOMPOSITION}
 # cells that float() and numpy's tokenizer may read apart: whitespace of every
-# kind, quotes, digits only float() reads, separators and NUL
+# kind, quotes, spellings only float() reads, separators, NUL and CR
 TRICKY_CELLS = ("1_0", "\u0661", "\u0661.5", " 1", "1 ", "\t2\x0c", "\x0c1", "\xa01", "1\x85",
                 "1\u2028", "\x1c1", "1\x1f", '"1"', '"1"2', ' "1"', '1"2', '"1"""', '"1,5"',
                 '"1\n"', "", " ", "#1", "1#", "1\x00", "\x001", "inf", "-Infinity", "nan", "-nan",
-                "1e999", "0x10", "1.", ".5", "+.5e-3", "1e", "\ufeff1", "1,", "nan(1)")
+                "1e999", "0x10", "1.", ".5", "+.5e-3", "1e", "\ufeff1", "1,", "nan(1)", "1\r",
+                "\r1", "1\r\n")
+# the columns each loader reads as numbers
+NUMERIC = {load_csv: (0, 1), load_scores: (1,), load_decomposition: (1, 2, 3)}
 
 
 @pytest.mark.parametrize("load", list(LOADERS), ids=["series", "scores", "decomposition"])
@@ -687,7 +716,10 @@ def test_reader_equals_the_cell_by_cell_reference_on_tricky_cells(tmp_path, load
     for cell, col in itertools.product(TRICKY_CELLS, range(width)):
         rows = [["0", "1.0", "0.5", "0.25"][:width], ["1", "2.0", "1", "0"][:width]]
         rows[1][col] = cell
-        _check_reader(path, header + "".join(",".join(r) + "\n" for r in rows), load)
+        got = _check_reader(path, header + "".join(",".join(r) + "\n" for r in rows), load)
+        # no quoting, and no spelling that only float() reads
+        if col in NUMERIC[load] and any(c in cell for c in '"_\u0661'):
+            assert got[0] is ParseError, (cell, col)
 
 
 # the (load, text) pairs of the error table above
@@ -698,8 +730,8 @@ ERROR_TABLE = [case[:2] for case in test_csv_reader_errors_name_file_and_line.py
     "load, content",
     [
         *ERROR_TABLE,
-        # line ends: \n, \r\n (what write_columns writes), a bare \r, and blank
-        # lines of each kind; whitespace-only lines and trailing commas
+        # line ends: \n, \r\n (what write_columns writes), a bare \r (refused),
+        # and blank lines of each kind; whitespace-only lines and trailing commas
         *((load, LOADERS[load].replace("\n", end) + f"0,1,0,1{end}{end}1,2,1,2{end}")
           for load in LOADERS for end in ("\n", "\r\n", "\r")),
         (load_csv, SERIES + "0,1.0,0\n \n1,2.0,1\n"),
@@ -708,7 +740,8 @@ ERROR_TABLE = [case[:2] for case in test_csv_reader_errors_name_file_and_line.py
         (load_csv, SERIES + "0,1.0,0\n\x0c\n"),
         (load_decomposition, DECOMPOSITION + "0,1,2,3\n1,4,5,6\n\n\n\r\n"),
         (load_decomposition, DECOMPOSITION + "0,1,2,3"),
-        # a first line that ends at a bare \r, and quoted headers
+        # a first line that ends at a bare \r, and quoted headers: quotes are
+        # text like any other, so none of these headers matches
         (load_scores, "t,score,label\r0,0.5,1\r1,0.25,0"),
         (load_scores, '"t","score","label"\n0,0.5,1\n'),
         (load_scores, '"t\nx",score,label\n0,0.5,1\n'),
@@ -717,7 +750,7 @@ ERROR_TABLE = [case[:2] for case in test_csv_reader_errors_name_file_and_line.py
         (load_scores, "t,score,label\na,0.5,1\nb,0.25,0\n"),
         (load_scores, "name,score,note,label\nx,0.5,hi there,1\ny,0.25,,0\n"),
         (load_decomposition, DECOMPOSITION + "start,1,2,3\nend,4,5,6\n"),
-        # a label is exactly 0 or 1 once stripped, quoted or not
+        # a label is exactly 0 or 1: no whitespace, quote or other spelling
         *((load, LOADERS[load] + f"0,1.0,{tag}\n1,2.0,0\n")
           for load in (load_csv, load_scores)
           for tag in (" 1", "1 ", "\t0", '"1"', '" 1"', "1.0", "+1", "01", "-0", "1e0", "", "10")),
@@ -729,8 +762,8 @@ ERROR_TABLE = [case[:2] for case in test_csv_reader_errors_name_file_and_line.py
         (load_csv, BOM),
         (load_csv, (SERIES + "0,1.0,0\n1,\xe9,0\n").encode("latin-1")),
         (load_csv, (SERIES + "0,1.0,0\n1,\xe9,0\n").encode("utf-8")),
-        # long files: one with a quote or a long line is first listed by the csv
-        # module, for a cell over its field limit
+        # long files, long lines and long cells (there is no field limit), and
+        # quoted cells that span lines
         (load_csv, SERIES + "".join(f"{i},{i / 7!r},{i % 2}\n" for i in range(8000))),
         (load_csv, SERIES + "".join(f'{i},"{i / 7!r}",{i % 2}\n' for i in range(8000))),
         (load_csv, SERIES + "".join(f"{i},{i / 7!r},{i % 2}\r" for i in range(8000))),
@@ -749,10 +782,12 @@ def test_reader_equals_the_cell_by_cell_reference(tmp_path, load, content):
     _check_reader(tmp_path / "in.csv", content, load)
 
 
-def test_reader_loads_what_only_float_reads_and_refuses_numeric_labels(tmp_path):
+def test_reader_refuses_what_only_float_reads_and_numeric_labels(tmp_path):
     path = tmp_path / "in.csv"
-    assert _check_reader(path, SERIES + "0,1_0,0\n1,\u0661,1\n", load_csv)[0][1] == (2, 1)
-    for tag in ("1.0", "+1", "01"):
+    for cell in ("1_0", "\u0661", '"1"'):
+        _, message = _check_reader(path, SERIES + f"0,1.0,0\n1,{cell},1\n", load_csv)
+        assert message.endswith(":3: " + NON_NUMERIC(cell))
+    for tag in ("1.0", "+1", "01", " 1", '"1"'):
         _, message = _check_reader(path, SCORES + f"0,0.5,{tag}\n", load_scores)
         assert message.endswith(f":2: label must be 0 or 1, got {tag!r}")
 
