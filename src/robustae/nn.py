@@ -13,12 +13,14 @@ itself, and ``train`` returns nothing; the trainers' loss trace is the
 reconstruction RMSE that ``decompose._alternate`` takes once per iteration.
 
 A train step allocates no array the size of a batch: the model holds one
-workspace of layer, delta and scratch buffers, and every ufunc and matmul
-of a step or a forward pass writes into it with ``out=``. The workspace
-lasts until ``release()`` or until a batch with another row count comes,
-so the refits of one alternation stage (``decompose._alternate``) reuse
-the same pages instead of faulting in fresh ones on every call. ``forward``
-returns a copy of the last layer, so the caller's array is its own.
+workspace of layer buffers and one matmul buffer, and every ufunc and
+matmul of a step or a forward pass writes into it with ``out=``; each
+layer's delta goes over that layer's output once its gradients are taken.
+The workspace lasts until ``release()`` or until a batch with another row
+count comes, so the refits of one alternation stage
+(``decompose._alternate``) reuse the same pages instead of faulting in
+fresh ones on every call. ``forward`` returns a copy of the last layer, so
+the caller's array is its own.
 Parameters, gradients and the two Adam moments are one flat vector each,
 so Adam and the finiteness checks sweep each of them once per step.
 
@@ -62,20 +64,25 @@ def _activate(name: str, z: np.ndarray) -> None:
         np.maximum(z, 0.0, out=z)
 
 
-def _scale_by_derivative(name: str, a: np.ndarray, delta: np.ndarray, scratch: np.ndarray):
-    """``delta *= f'(z)`` in place, with f'(z) computed from the activation a = f(z)."""
+def _backprop_into(name: str, delta: np.ndarray, w: np.ndarray, a: np.ndarray, tmp: np.ndarray):
+    """``a = (delta @ w.T) * f'(z)`` over the activation a = f(z): f'(z) is
+    formed in ``a``, the matmul in the front of the flat buffer ``tmp``."""
     if name == "linear":
-        return  # f' = 1
+        np.matmul(delta, w.T, out=a)  # f' = 1
+        return
+    tmp = tmp[: a.size].reshape(a.shape)
     if name == "tanh":
-        np.multiply(a, a, out=scratch)
-        np.subtract(1.0, scratch, out=scratch)
+        np.multiply(a, a, out=a)
+        np.subtract(1.0, a, out=a)
     elif name == "sigmoid":
-        np.subtract(1.0, a, out=scratch)
-        np.multiply(a, scratch, out=scratch)
+        # 1 - a must leave tmp before the matmul goes in
+        np.subtract(1.0, a, out=tmp)
+        np.multiply(a, tmp, out=a)
     else:
         # relu: a = max(z, 0) is positive exactly where z is
-        np.greater(a, 0.0, out=scratch)
-    np.multiply(delta, scratch, out=delta)
+        np.greater(a, 0.0, out=a)
+    np.matmul(delta, w.T, out=tmp)
+    np.multiply(tmp, a, out=a)
 
 
 ADAM_BETA1 = 0.9
@@ -156,27 +163,20 @@ def _n_params(dims) -> int:
 class _Workspace:
     """Every buffer a train step writes, for batches of ``rows`` samples.
 
-    ``acts[l]`` holds layer l's output, activation applied in place. Two
-    delta buffers take turns down the layers and ``scratch`` holds one
-    activation derivative; both are sized to the widest layer they serve.
-    ``grad`` is laid out like the parameters and ``adam`` is Adam's scratch.
+    ``acts[l]`` holds layer l's output, activation applied in place, and
+    then its delta: the backward pass writes it once the layer above has
+    taken its gradients, the last read of that output. ``tmp``, sized to
+    the widest hidden layer, holds one ``delta @ W.T``. ``grad`` is laid
+    out like the parameters and ``adam`` is Adam's scratch.
     """
 
     def __init__(self, dims, rows: int):
         self.rows = rows
         self.acts = [np.empty((rows, width)) for width in dims[1:]]
-        self._deltas = [np.empty(rows * max(dims[1:])) for _ in range(2)]
-        self._scratch = np.empty(rows * max(dims[1:-1]))
+        self.tmp = np.empty(rows * max(dims[1:-1]))
         self.grad = np.empty(_n_params(dims))
         self.grad_w, self.grad_b = _layer_views(self.grad, dims)
         self.adam = np.empty_like(self.grad)
-
-    def delta(self, layer: int, width: int) -> np.ndarray:
-        """The (rows, width) delta of ``layer``; neighbouring layers use different buffers."""
-        return self._deltas[layer % 2][: self.rows * width].reshape(self.rows, width)
-
-    def scratch(self, width: int) -> np.ndarray:
-        return self._scratch[: self.rows * width].reshape(self.rows, width)
 
 
 @dataclass(eq=False)
@@ -246,11 +246,10 @@ class AutoencoderModel:
     def _backward(self, batch: np.ndarray, ws: _Workspace) -> None:
         """Forward and backward pass in ``ws``; leaves the gradient of the
         mean squared reconstruction error of ``batch`` in ``ws.grad``."""
-        activation = self.config.activation
-        out = self._forward(batch, ws.acts)
+        # the output layer's delta goes over the reconstruction it is taken from
+        delta = self._forward(batch, ws.acts)
         last = self.n_layers - 1
-        delta = ws.delta(last, out.shape[1])
-        np.subtract(out, batch, out=delta)
+        np.subtract(delta, batch, out=delta)
         np.multiply(delta, 2.0, out=delta)
         np.divide(delta, delta.size, out=delta)
         for layer in range(last, -1, -1):
@@ -262,11 +261,9 @@ class AutoencoderModel:
             else:
                 np.sum(delta, axis=0, out=ws.grad_b[layer])
             if layer > 0:
-                width = below.shape[1]
-                nxt = ws.delta(layer - 1, width)
-                np.matmul(delta, self.weights[layer].T, out=nxt)
-                _scale_by_derivative(activation, below, nxt, ws.scratch(width))
-                delta = nxt
+                # grad_w[layer] was the last read of below, so its delta goes over it
+                _backprop_into(self.config.activation, delta, self.weights[layer], below, ws.tmp)
+                delta = below
 
     # an overflow raises NumericalError below, so numpy need not warn of it first
     @np.errstate(over="ignore", invalid="ignore")
@@ -282,10 +279,13 @@ class AutoencoderModel:
             raise NumericalError("forward pass produced non-finite values")
         return out.copy()
 
+    # each step's finiteness checks raise NumericalError, so numpy need not warn first
+    @np.errstate(over="ignore", invalid="ignore")
     def train_step(self, batch) -> None:
         """One full-batch Adam step toward reconstructing ``batch``.
 
-        A non-finite gradient raises before any state changes.
+        A non-finite gradient raises before any state changes; a second
+        moment that overflows, which would freeze its parameters, raises after.
         """
         batch = self._check_batch(batch)
         ws = self._workspace_for(len(batch))
@@ -316,9 +316,9 @@ class AutoencoderModel:
         self._params -= tmp
         if not np.all(np.isfinite(self._params)):
             raise NumericalError("parameters became non-finite during update")
+        if not np.all(np.isfinite(v)):
+            raise NumericalError("Adam's second moment overflowed; the gradient is too large")
 
-    # each step's finiteness checks raise NumericalError, so numpy need not warn first
-    @np.errstate(over="ignore", invalid="ignore")
     def train(self, batch) -> None:
         """Run config.inner_epochs full-batch Adam steps, all in the held workspace."""
         batch = self._check_batch(batch)

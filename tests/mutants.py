@@ -5,7 +5,8 @@ tests that must catch it.
     python tests/mutants.py NAME ...   # the named rows
 
 Each mutant is applied to a fresh copy of ``src/`` in a temporary directory,
-and the row's tests run in a pytest subprocess against that copy. The tests
+and the row's tests run in a pytest subprocess against that copy. Up to four
+rows run at once (one per CPU); their lines print in table order. The tests
 first run once against an unchanged copy, where they must pass. A ``killed``
 row must make its tests fail. A ``known`` row is a mutant that no test
 catches yet; its note names the ROADMAP item that should. The script exits
@@ -25,6 +26,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -40,6 +42,22 @@ class Mutant(NamedTuple):
     expect: str  # "killed" or "known"
     note: str = ""
 
+
+# the lines of the backward pass's loop, which delta-over-below-before-weight-gradient reorders
+_GRAD_W = "            np.matmul(below.T, delta, out=ws.grad_w[layer])\n"
+_BIAS_GRAD = (
+    "            # the same bits as np.sum, faster (see the module docstring)\n"
+    "            if delta.shape[1] > 1:\n"
+    '                np.einsum("ij->j", delta, out=ws.grad_b[layer])\n'
+    "            else:\n"
+    "                np.sum(delta, axis=0, out=ws.grad_b[layer])\n"
+)
+_NEXT_DELTA = (
+    "            if layer > 0:\n"
+    "                # grad_w[layer] was the last read of below, so its delta goes over it\n"
+    "                _backprop_into(self.config.activation, delta, self.weights[layer], below, ws.tmp)\n"
+)
+_DELTA_IS_BELOW = "                delta = below\n"
 
 MUTANTS = (
     Mutant(
@@ -241,6 +259,40 @@ MUTANTS = (
         "a one-column bias gradient summed by einsum, not by np.sum, changes its last bits",
     ),
     Mutant(
+        "delta-over-below-before-weight-gradient", "nn.py",
+        _GRAD_W + _BIAS_GRAD + _NEXT_DELTA + _DELTA_IS_BELOW,
+        _NEXT_DELTA + _GRAD_W + _BIAS_GRAD + "            if layer > 0:\n" + _DELTA_IS_BELOW,
+        ("tests/test_nn.py::test_gradient_check_all_activations_deep",
+         "tests/test_nn.py::test_train_steps_are_bit_stable"),
+        "killed",
+        "a hidden layer's delta overwrites its output before that layer's weight gradient reads it",
+    ),
+    Mutant(
+        "sigmoid-matmul-before-derivative", "nn.py",
+        "        np.subtract(1.0, a, out=tmp)\n",
+        "        np.subtract(1.0, a, out=tmp)\n        np.matmul(delta, w.T, out=tmp)\n",
+        ("tests/test_nn.py::test_gradient_check_all_activations_deep[sigmoid]",
+         "tests/test_nn.py::test_train_steps_are_bit_stable[sigmoid]"),
+        "killed",
+        "the matmul lands in tmp while 1 - a is still needed there",
+    ),
+    Mutant(
+        "backprop-product-allocates", "nn.py",
+        "np.multiply(tmp, a, out=a)",
+        "a[...] = tmp * a",
+        ("tests/test_nn.py::test_train_allocates_no_batch_sized_array",),
+        "killed",
+        "a batch-sized temporary per hidden layer per step",
+    ),
+    Mutant(
+        "adam-second-moment-unchecked", "nn.py",
+        "if not np.all(np.isfinite(v)):",
+        "if False:",
+        ("tests/test_nn.py::test_overflowing_second_moment_raises",),
+        "killed",
+        "an overflowed second moment freezes its parameters at a zero update",
+    ),
+    Mutant(
         "model-writer-compact-separators", "data.py",
         "json.dump(doc, fh, sort_keys=True)",
         'json.dump(doc, fh, sort_keys=True, separators=(",", ":"))',
@@ -278,9 +330,30 @@ def _run_tests(src: Path, tests) -> int:
 
 def _copy_src(tmp: Path) -> Path:
     dest = tmp / "src"
-    shutil.rmtree(dest, ignore_errors=True)
     shutil.copytree(REPO / "src", dest, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
     return dest
+
+
+def _run_row(m: Mutant, tmp: Path) -> tuple[bool, list[str]]:
+    """Apply ``m`` to a copy of ``src/`` of its own; (failed, lines to print)."""
+    src = _copy_src(tmp / m.name)
+    path = src / "robustae" / m.file
+    text = path.read_text(encoding="utf-8")
+    if text.count(m.old) != 1:
+        return True, [f"ERROR     {m.name}: old text occurs {text.count(m.old)} times in {m.file}"]
+    path.write_text(text.replace(m.old, m.new), encoding="utf-8")
+    start = time.perf_counter()
+    code = _run_tests(src, m.tests)
+    seconds = time.perf_counter() - start
+    # exit 1 is a failed test; any other nonzero code is a broken run
+    result = {0: "survived", 1: "killed"}.get(code, f"pytest exit {code}")
+    bad = result != "killed" and (m.expect == "killed" or result != "survived")
+    status = "FAIL" if bad else "ok"
+    lines = [f"{status:<6}{result:<10}{m.name} ({m.expect}, {seconds:.1f} s)"
+             + (f": {m.note}" if m.note else "")]
+    if m.expect == "known" and result == "killed":
+        lines.append(f"      {m.name} is now killed: mark its row killed")
+    return bad, lines
 
 
 def main(argv=None) -> int:
@@ -298,27 +371,11 @@ def main(argv=None) -> int:
         if code != 0:
             print(f"the tests fail on the unchanged source (pytest exit {code})")
             return 1
-        for m in rows:
-            src = _copy_src(Path(tmp))
-            path = src / "robustae" / m.file
-            text = path.read_text(encoding="utf-8")
-            if text.count(m.old) != 1:
-                print(f"ERROR     {m.name}: old text occurs {text.count(m.old)} times in {m.file}")
-                failures += 1
-                continue
-            path.write_text(text.replace(m.old, m.new), encoding="utf-8")
-            start = time.perf_counter()
-            code = _run_tests(src, m.tests)
-            seconds = time.perf_counter() - start
-            # exit 1 is a failed test; any other nonzero code is a broken run
-            result = {0: "survived", 1: "killed"}.get(code, f"pytest exit {code}")
-            bad = result != "killed" and (m.expect == "killed" or result != "survived")
-            failures += bad
-            status = "FAIL" if bad else "ok"
-            print(f"{status:<6}{result:<10}{m.name} ({m.expect}, {seconds:.1f} s)"
-                  + (f": {m.note}" if m.note else ""))
-            if m.expect == "known" and result == "killed":
-                print(f"      {m.name} is now killed: mark its row killed")
+        # rows run side by side, each in its own copy; map yields them in table order
+        with ThreadPoolExecutor(min(os.cpu_count() or 1, 4)) as pool:
+            for bad, lines in pool.map(lambda m: _run_row(m, Path(tmp)), rows):
+                failures += bad
+                print("\n".join(lines), flush=True)
     print(f"{len(rows)} mutants, {failures} failing")
     return 1 if failures else 0
 

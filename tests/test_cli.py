@@ -769,26 +769,26 @@ def test_config_error_names_its_file_once(tmp_path, monkeypatch, capsys, files, 
 
 
 @pytest.mark.parametrize(
-    "method, config, stage",
+    "method, config, failure",
     [
         # an overflowing Adam step: numpy would warn three times before the
         # network's own finiteness check raised
         ("rae", {**QUICK_RAE, "ae": {"input_dim": 8, "layer_dims": [4], "learning_rate": 1e280}},
-         "rae"),
-        # one step leaves the smoothing network finite and the next pass's refit
-        # overflows; the norms of the trainer's alternation would warn on the way
+         "rae iteration 1: non-finite gradient; reduce the learning rate"),
+        # one step leaves the smoothing network finite with outputs near 1e280,
+        # and the matrix network's second moment overflows on them; the norms of
+        # the trainer's alternation would warn on the way
         ("rdae", {**QUICK_RAE, "lagged_window": 6, "max_while_iters": 2, "f1": {
             "input_dim": 6, "layer_dims": [4], "learning_rate": 1e280, "inner_epochs": 1}},
-         "rdae/smoothing"),
+         "rdae/matrix iteration 1: Adam's second moment overflowed; the gradient is too large"),
     ],
     ids=["rae", "rdae-smoothing"],
 )
-def test_numerical_failure_is_the_only_stderr_line(tmp_path, method, config, stage):
+def test_numerical_failure_is_the_only_stderr_line(tmp_path, method, config, failure):
     _write_files(tmp_path, {"s.csv": SERIES_CSV, "c.json": config})
     err = _cli_process(["train", "--method", method, "--input", tmp_path / "s.csv", "--config",
                         tmp_path / "c.json", "--out-dir", tmp_path / "out"], code=3)
-    assert err == (f"numerical failure: {stage} iteration 1: non-finite gradient; "
-                   "reduce the learning rate\n")
+    assert err == f"numerical failure: {failure}\n"
 
 
 # inputs on which each command runs, so only a flag it does not take can fail it

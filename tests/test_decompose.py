@@ -286,8 +286,10 @@ def test_smoothing_failure_names_the_kernel_iteration(monkeypatch):
     # one Adam step at this rate leaves f1 finite and the second pass's refit
     # overflows; each pass refits f1 in one kernel iteration, so the error
     # names iteration 1, not the pass; the trainer silences numpy's warnings on
-    # the way, so pytest's error::RuntimeWarning filter lets the NumericalError through
-    f1 = AutoencoderConfig(input_dim=6, layer_dims=(4,), learning_rate=1e280, inner_epochs=1)
+    # the way, so pytest's error::RuntimeWarning filter lets the NumericalError through.
+    # From about 5e155 up, f1's first output overflows the matrix network's
+    # second moment instead, and that stage fails first
+    f1 = AutoencoderConfig(input_dim=6, layer_dims=(4,), learning_rate=2.5e155, inner_epochs=1)
     built = []
 
     class Recorded(nn.AutoencoderModel):
@@ -298,8 +300,8 @@ def test_smoothing_failure_names_the_kernel_iteration(monkeypatch):
     monkeypatch.setattr(decompose, "AutoencoderModel", Recorded)
     with pytest.raises(NumericalError, match=r"^rdae/smoothing iteration 1: non-finite gradient"):
         train(quick_ts(), "rdae", replace(quick_rdae(), f1=f1))
-    # the failed stage still releases f1's buffers
-    assert [m._workspace for m in built if m.config is f1] == [None]
+    # the first pass's step went through; the failed stage still releases f1's buffers
+    assert [(m.step_count, m._workspace) for m in built if m.config is f1] == [(1, None)]
 
 
 @pytest.mark.parametrize("method", TRAIN_METHODS)

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,8 +184,9 @@ def test_gradient_check_tanh():
 def test_gradient_check_all_activations_deep(activation):
     # five weight layers: hidden chain 4-2-4 around input width 6; the relu
     # seed keeps every pre-activation > 100h from the kink, where central
-    # differences are valid
-    seed = 15 if activation == "relu" else 3
+    # differences are valid, and every hidden unit live on some row, so no
+    # weight gradient is zero by a dead layer
+    seed = 1 if activation == "relu" else 3
     model = make_model(6, (4, 2, 4), activation=activation, seed=seed)
     rng = np.random.default_rng(seed + 100)
     x = rng.standard_normal((7, 6))
@@ -195,6 +197,7 @@ def test_gradient_check_all_activations_deep(activation):
             pre.append(a @ w + b)
             a = np.maximum(pre[-1], 0.0)
         assert min(float(np.min(np.abs(p))) for p in pre) > 1e-3
+        assert all((p > 0.0).any(axis=0).all() for p in pre)
     assert gradient_check(model, x) < 1e-4
 
 
@@ -217,6 +220,16 @@ def test_non_finite_gradient_raises():
     after = (*model.weights, *model.biases, model._adam_m, model._adam_v)
     assert all(np.array_equal(a, b) for a, b in zip(after, state))
     assert model.step_count == 3
+
+
+def test_overflowing_second_moment_raises():
+    # the gradient is finite, but its square overflows Adam's second moment to
+    # inf, where sqrt(v) would freeze those parameters at a zero update
+    x = np.full((5, 4), 1e160)
+    for call in ("train", "train_step"):
+        model = make_model(4, (2,))
+        with pytest.raises(NumericalError, match="second moment"):
+            getattr(model, call)(x)
 
 
 def test_forward_output_is_not_reused():
@@ -251,6 +264,42 @@ def test_workspace_is_kept_while_the_row_count_holds():
         acts = model._workspace.acts[0]
     params = model.weights + model.biases
     assert all(np.array_equal(p, q) for p, q in zip(params, expected))
+
+
+def _owned_arrays(ws):
+    """The arrays a workspace allocated, not the views into them."""
+    for value in vars(ws).values():
+        for a in value if isinstance(value, list) else [value]:
+            if isinstance(a, np.ndarray) and a.base is None:
+                yield a
+
+
+@pytest.mark.parametrize(
+    "rows, dims",
+    [(1985, (16, 24, 12, 24, 16)), (1991, (10, 16, 8, 16, 10)), (1991, (10, 8, 10))],
+)
+def test_workspace_holds_the_layers_and_one_matmul_buffer(rows, dims):
+    # the bench networks: series, matrix and f1. Each delta goes over its
+    # layer's output, so past the two parameter-sized vectors the workspace
+    # holds one buffer per layer and one sized to the widest hidden layer
+    ws = _Workspace(dims, rows)
+    n_params = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
+    batch_sized = sum(a.nbytes for a in _owned_arrays(ws)) - 2 * 8 * n_params
+    assert batch_sized == 8 * rows * (sum(dims[1:]) + max(dims[1:-1]))
+
+
+@pytest.mark.parametrize("activation", ["tanh", "sigmoid", "relu", "linear"])
+def test_train_allocates_no_batch_sized_array(activation):
+    model = make_model(16, (24, 12, 24), activation=activation, seed=26, epochs=3)
+    x = np.random.default_rng(27).standard_normal((1985, 16))
+    model.train(x)  # builds the workspace
+    tracemalloc.start()
+    try:
+        model.train(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes
 
 
 # activation f and its derivative f' from the pre-activation z and the activation a
