@@ -3,7 +3,7 @@
 
 Each subcommand writes one CSV (default results/<name>.csv) and prints the
 median of every value column, per method or lambda (convergence: over all
-iterations).
+iterations). The trainer runs go to a pool of up to four worker processes.
 
 Usage: python3 scripts/experiments.py {robustness,lambda,convergence,explainability} [flags]
 """
@@ -17,10 +17,12 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from bench import (  # noqa: E402
     LAMBDAS,
-    lambda_runs,
+    ROBUSTNESS_METHODS,
+    lambda_run,
+    map_runs,
     outlier_free_sine,
     rae_config,
-    robustness_runs,
+    robustness_run,
     spiked_sine,
 )
 
@@ -30,46 +32,72 @@ from robustae.linalg import rmse  # noqa: E402
 
 N_MAX = 9  # an ES score of N_MAX + 1 means not explainable within N_MAX
 
+# Each experiment is one job per trainer run, mapped over tests/bench.py
+# map_runs' worker pool. A job runs in a worker and returns its CSV row
+# (convergence: its loss trace); map_runs returns them in job order, and a
+# trainer's run does not depend on its process, so the CSV is byte-identical
+# to a loop's.
 
-def robustness_rows(seed, args):
+
+def _seeds(args):
+    return range(1, args.seeds + 1)
+
+
+def _robustness_row(job):
+    seed, method = job
+    dec = robustness_run(seed, method)
+    res = evaluate(outlier_scores(dec), spiked_sine(seed).labels)
+    recovery = rmse(dec.clean.values, outlier_free_sine(seed).values)
+    support = int(np.count_nonzero(dec.outlier.values))
+    return seed, method, res.pr_auc, res.roc_auc, recovery, support
+
+
+def robustness_rows(args):
     """PR/ROC, recovery RMSE against the outlier-free series and outlier-support
     size of the robust and non-robust trainers, per seed"""
-    labels, truth = spiked_sine(seed).labels, outlier_free_sine(seed).values
-    for method, dec in robustness_runs(seed):
-        res = evaluate(outlier_scores(dec), labels)
-        yield (seed, method, res.pr_auc, res.roc_auc, rmse(dec.clean.values, truth),
-               int(np.count_nonzero(dec.outlier.values)))
+    jobs = [(seed, method) for seed in _seeds(args) for method in ROBUSTNESS_METHODS]
+    return map_runs(_robustness_row, jobs)
 
 
-def lambda_rows(seed, args):
+def _lambda_row(job):
+    seed, lam = job
+    dec = lambda_run(seed, lam)
+    res = evaluate(outlier_scores(dec), spiked_sine(seed).labels)
+    return seed, lam, res.pr_auc, res.roc_auc, int(np.count_nonzero(dec.outlier.values))
+
+
+def lambda_rows(args):
     """PR/ROC and outlier-support size per sparsity weight, per seed"""
-    labels = spiked_sine(seed).labels
-    for lam, dec in lambda_runs(seed):
-        res = evaluate(outlier_scores(dec), labels)
-        yield seed, lam, res.pr_auc, res.roc_auc, int(np.count_nonzero(dec.outlier.values))
+    return map_runs(_lambda_row, [(seed, lam) for seed in _seeds(args) for lam in LAMBDAS])
 
 
-def convergence_rows(seed, args):
+def _loss_trace(job):
+    seed, lam, iters = job
+    return train(spiked_sine(seed), "rae", rae_config(seed + 3000, lam=lam, outer=iters)).loss_trace
+
+
+def convergence_rows(args):
     """per-iteration training loss of rae, one column per lambda"""
-    ts = spiked_sine(seed)
-    traces = [
-        train(ts, "rae", rae_config(seed + 3000, lam=lam, outer=args.iters)).loss_trace
-        for lam in LAMBDAS
-    ]
-    for i in range(max(map(len, traces))):
-        yield i + 1, *(trace[i] if i < len(trace) else "" for trace in traces)
+    traces = map_runs(_loss_trace, [(args.seed, lam, args.iters) for lam in LAMBDAS])
+    return [(i + 1, *(trace[i] if i < len(trace) else "" for trace in traces))
+            for i in range(max(map(len, traces)))]
 
 
-def explainability_rows(seed, args):
+def _explainability_row(job):
+    seed, method, gamma = job
+    clean, _ = znormalize(robustness_run(seed, method).clean)
+    scores = [scan(clean, gamma, N_MAX).score for scan in (es_prm, es_ssa)]
+    return seed, method, *(N_MAX + 1 if score is None else score for score in scores)
+
+
+def explainability_rows(args):
     """ES_PRM/ES_SSA of each trainer's z-normalized clean series, per seed;
     a score of 10 means not explainable within 9"""
-    for method, dec in robustness_runs(seed):
-        clean, _ = znormalize(dec.clean)
-        scores = [scan(clean, args.gamma, N_MAX).score for scan in (es_prm, es_ssa)]
-        yield seed, method, *(N_MAX + 1 if score is None else score for score in scores)
+    return map_runs(_explainability_row,
+                    [(seed, m, args.gamma) for seed in _seeds(args) for m in ROBUSTNESS_METHODS])
 
 
-# name -> (rows of one seed, CSV header, column the summary groups by, flags and defaults)
+# name -> (rows, CSV header, column the summary groups by, flags and defaults)
 EXPERIMENTS = {
     "robustness": (
         robustness_rows,
@@ -119,10 +147,7 @@ def main() -> int:
     args = parser.parse_args()
 
     experiment, header, group, _ = EXPERIMENTS[args.name]
-    rows = []
-    for seed in range(1, args.seeds + 1) if "seeds" in args else [args.seed]:
-        rows += experiment(seed, args)
-        print(f"seed {seed}: done", flush=True)
+    rows = experiment(args)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_columns(out, header, zip(*rows))

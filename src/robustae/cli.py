@@ -215,7 +215,7 @@ def _explain(config, seed, inputs, outputs, out_dir, verbose):
         "window_len": config.get("window_len"),
         "normalize": config.get("normalize", False),
     }
-    clean, _, _ = load_decomposition(inputs["csv"])
+    clean, _, _ = load_decomposition(inputs["csv"], clean_only=True)
     if config["normalize"]:
         clean, _ = znormalize(clean)
     if method == "prm":

@@ -446,12 +446,22 @@ def save_decomposition(decomposition, path) -> None:
     )
 
 
-def load_decomposition(path) -> tuple[TimeSeries, TimeSeries, np.ndarray]:
-    """Read back (clean, outlier, scores) from a decomposition CSV."""
+def load_decomposition(
+    path, clean_only: bool = False
+) -> tuple[TimeSeries, TimeSeries | None, np.ndarray | None]:
+    """Read back (clean, outlier, scores) from a decomposition CSV.
+
+    With ``clean_only`` only the clean columns are converted and checked, and
+    (clean, None, None) is returned: the outlier and score cells are read as
+    text, like ``t``, so a non-numeric one is not refused.
+    """
     header, text, start = _read_csv(path)
     d = (len(header) - 2) // 2
     if d < 1 or header != _decomposition_header(d):
         raise FormatError(f"{path}: not a decomposition file (t,clean_0..,outlier_0..,score)")
-    cols, _ = _columns(path, header, text, start, range(1, 2 * d + 2),
+    cols, _ = _columns(path, header, text, start, range(1, d + 1 if clean_only else 2 * d + 2),
                        finite=range(1, 2 * d + 1))
-    return TimeSeries(np.column_stack(cols[:d])), TimeSeries(np.column_stack(cols[d:-1])), cols[-1]
+    clean = TimeSeries(np.column_stack(cols[:d]))
+    if clean_only:
+        return clean, None, None
+    return clean, TimeSeries(np.column_stack(cols[d:-1])), cols[-1]

@@ -29,6 +29,10 @@ lines and numerical errors name the stage the same way for every method:
 ``rae``, ``nrae``, ``<tag>/smoothing``, ``<tag>/matrix`` and
 ``<tag>/series`` with tag ``rdae`` or ``nrdae``.
 
+A kernel stage keeps only x, S, the previous reconstruction and one
+residual beside its network, and the dual trainer carries only the matrix S
+from one pass into the next.
+
 ``loss_trace`` records the reconstruction RMSE of each kernel iteration of
 the last stage: the series stage for rae, nrae, rdae, rdae-f1 and nrdae,
 and the matrix stage for rdae-f2 and rdae-f1f2.
@@ -220,6 +224,44 @@ def _identity(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _refit(x, s, model, stage, it, to_batch, from_batch) -> tuple[np.ndarray, float]:
+    """Train ``model`` on the batch of x - S; returns its reconstruction L of
+    that batch in the layout of x, and RMSE(x - S, L). The target and its
+    batch die on return."""
+    target = x - s
+    batch = to_batch(target)
+    try:
+        model.train(batch)
+    except NumericalError as exc:
+        raise NumericalError(f"{stage} iteration {it}: {exc}") from exc
+    recon = from_batch(model.forward(batch))
+    return recon, rmse(target, recon)
+
+
+def _shrink(x, recon, prev, s, lam, norm, resid, stage, it):
+    """The next S = soft_threshold(x - L, lam), with condition 1, ||x - L - S||,
+    and condition 2, ||(prev + S_prev) - L - S||, both relative to ``norm``;
+    returns them with the residual buffer.
+
+    The previous iterate is prev + S_prev, or x when ``prev`` is None, and
+    then condition 2 is condition 1. x - L is formed once, in ``resid`` (a
+    new buffer when None), and condition 2 in the same buffer; x and S_prev
+    are only read, since S_prev may be the caller's array.
+    """
+    resid = x - recon if resid is None else np.subtract(x, recon, out=resid)
+    new_s = soft_threshold(resid, lam)
+    if not np.all(np.isfinite(new_s)):
+        raise NumericalError(f"non-finite iterate at {stage} iteration {it}")
+    resid -= new_s
+    cond1 = frobenius_norm(resid) / norm
+    if prev is None:
+        return new_s, cond1, cond1, resid
+    np.add(prev, s, out=resid)
+    resid -= recon
+    resid -= new_s
+    return new_s, cond1, frobenius_norm(resid) / norm, resid
+
+
 def _alternate(
     x: np.ndarray,
     s: np.ndarray,
@@ -247,30 +289,22 @@ def _alternate(
     ends, raise or not, so networks of different stages never hold one at once.
     """
     losses: list[float] = []
-    star = x  # the previous L + S, or the previous L without shrinkage
+    prev = None  # the previous L; the previous iterate is prev + S, or prev without shrinkage
+    # one residual buffer for the stage, made by the first shrink: a fresh one
+    # per iteration had the allocator give its pages back and fault them in again
+    resid = None
     try:
         for it in range(1, cap + 1):
-            target = x - s
-            batch = to_batch(target)
-            try:
-                model.train(batch)
-            except NumericalError as exc:
-                raise NumericalError(f"{stage} iteration {it}: {exc}") from exc
-            recon = from_batch(model.forward(batch))
-            losses.append(rmse(target, recon))
+            recon, loss = _refit(x, s, model, stage, it, to_batch, from_batch)
+            losses.append(loss)
             if lam is None:
                 cond1 = 0.0
-                cond2 = np.inf if it == 1 else frobenius_norm(recon - star) / norm
-                star = recon
+                cond2 = np.inf if prev is None else frobenius_norm(recon - prev) / norm
                 done = cond2 < eps
             else:
-                s = soft_threshold(x - recon, lam)
-                if not np.all(np.isfinite(s)):
-                    raise NumericalError(f"non-finite iterate at {stage} iteration {it}")
-                cond1 = frobenius_norm(x - recon - s) / norm
-                cond2 = frobenius_norm(star - recon - s) / norm
-                star = recon + s
+                s, cond1, cond2, resid = _shrink(x, recon, prev, s, lam, norm, resid, stage, it)
                 done = cond1 < eps or cond2 < eps
+            prev = recon
             if verbose:
                 sys.stderr.write(
                     f"[{stage}] iter={it} loss={losses[-1]:.6f} "
@@ -344,6 +378,31 @@ def _resolve_lagged_window(cfg: RdaeConfig, length: int) -> int:
     return b
 
 
+def _matrix_pass(target, s_batch, b, f1, inner, lam, eps, smoothing_cap, cap, tag, verbose):
+    """One pass's matrix view of ``target``: smooth its window columns with f1
+    (unless None), split them into L + S with ``inner``, starting from
+    ``s_batch``, and average both back to series form. Returns (series L,
+    series S, S, matrix-stage losses); the columns and L die on return."""
+    columns = _column_batch(embed_lagged(TimeSeries(target), b).planes)
+    if f1 is not None:
+        # a robust pass refits f1 once, the baseline until it stabilizes; the
+        # smoothed columns take the unsmoothed ones' place
+        columns = _alternate(
+            columns, np.zeros_like(columns), f1, None, eps, smoothing_cap,
+            frobenius_norm(columns), f"{tag}/smoothing", verbose,
+        )[0]
+    norm = frobenius_norm(columns)
+    if norm == 0.0:
+        l_batch = s_batch = np.zeros_like(columns)
+        losses = []
+    else:
+        l_batch, s_batch, _, losses = _alternate(
+            columns, s_batch, inner, lam, eps, cap, norm, f"{tag}/matrix", verbose,
+        )
+    dims = target.shape[1]
+    return _batch_to_series(l_batch, dims, b), _batch_to_series(s_batch, dims, b), s_batch, losses
+
+
 def _train_dual(
     values: np.ndarray,
     t_norm: float,
@@ -377,28 +436,14 @@ def _train_dual(
     trace: list[float] = []
     prev_outlier_norm: float | None = None
     for wit in range(1, passes + 1):
-        m_batch = _column_batch(embed_lagged(TimeSeries(values - t_s), b).planes)
-        if f1 is None:
-            mhat = m_batch
+        # of the matrix stage's arrays only S goes on, to the next pass
+        t_l, t_s, s_batch, losses = _matrix_pass(
+            values - t_s, s_batch, b, f1, inner, lam1, cfg.epsilon,
+            1 if robust else cap, cap, tag, verbose,
+        )
+        if f2 is None:
+            trace += losses
         else:
-            # a robust pass refits f1 once; the baseline until it stabilizes
-            mhat = _alternate(
-                m_batch, np.zeros_like(m_batch), f1, None, cfg.epsilon, 1 if robust else cap,
-                frobenius_norm(m_batch), f"{tag}/smoothing", verbose,
-            )[0]
-        mhat_norm = frobenius_norm(mhat)
-        if mhat_norm == 0.0:
-            l_batch = s_batch = np.zeros_like(mhat)
-        else:
-            l_batch, s_batch, _, losses = _alternate(
-                mhat, s_batch, inner, lam1, cfg.epsilon, cap, mhat_norm,
-                f"{tag}/matrix", verbose,
-            )
-            if f2 is None:
-                trace += losses
-        t_l = _batch_to_series(l_batch, d, b)
-        t_s = _batch_to_series(s_batch, d, b)
-        if f2 is not None:
             t_l, t_s, series_iters, losses = _alternate(
                 values if robust else t_l, t_s, f2, lam2, cfg.epsilon, cap, t_norm,
                 f"{tag}/series", verbose, windower.batch, windower.fold,

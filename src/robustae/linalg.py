@@ -33,7 +33,8 @@ def rmse(a, b) -> float:
     if a.size == 0:
         return 0.0
     d = a - b
-    return float(np.sqrt(np.mean(d * d)))
+    d *= d
+    return float(np.sqrt(np.mean(d)))
 
 
 def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

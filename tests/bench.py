@@ -109,23 +109,11 @@ def robustness_run(seed: int, method: str):
     return train(spiked_sine(seed), method, configs[method.removeprefix("n")](seed + 1000))
 
 
-def robustness_runs(seed: int):
-    """Yield (method, robustness_run(seed, method)) for each of ROBUSTNESS_METHODS."""
-    for method in ROBUSTNESS_METHODS:
-        yield method, robustness_run(seed, method)
-
-
 def lambda_run(seed: int, lam: float):
     """One run of the sparsity-weight sweep: a 30-iteration rae with weight
     ``lam`` on spiked_sine(seed), with the network seed offset by 2000 from the
     series seed."""
     return train(spiked_sine(seed), "rae", rae_config(seed + 2000, lam=lam, outer=30))
-
-
-def lambda_runs(seed: int):
-    """Yield (lam, lambda_run(seed, lam)) for each lam in LAMBDAS."""
-    for lam in LAMBDAS:
-        yield lam, lambda_run(seed, lam)
 
 
 def map_runs(fn, jobs) -> list:

@@ -106,8 +106,8 @@ MUTANTS = (
     ),
     Mutant(
         "workspace-per-kernel-iteration", "decompose.py",
-        "            recon = from_batch(model.forward(batch))\n",
-        "            recon = from_batch(model.forward(batch))\n            model.release()\n",
+        "    recon = from_batch(model.forward(batch))\n",
+        "    recon = from_batch(model.forward(batch))\n    model.release()\n",
         ("tests/test_decompose.py::test_each_stage_builds_one_workspace_and_releases_it",),
         "killed",
     ),
@@ -308,6 +308,64 @@ MUTANTS = (
          "tests/test_data.py::test_synth_equals_the_index_by_index_reference"),
         "killed",
         "a collective block would no longer read as one level shift",
+    ),
+    Mutant(
+        "soft-threshold-writes-its-input", "prox.py",
+        "out = np.abs(x, out=np.empty_like(x))",
+        "out = np.abs(x, out=x)",
+        ("tests/test_prox.py::test_soft_leaves_its_input_untouched",
+         "tests/test_decompose.py::test_kernel_equals_the_plain_alternation_bit_for_bit"),
+        "killed",
+        "the kernel's residual would become S, and S would be zeroed with it",
+    ),
+    Mutant(
+        "soft-threshold-with-four-temporaries", "prox.py",
+        "    out = np.abs(x, out=np.empty_like(x))\n"
+        "    np.subtract(out, lam, out=out)\n"
+        "    np.maximum(out, 0.0, out=out)\n"
+        "    return np.multiply(np.sign(x), out, out=out)\n",
+        "    return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)\n",
+        ("tests/test_decompose.py::"
+         "test_robust_matrix_iteration_holds_six_batch_arrays_beside_the_workspace",),
+        "killed",
+        "the same bits, with one more batch-sized array alive during the shrink",
+    ),
+    Mutant(
+        "shrink-residual-formed-twice-into-s", "decompose.py",
+        "    resid -= new_s\n    cond1 = frobenius_norm(resid) / norm\n",
+        "    np.subtract(x - recon, new_s, out=new_s)\n    cond1 = frobenius_norm(new_s) / norm\n",
+        ("tests/test_decompose.py::test_kernel_equals_the_plain_alternation_bit_for_bit",),
+        "killed",
+        "condition 1 formed over S itself overwrites the new S with x - L - S",
+    ),
+    Mutant(
+        "dual-keeps-pass-arrays", "decompose.py",
+        "        t_l, t_s, s_batch, losses = _matrix_pass(\n"
+        "            values - t_s, s_batch, b, f1, inner, lam1, cfg.epsilon,\n"
+        "            1 if robust else cap, cap, tag, verbose,\n"
+        "        )\n",
+        "        m_batch = _column_batch(embed_lagged(TimeSeries(values - t_s), b).planes)\n"
+        "        mhat = m_batch if f1 is None else _alternate(\n"
+        "            m_batch, np.zeros_like(m_batch), f1, None, cfg.epsilon, 1 if robust else cap,\n"
+        '            frobenius_norm(m_batch), f"{tag}/smoothing", verbose,\n'
+        "        )[0]\n"
+        "        l_batch, s_batch, _, losses = _alternate(\n"
+        "            mhat, s_batch, inner, lam1, cfg.epsilon, cap, frobenius_norm(mhat),\n"
+        '            f"{tag}/matrix", verbose,\n'
+        "        )\n"
+        "        t_l, t_s = _batch_to_series(l_batch, d, b), _batch_to_series(s_batch, d, b)\n",
+        ("tests/test_decompose.py::test_dual_carries_only_s_into_the_series_stage",),
+        "killed",
+        "the pass inlined as it was: the column batch, its smoothed copy and the matrix L "
+        "stay alive through the series stage",
+    ),
+    Mutant(
+        "explain-converts-every-column", "data.py",
+        "range(1, d + 1 if clean_only else 2 * d + 2)",
+        "range(1, 2 * d + 2)",
+        ("tests/test_cli.py::test_explain_reads_only_the_clean_columns",),
+        "killed",
+        "a non-numeric outlier or score cell would stop explain again",
     ),
     Mutant(
         "finish-residual-zero", "decompose.py",

@@ -194,6 +194,25 @@ def test_explain_noise_not_explainable(tmp_path, capsys):
     assert len(doc["rmse_by_order"]) == 9
 
 
+@pytest.mark.parametrize("method", ["prm", "ssa"])
+def test_explain_reads_only_the_clean_columns(tmp_path, capsys, method):
+    # explain converts the clean columns alone: bad outlier and score cells
+    # give the result of the same file with valid ones
+    rng = np.random.default_rng(1)
+    clean = np.sin(np.arange(120) / 5.0) + 0.1 * rng.standard_normal(120)
+    rows = [f"{i},{v!r},0.25,0.0625" for i, v in enumerate(clean.tolist())]
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text("t,clean_0,outlier_0,score\n" + "\n".join(rows) + "\n")
+    rows[3] = rows[3].rsplit(",", 2)[0] + ",x,0.0625"
+    rows[9] = rows[9].rsplit(",", 2)[0] + ",nan,"
+    bad.write_text("t,clean_0,outlier_0,score\n" + "\n".join(rows) + "\n")
+    outputs = []
+    for path in (good, bad):
+        assert run(["explain", "--input", path, "--method", method, "--gamma", "0.05"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_sweep_single_row(workdir, capsys):
     run(["synth", "--config", workdir / "synth.json", "--out", "data.csv",
          "--out-dir", workdir])

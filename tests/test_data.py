@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 import warnings
 from dataclasses import asdict
 
@@ -575,6 +576,38 @@ def test_decomposition_roundtrip(tmp_path):
     assert np.array_equal(clean2.values, clean.values)
     assert np.array_equal(outlier2.values, outlier.values)
     assert np.array_equal(scores, np.sum(outlier.values**2, axis=1))
+
+
+def test_clean_only_decomposition_read_converts_only_the_clean_columns(tmp_path):
+    rng = np.random.default_rng(3)
+    clean = TimeSeries(rng.standard_normal((12, 2)))
+    path = tmp_path / "dec.csv"
+    save_decomposition(Decomposition(clean, TimeSeries(rng.standard_normal((12, 2))), 1,
+                                     (0.0, 0.0)), path)
+    lines = path.read_text().split("\n")
+    # line 4: a non-numeric outlier cell; line 6: a NaN outlier and an empty score
+    lines[3] = ",".join(lines[3].split(",")[:3] + ["abc"] + lines[3].split(",")[4:])
+    lines[5] = ",".join(lines[5].split(",")[:4] + ["nan", ""])
+    path.write_text("\n".join(lines))
+    got, outlier, scores = load_decomposition(path, clean_only=True)
+    assert got.values.tobytes() == clean.values.tobytes()
+    assert outlier is None and scores is None
+    # the full read refuses the same file as it always did, on the first bad line
+    with pytest.raises(ParseError, match=":4: " + re.escape(NON_NUMERIC("abc"))):
+        load_decomposition(path)
+    # a bad clean cell still names its line, and so does a short line
+    lines[8] = "7,1.0,oops,0.5,0.5,0.5"
+    path.write_text("\n".join(lines))
+    with pytest.raises(ParseError, match=":9: " + re.escape(NON_NUMERIC("oops"))):
+        load_decomposition(path, clean_only=True)
+    lines[8] = "7,1.0,inf,0.5,0.5,0.5"
+    path.write_text("\n".join(lines))
+    with pytest.raises(ParseError, match=":9: clean_1 must be finite, got 'inf'"):
+        load_decomposition(path, clean_only=True)
+    lines[8] = "7,1.0,2.0,0.5,0.5"
+    path.write_text("\n".join(lines))
+    with pytest.raises(ParseError, match=":9: expected 6 fields, got 5"):
+        load_decomposition(path, clean_only=True)
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,11 @@
+import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from bench import spiked_sine
+from bench import rdae_config, spiked_sine
 from robustae import (
     TRAIN_METHODS,
     AutoencoderConfig,
@@ -19,6 +21,7 @@ from robustae import decompose, nn
 from robustae.decompose import Decomposition, _column_batch, _SeriesWindower
 from robustae.errors import InputError, NumericalError, ParameterError
 from robustae.hankel import embed_lagged
+from robustae.linalg import frobenius_norm
 
 
 def quick_ts(seed=0, length=240, noise=0.3):
@@ -327,6 +330,113 @@ def test_each_stage_builds_one_workspace_and_releases_it(monkeypatch, method):
     assert counts["stages"] > 0
     assert counts["workspaces"] == counts["stages"]
     assert all(model._workspace is None for model in d.models.values())
+
+
+def _plain_alternation(x, s, model, lam, eps, cap, norm, to_batch, from_batch):
+    """The robust kernel written out with every array formed anew: (L, S,
+    iterations, losses, [(condition 1, condition 2)] before the division by
+    ``norm``) of a kernel stage."""
+
+    def norm2(m):
+        return float(np.sqrt(np.sum(m * m)))
+
+    losses, conds, star = [], [], x
+    for it in range(1, cap + 1):
+        target = x - s
+        batch = to_batch(target)
+        model.train(batch)
+        recon = from_batch(model.forward(batch))
+        d = target - recon
+        losses.append(float(np.sqrt(np.mean(d * d))))
+        s = np.sign(x - recon) * np.maximum(np.abs(x - recon) - lam, 0.0)
+        conds.append((norm2(x - recon - s), norm2(star - recon - s)))
+        star = recon + s
+        if conds[-1][0] / norm < eps or conds[-1][1] / norm < eps:
+            break
+    return recon, s, it, losses, conds
+
+
+@pytest.mark.parametrize("view", ["series", "matrix"])
+def test_kernel_equals_the_plain_alternation_bit_for_bit(monkeypatch, view):
+    # the shrink step forms x - L once and takes both conditions in one buffer;
+    # every value and norm must keep the bits of the plain formulas, and
+    # neither x nor the caller's S may be written
+    ts = quick_ts(seed=3)
+    if view == "series":
+        cfg = quick_rae().ae
+        windower = _SeriesWindower(ts.length, 1, cfg.input_dim)
+        x, maps = ts.values, (windower.batch, windower.fold)
+    else:
+        cfg = quick_rdae().inner_ae
+        x, maps = _column_batch(embed_lagged(ts, cfg.input_dim).planes), ()
+    rng = np.random.default_rng(4)
+    s0 = np.where(rng.random(x.shape) < 0.1, rng.standard_normal(x.shape), 0.0)
+    x_before, s_before = x.copy(), s0.copy()
+    norms = []
+
+    def recorded(m):
+        norms.append(frobenius_norm(m))
+        return norms[-1]
+
+    monkeypatch.setattr(decompose, "frobenius_norm", recorded)
+    norm = 7.5
+    recon, s, its, losses = decompose._alternate(
+        x, s0, nn.AutoencoderModel(cfg), 0.05, 1e-12, 4, norm, "stage", False, *maps
+    )
+    want = _plain_alternation(x, s_before, nn.AutoencoderModel(cfg), 0.05, 1e-12, 4, norm,
+                              *(maps or (decompose._identity,) * 2))
+    assert its == want[2] == 4
+    assert recon.tobytes() == want[0].tobytes() and s.tobytes() == want[1].tobytes()
+    assert losses == want[3]
+    # iteration 1's previous iterate is x, so its condition 2 is condition 1
+    assert want[4][0][0] == want[4][0][1]
+    assert norms == [want[4][0][0], *(c for pair in want[4][1:] for c in pair)]
+    assert x.tobytes() == x_before.tobytes() and s0.tobytes() == s_before.tobytes()
+
+
+def test_robust_matrix_iteration_holds_six_batch_arrays_beside_the_workspace():
+    # a robust stage on the bench's (1991 x 10) column batch: beside x, the
+    # caller's S and the network workspace, an iteration past the first holds
+    # at most six batch-sized arrays at once (S, the previous and new L, the
+    # residual, the new S and one temporary); a kernel that formed each
+    # residual anew held eight
+    cfg = rdae_config(1).inner_ae
+    x = np.random.default_rng(5).standard_normal((1991, cfg.input_dim))
+    s = np.zeros_like(x)
+    ws = nn._Workspace(cfg.all_dims, len(x))
+    ws_bytes = sum(a.nbytes for a in (*ws.acts, ws.tmp, ws.grad, ws.adam))
+    del ws
+    model = nn.AutoencoderModel(cfg)
+    decompose._alternate(x, s, model, 0.05, 1e-300, 3, 100.0, "rdae/matrix", False)  # warm-up
+    tracemalloc.start()
+    try:
+        decompose._alternate(x, s, model, 0.05, 1e-300, 3, 100.0, "rdae/matrix", False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert round((peak - ws_bytes) / x.nbytes) <= 6
+
+
+@pytest.mark.parametrize("method", ["rdae", "nrdae", "rdae-f1"])
+def test_dual_carries_only_s_into_the_series_stage(monkeypatch, method):
+    # the column batch, its smoothed copy and the matrix L are dead once the
+    # matrix stage has been folded to series form; only the matrix S lives on
+    refs, carried, leaks = [], [], []
+    kernel = decompose._alternate
+
+    def alternate(x, s, model, lam, eps, cap, norm, stage, verbose, *maps):
+        if stage.endswith("/series"):
+            alive = [a for a in (r() for r in refs) if a is not None and a is not carried[-1]]
+            leaks.append(len(alive))
+        out = kernel(x, s, model, lam, eps, cap, norm, stage, verbose, *maps)
+        if not stage.endswith("/series"):
+            refs.extend(weakref.ref(a) for a in (x, s, out[0]))
+            carried[:] = [out[1]]
+        return out
+
+    monkeypatch.setattr(decompose, "_alternate", alternate)
+    train(quick_ts(), method, quick_rdae(while_iters=3))
+    assert leaks and leaks == [0] * len(leaks)
 
 
 @pytest.mark.parametrize("method, lines", [("rdae", 2), ("rdae-f2", 2), ("rdae-f1", 0)])

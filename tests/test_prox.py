@@ -79,3 +79,30 @@ def test_soft_sign_preservation(seed, lam):
     x = np.random.default_rng(seed).standard_normal(20)
     assert np.all(soft_threshold(x, lam) * x >= 0.0)
 
+
+
+def _awkward_values(seed: int) -> np.ndarray:
+    """Normal draws mixed with signed zeros, subnormals and huge values."""
+    rng = np.random.default_rng(seed)
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e308, -1.7e308,
+                        np.finfo(float).max, -np.finfo(float).max])
+    x = np.concatenate([rng.standard_normal(200) * 10.0 ** rng.uniform(-5, 5, 200), special])
+    return rng.permutation(x).reshape(21, 10)
+
+
+def test_soft_leaves_its_input_untouched():
+    x = _awkward_values(0)
+    before = x.copy()
+    soft_threshold(x, 0.5)
+    assert x.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("lam", [0.0, 5e-324, 1e-3, 0.05, 1.0, 1e300])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_soft_bit_equal_to_the_written_formula(seed, lam):
+    # compared as integers, so -0.0 and +0.0 differ: copysign would give -0.0
+    # for x = -0.0, where sign(-0.0) * 0.0 gives +0.0
+    x = _awkward_values(seed)
+    want = np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
+    got = soft_threshold(x, lam)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
