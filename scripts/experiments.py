@@ -16,59 +16,41 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from bench import (  # noqa: E402
+    GAMMA,
     LAMBDAS,
     ROBUSTNESS_METHODS,
-    lambda_run,
+    es_pair,
+    lambda_row,
     map_runs,
-    outlier_free_sine,
     rae_config,
-    robustness_run,
+    robustness_record,
     spiked_sine,
 )
 
-from robustae import es_prm, es_ssa, evaluate, outlier_scores, train, znormalize  # noqa: E402
+from robustae import train  # noqa: E402
 from robustae.data import write_columns  # noqa: E402
-from robustae.linalg import rmse  # noqa: E402
-
-N_MAX = 9  # an ES score of N_MAX + 1 means not explainable within N_MAX
 
 # Each experiment is one job per trainer run, mapped over tests/bench.py
-# map_runs' worker pool. A job runs in a worker and returns its CSV row
-# (convergence: its loss trace); map_runs returns them in job order, and a
-# trainer's run does not depend on its process, so the CSV is byte-identical
-# to a loop's.
+# map_runs' worker pool. A job runs in a worker and returns its CSV row, the
+# record tests/bench.py builds for the acceptance suite too (convergence: its
+# loss trace); map_runs returns them in job order, and a trainer's run does
+# not depend on its process, so the CSV is byte-identical to a loop's.
 
 
 def _seeds(args):
     return range(1, args.seeds + 1)
 
 
-def _robustness_row(job):
-    seed, method = job
-    dec = robustness_run(seed, method)
-    res = evaluate(outlier_scores(dec), spiked_sine(seed).labels)
-    recovery = rmse(dec.clean.values, outlier_free_sine(seed).values)
-    support = int(np.count_nonzero(dec.outlier.values))
-    return seed, method, res.pr_auc, res.roc_auc, recovery, support
-
-
 def robustness_rows(args):
     """PR/ROC, recovery RMSE against the outlier-free series and outlier-support
     size of the robust and non-robust trainers, per seed"""
     jobs = [(seed, method) for seed in _seeds(args) for method in ROBUSTNESS_METHODS]
-    return map_runs(_robustness_row, jobs)
-
-
-def _lambda_row(job):
-    seed, lam = job
-    dec = lambda_run(seed, lam)
-    res = evaluate(outlier_scores(dec), spiked_sine(seed).labels)
-    return seed, lam, res.pr_auc, res.roc_auc, int(np.count_nonzero(dec.outlier.values))
+    return [row for row, _ in map_runs(robustness_record, jobs)]
 
 
 def lambda_rows(args):
     """PR/ROC and outlier-support size per sparsity weight, per seed"""
-    return map_runs(_lambda_row, [(seed, lam) for seed in _seeds(args) for lam in LAMBDAS])
+    return map_runs(lambda_row, [(seed, lam) for seed in _seeds(args) for lam in LAMBDAS])
 
 
 def _loss_trace(job):
@@ -85,9 +67,8 @@ def convergence_rows(args):
 
 def _explainability_row(job):
     seed, method, gamma = job
-    clean, _ = znormalize(robustness_run(seed, method).clean)
-    scores = [scan(clean, gamma, N_MAX).score for scan in (es_prm, es_ssa)]
-    return seed, method, *(N_MAX + 1 if score is None else score for score in scores)
+    _, dec = robustness_record((seed, method))
+    return seed, method, *es_pair(dec.clean, gamma)
 
 
 def explainability_rows(args):
@@ -116,7 +97,7 @@ EXPERIMENTS = {
         explainability_rows,
         ["seed", "method", "es_prm", "es_ssa"],
         "method",
-        {"seeds": 10, "gamma": 0.15},
+        {"seeds": 10, "gamma": GAMMA},
     ),
 }
 

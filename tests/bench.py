@@ -1,9 +1,16 @@
-"""Shared benchmark builders for the trainer and acceptance tests.
+"""Shared benchmark builders for the tests, the acceptance suite and the
+experiment script.
 
 The reference task is a z-normalized sine (period 50) of 2000 observations
 with 5% injected spikes of five standard deviations, plus Gaussian noise.
-Configs are sized so one training run takes seconds, not minutes.
+Configs are sized so one training run takes seconds, not minutes. Each run
+of the paper's experiments is built here, once, as a record:
+scripts/experiments.py writes the records to CSV and tests/test_acceptance.py
+checks them.
 """
+
+from collections import namedtuple
+from dataclasses import replace
 
 import numpy as np
 
@@ -13,37 +20,63 @@ from robustae import (
     RdaeConfig,
     SynthConfig,
     TimeSeries,
+    es_prm,
+    es_ssa,
+    evaluate,
     generate_synthetic,
+    outlier_scores,
     train,
     znormalize,
 )
+from robustae.linalg import rmse
 
 NOISE_STD = 0.5
 SERIES_LEN = 2000
-OUTLIER_RATIO = 0.05
-OUTLIER_MAGNITUDE = 5.0
+# every field spelled out, so that a change of SynthConfig's defaults cannot
+# move the benchmark's inputs
+BENCH_SINE = SynthConfig(
+    kind="sinusoid_mix",
+    length=SERIES_LEN,
+    dims=1,
+    outlier_ratio=0.05,
+    outlier_magnitude=5.0,
+    outlier_kind="point",
+    collective_run_length=10,
+    ar_coefficients=(0.6,),
+    frequencies=(0.02,),
+    amplitudes=(1.0,),
+    noise_std=NOISE_STD,
+    seed=0,
+)
 ROBUSTNESS_METHODS = ("rae", "nrae", "rdae", "nrdae")
 LAMBDAS = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
+GAMMA = 0.15
+N_MAX = 9  # an ES score of N_MAX + 1 means not explainable within N_MAX
+
+# recovery: RMSE of the clean part against outlier_free_sine(seed);
+# support and nonzero: the number of nonzero entries of the outlier part
+RobustnessRow = namedtuple("RobustnessRow", "seed method pr roc recovery support")
+LambdaRow = namedtuple("LambdaRow", "seed lam pr roc nonzero")
 
 
 def spiked_sine(seed: int, length: int = SERIES_LEN, noise: float = NOISE_STD) -> TimeSeries:
     """Labeled benchmark series, z-normalized."""
-    raw = generate_synthetic(
-        SynthConfig(
-            kind="sinusoid_mix",
-            length=length,
-            dims=1,
-            outlier_ratio=OUTLIER_RATIO,
-            outlier_magnitude=OUTLIER_MAGNITUDE,
-            outlier_kind="point",
-            frequencies=(0.02,),
-            amplitudes=(1.0,),
-            noise_std=noise,
-            seed=seed,
-        )
-    )
+    raw = generate_synthetic(replace(BENCH_SINE, length=length, noise_std=noise, seed=seed))
     normalized, _ = znormalize(raw)
     return normalized
+
+
+def outlier_free_sine(seed: int, length: int = SERIES_LEN, noise: float = NOISE_STD) -> TimeSeries:
+    """spiked_sine(seed) without its spikes, in the same units.
+
+    The same recipe with outlier_magnitude=0 draws the same base series, and
+    it is normalized with the spiked raw series' mean and std, so it is what
+    a trainer's clean part of spiked_sine(seed) should recover.
+    """
+    recipe = replace(BENCH_SINE, length=length, noise_std=noise, seed=seed)
+    _, stats = znormalize(generate_synthetic(recipe))
+    clean = generate_synthetic(replace(recipe, outlier_magnitude=0.0))
+    return TimeSeries((clean.values - stats.mean) / stats.std)
 
 
 def rae_config(seed: int, lam: float = 0.05, outer: int = 55, inner: int = 10) -> RaeConfig:
@@ -101,19 +134,38 @@ def rdae_config(
     )
 
 
-def robustness_run(seed: int, method: str):
-    """One run of the robust-vs-non-robust comparison: ``method`` of
-    ROBUSTNESS_METHODS on spiked_sine(seed), with network seeds offset by 1000
-    from the series seed."""
+def robustness_record(job):
+    """One run of the robust-vs-non-robust comparison, ``job`` = (seed,
+    method): ``method`` of ROBUSTNESS_METHODS on spiked_sine(seed), with
+    network seeds offset by 1000 from the series seed. Returns its
+    RobustnessRow and its decomposition."""
+    seed, method = job
+    ts = spiked_sine(seed)
     configs = {"rae": rae_config, "rdae": rdae_config}
-    return train(spiked_sine(seed), method, configs[method.removeprefix("n")](seed + 1000))
+    dec = train(ts, method, configs[method.removeprefix("n")](seed + 1000))
+    res = evaluate(outlier_scores(dec), ts.labels)
+    recovery = rmse(dec.clean.values, outlier_free_sine(seed).values)
+    support = int(np.count_nonzero(dec.outlier.values))
+    return RobustnessRow(seed, method, res.pr_auc, res.roc_auc, recovery, support), dec
 
 
-def lambda_run(seed: int, lam: float):
-    """One run of the sparsity-weight sweep: a 30-iteration rae with weight
-    ``lam`` on spiked_sine(seed), with the network seed offset by 2000 from the
-    series seed."""
-    return train(spiked_sine(seed), "rae", rae_config(seed + 2000, lam=lam, outer=30))
+def lambda_row(job) -> LambdaRow:
+    """One run of the sparsity-weight sweep, ``job`` = (seed, lam): a
+    30-iteration rae with weight ``lam`` on spiked_sine(seed), with the network
+    seed offset by 2000 from the series seed."""
+    seed, lam = job
+    ts = spiked_sine(seed)
+    dec = train(ts, "rae", rae_config(seed + 2000, lam=lam, outer=30))
+    res = evaluate(outlier_scores(dec), ts.labels)
+    return LambdaRow(seed, lam, res.pr_auc, res.roc_auc, int(np.count_nonzero(dec.outlier.values)))
+
+
+def es_pair(clean: TimeSeries, gamma: float = GAMMA) -> tuple[int, int]:
+    """(ES_PRM, ES_SSA) of ``clean`` z-normalized, with N_MAX + 1 for a scan
+    that explains it at no order up to N_MAX."""
+    normalized, _ = znormalize(clean)
+    scores = [scan(normalized, gamma, N_MAX).score for scan in (es_prm, es_ssa)]
+    return tuple(N_MAX + 1 if score is None else score for score in scores)
 
 
 def map_runs(fn, jobs) -> list:
@@ -140,31 +192,3 @@ def map_runs(fn, jobs) -> list:
 
 def median(values):
     return float(np.median(np.asarray(values, dtype=float)))
-
-
-def outlier_free_sine(seed: int, length: int = SERIES_LEN, noise: float = NOISE_STD) -> TimeSeries:
-    """spiked_sine(seed) without its spikes, in the same units.
-
-    The same recipe with outlier_magnitude=0 draws the same base series, and
-    it is normalized with the spiked raw series' mean and std, so it is what
-    a trainer's clean part of spiked_sine(seed) should recover.
-    """
-
-    def raw(magnitude):
-        return generate_synthetic(
-            SynthConfig(
-                kind="sinusoid_mix",
-                length=length,
-                dims=1,
-                outlier_ratio=OUTLIER_RATIO,
-                outlier_magnitude=magnitude,
-                outlier_kind="point",
-                frequencies=(0.02,),
-                amplitudes=(1.0,),
-                noise_std=noise,
-                seed=seed,
-            )
-        )
-
-    _, stats = znormalize(raw(OUTLIER_MAGNITUDE))
-    return TimeSeries((raw(0.0).values - stats.mean) / stats.std)

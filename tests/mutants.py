@@ -368,6 +368,29 @@ MUTANTS = (
         "a non-numeric outlier or score cell would stop explain again",
     ),
     Mutant(
+        "network-input-dim-unchecked", "decompose.py",
+        "if user_cfg.input_dim != input_dim:",
+        "if False:",
+        ("tests/test_decompose.py::test_network_of_another_width_than_the_window_is_refused",),
+        "killed",
+        "a network of the wrong width fails later, with the network's own shape error",
+    ),
+    Mutant(
+        "default-lagged-window-off-by-one", "decompose.py",
+        "        return default_window_len(length)\n",
+        "        return default_window_len(length) + 1\n",
+        ("tests/test_decompose.py::test_rdae_default_lagged_window_is_the_default_window_len",),
+        "killed",
+    ),
+    Mutant(
+        "sweep-accepts-unlabeled-series", "cli.py",
+        "    if ts.labels is None:\n",
+        "    if False:\n",
+        ("tests/test_cli.py::test_bad_input_exits_with_documented_code[sweep-unlabeled-series]",),
+        "killed",
+        "every sampled run fails on the missing labels, and the sweep exits 0",
+    ),
+    Mutant(
         "finish-residual-zero", "decompose.py",
         "            frobenius_norm(values - clean - s) / t_norm,",
         "            0.0,",

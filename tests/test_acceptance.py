@@ -13,12 +13,11 @@ import pytest
 from bench import (
     LAMBDAS,
     ROBUSTNESS_METHODS,
-    lambda_run,
+    es_pair,
+    lambda_row,
     map_runs,
     median,
-    outlier_free_sine,
-    robustness_run,
-    spiked_sine,
+    robustness_record,
 )
 from test_metrics import brute_force_roc, exhaustive_threshold_ap
 from test_nn import gradient_check
@@ -28,18 +27,14 @@ from robustae import (
     default_window_len,
     embed_lagged,
     es_prm,
-    es_ssa,
-    evaluate,
     hankelize,
     load_model,
     matrix_to_series,
-    outlier_scores,
     pr_auc,
     roc_auc,
     save_model,
     soft_threshold,
     ssa_decompose,
-    znormalize,
 )
 from robustae.cli import main as cli_main
 from robustae.linalg import rmse
@@ -56,40 +51,25 @@ def report(num: int, description: str, ok: bool, detail: str = "") -> None:
     assert ok, f"criterion {num}: {description}{suffix}"
 
 
-def _bench_record(job):
-    seed, name = job
-    dec = robustness_run(seed, name)
-    result = evaluate(outlier_scores(dec), spiked_sine(seed).labels)
-    return {"seed": seed, "decomposition": dec, "pr": result.pr_auc, "roc": result.roc_auc}
-
-
-def _sweep_record(job):
-    seed, lam = job
-    dec = lambda_run(seed, lam)
-    result = evaluate(outlier_scores(dec), spiked_sine(seed).labels)
-    return {"seed": seed, "pr": result.pr_auc, "nonzero": int(np.count_nonzero(dec.outlier.values))}
-
-
 @pytest.fixture(scope="module")
 def bench_runs():
-    """Ten-seed benchmark decompositions for the four trainers."""
+    """Ten-seed benchmark (RobustnessRow, decomposition) pairs per trainer."""
     start = time.time()
-    jobs = [(seed, name) for seed in SEEDS for name in ROBUSTNESS_METHODS]
     runs = {name: [] for name in ROBUSTNESS_METHODS}
-    for (_, name), record in zip(jobs, map_runs(_bench_record, jobs)):
-        runs[name].append(record)
+    jobs = [(seed, name) for seed in SEEDS for name in ROBUSTNESS_METHODS]
+    for row, dec in map_runs(robustness_record, jobs):
+        runs[row.method].append((row, dec))
     runs["elapsed"] = time.time() - start
     return runs
 
 
 @pytest.fixture(scope="module")
 def lambda_sweep():
-    """PR and outlier-support size per lambda, several seeds."""
+    """LambdaRows per lambda, several seeds."""
     start = time.time()
-    jobs = [(seed, lam) for seed in SWEEP_SEEDS for lam in LAMBDAS]
     table = {lam: [] for lam in LAMBDAS}
-    for (_, lam), record in zip(jobs, map_runs(_sweep_record, jobs)):
-        table[lam].append(record)
+    for row in map_runs(lambda_row, [(seed, lam) for seed in SWEEP_SEEDS for lam in LAMBDAS]):
+        table[row.lam].append(row)
     table["elapsed"] = time.time() - start
     return table
 
@@ -188,8 +168,8 @@ def test_criterion_03_hankel_roundtrip():
 def test_criterion_04_constraint_satisfaction(bench_runs):
     worst = 0.0
     for name in ("rae", "rdae"):
-        for run in bench_runs[name]:
-            worst = max(worst, run["decomposition"].final_residuals[0])
+        for _, dec in bench_runs[name]:
+            worst = max(worst, dec.final_residuals[0])
     report(
         4,
         "returned decompositions satisfy the additive constraint below 1e-5",
@@ -199,8 +179,8 @@ def test_criterion_04_constraint_satisfaction(bench_runs):
 
 
 def test_criterion_05_robustness_ordering(bench_runs):
-    med = {name: (median([r["pr"] for r in bench_runs[name]]),
-                  median([r["roc"] for r in bench_runs[name]]))
+    med = {name: (median([row.pr for row, _ in bench_runs[name]]),
+                  median([row.roc for row, _ in bench_runs[name]]))
            for name in ("rae", "nrae", "rdae", "nrdae")}
     ok = (
         med["rae"][0] > med["nrae"][0]
@@ -221,7 +201,7 @@ def test_criterion_05_robustness_ordering(bench_runs):
 
 
 def test_criterion_06_lambda_sensitivity_shape(lambda_sweep):
-    med = {lam: median([r["pr"] for r in lambda_sweep[lam]]) for lam in LAMBDAS}
+    med = {lam: median([row.pr for row in lambda_sweep[lam]]) for lam in LAMBDAS}
     interior = min(med[1e-2], med[1e-1])
     boundary = max(med[1e-4], med[1.0])
     report(
@@ -234,11 +214,8 @@ def test_criterion_06_lambda_sensitivity_shape(lambda_sweep):
 
 
 def test_criterion_07_sparsity_monotonicity(lambda_sweep):
-    fixed_seed = SWEEP_SEEDS[0]
-    counts = []
-    for lam in LAMBDAS:
-        row = next(r for r in lambda_sweep[lam] if r["seed"] == fixed_seed)
-        counts.append(row["nonzero"])
+    counts = [next(row.nonzero for row in lambda_sweep[lam] if row.seed == SWEEP_SEEDS[0])
+              for lam in LAMBDAS]
     ok = all(counts[i + 1] <= counts[i] for i in range(len(counts) - 1))
     report(
         7,
@@ -292,22 +269,11 @@ def test_criterion_09_explainability_machinery():
     )
 
 
-def _es_scores(decomposition, gamma=0.15, n_max=9):
-    clean, _ = znormalize(decomposition.clean)
-    prm = es_prm(clean, gamma, n_max).score
-    ssa = es_ssa(clean, gamma, n_max).score
-    not_explainable = n_max + 1
-    return (
-        prm if prm is not None else not_explainable,
-        ssa if ssa is not None else not_explainable,
-    )
-
-
 def test_criterion_10_explainability_ordering(bench_runs):
     start = time.time()
     med = {}
     for name in ("rae", "nrae", "rdae", "nrdae"):
-        pairs = [_es_scores(r["decomposition"]) for r in bench_runs[name]]
+        pairs = [es_pair(dec.clean) for _, dec in bench_runs[name]]
         med[name] = (median([p[0] for p in pairs]), median([p[1] for p in pairs]))
     ok = (
         med["rae"][0] <= med["nrae"][0]
@@ -327,8 +293,8 @@ def test_criterion_10_explainability_ordering(bench_runs):
 
 def test_criterion_11_convergence_behavior(bench_runs):
     ratios = []
-    for run in bench_runs["rae"]:
-        trace = run["decomposition"].loss_trace
+    for _, dec in bench_runs["rae"]:
+        trace = dec.loss_trace
         idx = min(49, len(trace) - 1)
         ratios.append(trace[idx] / trace[0])
     med_ratio = median(ratios)
@@ -395,9 +361,7 @@ def test_criterion_13_default_window_rule():
 def test_criterion_14_recovery_ordering(bench_runs):
     # PR AUC saturates on this task; the clean part's RMSE against the
     # outlier-free series still shows a trainer that separates worse
-    truth = {seed: outlier_free_sine(seed).values for seed in SEEDS}
-    med = {name: median([rmse(r["decomposition"].clean.values, truth[r["seed"]])
-                         for r in bench_runs[name]])
+    med = {name: median([row.recovery for row, _ in bench_runs[name]])
            for name in ROBUSTNESS_METHODS}
     ok = med["rae"] <= 0.8 * med["nrae"] and med["rdae"] <= 0.8 * med["nrdae"]
     report(

@@ -704,6 +704,29 @@ def _write_files(directory, files):
                      id="replay-output-absolute"),
         pytest.param({"s.csv": SERIES_CSV, "c.json": {"grid": {"lam": [0.05]}}},
                      SWEEP + ["--seed", "-1"], 2, "seed must be >= 0", id="sweep-seed-flag-negative"),
+        # malformed documents, and manifests a run never writes
+        pytest.param({"s.csv": SERIES_CSV, "c.json": '{"lam": 0.05,'}, TRAIN, 2,
+                     "c.json: invalid JSON", id="train-config-invalid-json"),
+        pytest.param({"s.csv": SERIES_CSV, "m.json": {
+                         "command": "train", "config": {"method": "rae", "train": [0.05]},
+                         "inputs": {"csv": "s.csv"}}},
+                     REPLAY, 2, "m.json: rae config must be a JSON object",
+                     id="train-manifest-trainer-config-list"),
+        pytest.param({"d.csv": DECOMPOSITION_CSV, "m.json": _with(EXPLAIN_MANIFEST, method="pca")},
+                     REPLAY, 2, "m.json: explain method must be 'prm' or 'ssa', got 'pca'",
+                     id="explain-manifest-method-pca"),
+        pytest.param({"s.csv": SERIES_CSV, "c.json": {"grid": {}}}, SWEEP, 2,
+                     "c.json: sweep config needs a nonempty 'grid' object", id="sweep-grid-empty"),
+        # unchecked, every sampled run fails on the missing labels and the sweep exits 0
+        pytest.param({"s.csv": "t,dim_0\n" + "".join(f"{i},{i % 7}\n" for i in range(40)),
+                      "c.json": {"grid": {"lam": [0.05]}}},
+                     SWEEP, 2, "s.csv: sweep needs a labeled series", id="sweep-unlabeled-series"),
+        pytest.param({"m.json": {**EVAL_MANIFEST, "command": "fit"}}, REPLAY, 2,
+                     "m.json: manifest command 'fit' cannot be replayed", id="manifest-command-fit"),
+        pytest.param({"m.json": {**EVAL_MANIFEST, "inputs": ["sc.csv"]}}, REPLAY, 2,
+                     "m.json: 'inputs' must be a JSON object", id="manifest-inputs-list"),
+        pytest.param({"m.json": {**EVAL_MANIFEST, "inputs": {"csv": 3}}}, REPLAY, 2,
+                     "m.json: 'inputs' values must be strings", id="manifest-input-number"),
     ],
 )
 def test_bad_input_exits_with_documented_code(

@@ -61,6 +61,11 @@ def test_znormalize_constant_dimension():
     assert stats.std[0] == 1.0
 
 
+def test_znormalize_refuses_a_single_row():
+    with pytest.raises(InputError, match="z-normalization needs at least 2 observations"):
+        znormalize(TimeSeries(np.array([[1.0, 2.0]])))
+
+
 @pytest.mark.parametrize("scale", [1e300, -1e300, 1.7e308])
 def test_znormalize_rejects_overflowing_magnitude(scale):
     # finite values whose sample std (or, at 1.7e308, mean) overflows to inf
@@ -367,6 +372,22 @@ def test_synth_nonstationary_ar_rejected():
 def test_synth_bad_ratio_rejected():
     with pytest.raises(ConfigError):
         SynthConfig(length=10, outlier_ratio=0.05)
+
+
+@pytest.mark.parametrize(
+    "fields, says",
+    [({"kind": "spline"}, "unknown kind 'spline'"),
+     ({"outlier_kind": "burst"}, "unknown outlier_kind 'burst'"),
+     ({"outlier_ratio": 0.0}, "outlier_ratio must be in (0,1), got 0.0"),
+     ({"outlier_ratio": 1.0}, "outlier_ratio must be in (0,1), got 1.0"),
+     ({"frequencies": (0.02, 0.05)}, "frequencies and amplitudes must have equal length"),
+     ({"kind": "ar_process", "ar_coefficients": ()}, "ar_coefficients must be nonempty")],
+    ids=["kind", "outlier_kind", "ratio-0", "ratio-1", "frequencies-amplitudes", "ar-empty"],
+)
+def test_synth_refuses_recipes_it_cannot_draw(fields, says):
+    with pytest.raises(ConfigError) as exc:
+        SynthConfig(**fields)
+    assert str(exc.value) == says
 
 
 @pytest.mark.parametrize(

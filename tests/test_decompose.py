@@ -12,6 +12,7 @@ from robustae import (
     RaeConfig,
     RdaeConfig,
     TimeSeries,
+    default_window_len,
     evaluate,
     outlier_scores,
     train,
@@ -245,6 +246,20 @@ def test_lagged_window_out_of_range():
     )
     with pytest.raises(ParameterError, match="lagged_window"):
         train(ts, "rdae", bad)
+
+
+def test_network_of_another_width_than_the_window_is_refused():
+    # unchecked, the 6-wide network would fail later on the 8-wide batch
+    cfg = replace(quick_rae(), ae=AutoencoderConfig(input_dim=6, layer_dims=(4,)))
+    with pytest.raises(ParameterError, match="network input_dim 6 does not match expected width 8"):
+        train(quick_ts(), "rae", cfg)
+
+
+def test_rdae_default_lagged_window_is_the_default_window_len():
+    ts = TimeSeries(np.column_stack([quick_ts(seed).values[:, 0] for seed in (0, 1)]))
+    cfg = RdaeConfig(max_outer_iters=1, max_while_iters=1, window_len=8)
+    dec = train(ts, "rdae", cfg)
+    assert dec.models["inner_ae"].config.input_dim == default_window_len(ts.length) * 2
 
 
 # (iterations_run, len(loss_trace)) per method at epsilon 1e-5, 0.1 and 0.5.

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustae.errors import EvaluationError
+from robustae.errors import DimensionError, EvaluationError
 from robustae.metrics import evaluate, pr_auc, roc_auc
 
 
@@ -54,6 +54,14 @@ def test_roc_single_class_rejected():
         roc_auc([0.1, 0.2], [1, 1])
     with pytest.raises(EvaluationError):
         roc_auc([0.1, 0.2], [0, 0])
+
+
+@pytest.mark.parametrize("auc", [roc_auc, pr_auc])
+def test_scores_and_labels_of_other_lengths_or_empty_are_refused(auc):
+    with pytest.raises(DimensionError, match="scores length 3 != labels length 2"):
+        auc([0.1, 0.2, 0.3], [1, 0])
+    with pytest.raises(EvaluationError, match="empty inputs"):
+        auc([], [])
 
 
 def test_pr_perfect():
