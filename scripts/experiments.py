@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""The paper's four experiments on the spiked-sine benchmark of tests/bench.py.
+"""The paper's experiments on the spiked-sine benchmark of tests/bench.py.
 
 Each subcommand writes one CSV (default results/<name>.csv) and prints the
 median of every value column, per method or lambda (convergence: over all
 iterations). The trainer runs go to a pool of up to four worker processes.
 
-Usage: python3 scripts/experiments.py {robustness,lambda,convergence,explainability} [flags]
+Usage: python3 scripts/experiments.py {robustness,lambda,convergence} [flags]
 """
 
 import argparse
@@ -19,7 +19,6 @@ from bench import (  # noqa: E402
     GAMMA,
     LAMBDAS,
     ROBUSTNESS_METHODS,
-    es_pair,
     lambda_row,
     map_runs,
     rae_config,
@@ -42,9 +41,11 @@ def _seeds(args):
 
 
 def robustness_rows(args):
-    """PR/ROC, recovery RMSE against the outlier-free series and outlier-support
-    size of the robust and non-robust trainers, per seed"""
-    jobs = [(seed, method) for seed in _seeds(args) for method in ROBUSTNESS_METHODS]
+    """PR/ROC, recovery RMSE against the outlier-free series, outlier-support
+    size and ES_PRM/ES_SSA of the z-normalized clean series of the robust and
+    non-robust trainers, per seed; an ES score of 10 means not explainable
+    within 9"""
+    jobs = [(seed, m, args.gamma) for seed in _seeds(args) for m in ROBUSTNESS_METHODS]
     return [row for row, _ in map_runs(robustness_record, jobs)]
 
 
@@ -65,26 +66,13 @@ def convergence_rows(args):
             for i in range(max(map(len, traces)))]
 
 
-def _explainability_row(job):
-    seed, method, gamma = job
-    _, dec = robustness_record((seed, method))
-    return seed, method, *es_pair(dec.clean, gamma)
-
-
-def explainability_rows(args):
-    """ES_PRM/ES_SSA of each trainer's z-normalized clean series, per seed;
-    a score of 10 means not explainable within 9"""
-    return map_runs(_explainability_row,
-                    [(seed, m, args.gamma) for seed in _seeds(args) for m in ROBUSTNESS_METHODS])
-
-
 # name -> (rows, CSV header, column the summary groups by, flags and defaults)
 EXPERIMENTS = {
     "robustness": (
         robustness_rows,
-        ["seed", "method", "pr", "roc", "recovery", "support"],
+        ["seed", "method", "pr", "roc", "recovery", "support", "es_prm", "es_ssa"],
         "method",
-        {"seeds": 10},
+        {"seeds": 10, "gamma": GAMMA},
     ),
     "lambda": (lambda_rows, ["seed", "lambda", "pr", "roc", "nonzero"], "lambda", {"seeds": 5}),
     "convergence": (
@@ -92,12 +80,6 @@ EXPERIMENTS = {
         ["iteration"] + [f"lambda_{lam:g}" for lam in LAMBDAS],
         None,
         {"seed": 1, "iters": 60},
-    ),
-    "explainability": (
-        explainability_rows,
-        ["seed", "method", "es_prm", "es_ssa"],
-        "method",
-        {"seeds": 10, "gamma": GAMMA},
     ),
 }
 

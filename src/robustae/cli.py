@@ -227,7 +227,7 @@ def _explain(config, seed, inputs, outputs, out_dir, verbose):
 
 def _dims_from_shape(depth: int, width: int, input_dim: int) -> tuple[int, ...]:
     depth, width = require_int(depth, "depth"), require_int(width, "width")
-    bottleneck = max(2, min(width // 4, input_dim - 1))
+    bottleneck = min(max(2, width // 4), input_dim - 1)
     if depth <= 1:
         return (bottleneck,)
     half = depth // 2

@@ -214,7 +214,7 @@ def _network(
         return AutoencoderModel(user_cfg)
     if thin:
         # single mildly narrowed hidden layer: smoothing, not compression
-        dims = (max(2, round(0.75 * input_dim)),)
+        dims = (min(max(2, round(0.75 * input_dim)), input_dim - 1),)
     else:
         dims = default_layer_dims(input_dim)
     return AutoencoderModel(AutoencoderConfig(input_dim=input_dim, layer_dims=dims, seed=seed))

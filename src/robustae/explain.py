@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ParameterError, require_int, require_positive
+from .errors import NumericalError, ParameterError, require_int, require_positive
 from .hankel import TimeSeries, default_window_len, embed_lagged, fold_rows
 from .hankel import hankelize, matrix_to_series  # traced by name: perfbench/spans.py _patch_table
 from .linalg import least_squares, rmse, svd
@@ -84,7 +84,12 @@ def _scan(method: str, gamma: float, n_max: int, pairs) -> ExplainabilityResult:
     """
     require_positive(gamma, "gamma")
     n_max = require_int(n_max, "n_max", 1)
-    curve = tuple(pairs)
+    # an overflowed RMSE is refused below, so numpy need not warn of it first
+    with np.errstate(over="ignore", invalid="ignore"):
+        curve = tuple(pairs)
+    if not np.isfinite([err for _, err in curve]).all():
+        raise NumericalError(f"{method} scan RMSE is not finite: the series is too large; "
+                             "z-normalize it first (explain --normalize)")
     score = next((n for n, err in curve if n >= 1 and err < gamma), None)
     return ExplainabilityResult(method, float(gamma), score, curve, n_max)
 

@@ -91,9 +91,10 @@ ADAM_EPS = 1e-8
 
 
 def default_layer_dims(input_dim: int) -> tuple[int, ...]:
-    """Symmetric three-hidden-layer shape with a quarter-width bottleneck."""
+    """Symmetric three-hidden-layer shape with a quarter-width bottleneck,
+    at least 2 wide but narrower than the input."""
     wide = max(3, round(0.75 * input_dim))
-    narrow = max(2, round(0.25 * input_dim))
+    narrow = min(max(2, round(0.25 * input_dim)), input_dim - 1)
     return (wide, narrow, wide)
 
 

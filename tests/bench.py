@@ -54,8 +54,9 @@ GAMMA = 0.15
 N_MAX = 9  # an ES score of N_MAX + 1 means not explainable within N_MAX
 
 # recovery: RMSE of the clean part against outlier_free_sine(seed);
-# support and nonzero: the number of nonzero entries of the outlier part
-RobustnessRow = namedtuple("RobustnessRow", "seed method pr roc recovery support")
+# support and nonzero: the number of nonzero entries of the outlier part;
+# es_prm and es_ssa: es_pair of the clean part
+RobustnessRow = namedtuple("RobustnessRow", "seed method pr roc recovery support es_prm es_ssa")
 LambdaRow = namedtuple("LambdaRow", "seed lam pr roc nonzero")
 
 
@@ -136,17 +137,19 @@ def rdae_config(
 
 def robustness_record(job):
     """One run of the robust-vs-non-robust comparison, ``job`` = (seed,
-    method): ``method`` of ROBUSTNESS_METHODS on spiked_sine(seed), with
-    network seeds offset by 1000 from the series seed. Returns its
-    RobustnessRow and its decomposition."""
-    seed, method = job
+    method, gamma): ``method`` of ROBUSTNESS_METHODS on spiked_sine(seed), with
+    network seeds offset by 1000 from the series seed, and its clean part's
+    es_pair at ``gamma``. Returns its RobustnessRow and its decomposition."""
+    seed, method, gamma = job
     ts = spiked_sine(seed)
     configs = {"rae": rae_config, "rdae": rdae_config}
     dec = train(ts, method, configs[method.removeprefix("n")](seed + 1000))
     res = evaluate(outlier_scores(dec), ts.labels)
     recovery = rmse(dec.clean.values, outlier_free_sine(seed).values)
     support = int(np.count_nonzero(dec.outlier.values))
-    return RobustnessRow(seed, method, res.pr_auc, res.roc_auc, recovery, support), dec
+    row = RobustnessRow(seed, method, res.pr_auc, res.roc_auc, recovery, support,
+                        *es_pair(dec.clean, gamma))
+    return row, dec
 
 
 def lambda_row(job) -> LambdaRow:
@@ -160,7 +163,7 @@ def lambda_row(job) -> LambdaRow:
     return LambdaRow(seed, lam, res.pr_auc, res.roc_auc, int(np.count_nonzero(dec.outlier.values)))
 
 
-def es_pair(clean: TimeSeries, gamma: float = GAMMA) -> tuple[int, int]:
+def es_pair(clean: TimeSeries, gamma: float) -> tuple[int, int]:
     """(ES_PRM, ES_SSA) of ``clean`` z-normalized, with N_MAX + 1 for a scan
     that explains it at no order up to N_MAX."""
     normalized, _ = znormalize(clean)

@@ -391,6 +391,24 @@ MUTANTS = (
         "every sampled run fails on the missing labels, and the sweep exits 0",
     ),
     Mutant(
+        "explain-nonfinite-rmse-unchecked", "explain.py",
+        "if not np.isfinite([err for _, err in curve]).all():",
+        "if False:",
+        ("tests/test_cli.py::test_bad_input_exits_with_documented_code[explain-ssa-rmse-overflows]",
+         "tests/test_cli.py::test_bad_input_exits_with_documented_code[explain-prm-rmse-overflows]"),
+        "killed",
+        "explain would print an overflowed RMSE as Infinity, which is not JSON, and exit 0",
+    ),
+    Mutant(
+        "default-bottleneck-floor-two", "nn.py",
+        "narrow = min(max(2, round(0.25 * input_dim)), input_dim - 1)",
+        "narrow = max(2, round(0.25 * input_dim))",
+        ("tests/test_nn.py::test_default_layer_dims_shape",
+         "tests/test_decompose.py::test_default_networks_train_on_two_wide_inputs[rae]"),
+        "killed",
+        "no default network would exist for a 2-wide input",
+    ),
+    Mutant(
         "finish-residual-zero", "decompose.py",
         "            frobenius_norm(values - clean - s) / t_norm,",
         "            0.0,",

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
@@ -51,8 +53,35 @@ def workdir(tmp_path):
     return tmp_path
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
+def strict_json(text):
+    """``json.loads`` that refuses the NaN, Infinity and -Infinity Python's json writes."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
+def _json_stamps(directory: Path) -> dict:
+    return {p: p.stat().st_mtime_ns for p in directory.rglob("*.json")} if directory.is_dir() else {}
+
+
 def run(args):
-    return main([str(a) for a in args])
+    """``main(args)``; its stdout lines and each JSON file it writes under its
+    output directory must read as strict JSON."""
+    args = [str(a) for a in args]
+    out_dir = Path(args[args.index("--out-dir") + 1] if "--out-dir" in args
+                   else os.environ.get(cli.OUT_DIR_ENV, "."))
+    before = _json_stamps(out_dir)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(args)
+    print(out.getvalue(), end="")
+    for line in out.getvalue().splitlines():
+        strict_json(line)
+    for path, stamp in _json_stamps(out_dir).items():
+        if before.get(path) != stamp:
+            strict_json(path.read_text())
+    return code
 
 
 def test_synth_writes_csv_and_manifest(workdir, capsys):
@@ -79,7 +108,7 @@ def test_manifest_duration_survives_a_wall_clock_step(workdir, monkeypatch):
     monkeypatch.setattr(time, "time", stepping_clock)
     assert run(["synth", "--config", workdir / "synth.json", "--out", "data.csv",
                 "--out-dir", workdir]) == 0
-    manifest = json.loads((workdir / "data.csv.manifest.json").read_text())
+    manifest = strict_json((workdir / "data.csv.manifest.json").read_text())
     assert 0.0 <= manifest["duration_seconds"] < 600.0
 
 
@@ -96,7 +125,7 @@ def test_train_outputs(workdir, capsys):
     for name in ("decomposition.csv", "scores.csv", "loss_trace.csv",
                  "model.json", "manifest.json"):
         assert (workdir / "run" / name).exists(), name
-    manifest = json.loads((workdir / "run" / "manifest.json").read_text())
+    manifest = strict_json((workdir / "run" / "manifest.json").read_text())
     assert manifest["command"] == "train"
     assert manifest["config"]["method"] == "rae"
 
@@ -132,7 +161,7 @@ def test_eval_perfect_scores(tmp_path, capsys):
     path = tmp_path / "scores.csv"
     path.write_text("t,score,label\n0,0.9,1\n1,0.8,1\n2,0.1,0\n3,0.0,0\n")
     assert run(["eval", "--input", path]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    doc = strict_json(capsys.readouterr().out)
     assert doc["pr_auc"] == 1.0
     assert doc["roc_auc"] == 1.0
 
@@ -150,7 +179,7 @@ def test_pipeline_matches_library(workdir, capsys):
          "--config", workdir / "rae.json", "--out-dir", workdir / "run"])
     capsys.readouterr()
     run(["eval", "--input", workdir / "run" / "scores.csv"])
-    cli_doc = json.loads(capsys.readouterr().out)
+    cli_doc = strict_json(capsys.readouterr().out)
 
     ts = load_csv(workdir / "data.csv")
     cfg_doc = dict(RAE_CONFIG)
@@ -172,7 +201,7 @@ def test_explain_linear_clean_series(tmp_path, capsys):
     path = tmp_path / "dec.csv"
     path.write_text("\n".join(lines) + "\n")
     assert run(["explain", "--input", path, "--method", "prm", "--gamma", "1e-6"]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    doc = strict_json(capsys.readouterr().out)
     assert doc["score"] == 1
     assert doc["explainable"] is True
     # degree 0 entry plus degrees 1..9
@@ -188,7 +217,7 @@ def test_explain_noise_not_explainable(tmp_path, capsys):
     path.write_text("\n".join(lines) + "\n")
     assert run(["explain", "--input", path, "--method", "ssa", "--gamma", "0.01",
                 "--nmax", "9"]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    doc = strict_json(capsys.readouterr().out)
     assert doc["score"] is None
     assert doc["explainable"] is False
     assert len(doc["rmse_by_order"]) == 9
@@ -230,7 +259,7 @@ def test_sweep_single_row(workdir, capsys):
     assert code == 0
     rows = (workdir / "table.csv").read_text().strip().splitlines()
     assert len(rows) == 2  # header + one run
-    doc = json.loads(capsys.readouterr().out)
+    doc = strict_json(capsys.readouterr().out)
     assert doc["n_ok"] == 1
     assert "median" in doc
 
@@ -293,7 +322,8 @@ def test_replay_reproduces_outputs_byte_identically(workdir, capsys):
 
 def _cli_process(args, blas_threads=1, code=0):
     """Run the CLI in a fresh interpreter whose BLAS uses ``blas_threads``
-    threads, require exit ``code``, and return its stderr."""
+    threads, require exit ``code`` and strict JSON stdout lines, and return
+    its stderr."""
     paths = [str(Path(robustae.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -301,6 +331,8 @@ def _cli_process(args, blas_threads=1, code=0):
     done = subprocess.run([sys.executable, "-m", "robustae", *map(str, args)], env=env,
                           capture_output=True, text=True)
     assert done.returncode == code, done.stderr
+    for line in done.stdout.splitlines():
+        strict_json(line)
     return done.stderr
 
 
@@ -325,7 +357,7 @@ def test_train_and_replay_byte_equal_under_one_and_two_blas_threads(workdir):
             assert (workdir / other / name).read_bytes() == first, (other, name)
     manifests = []
     for other in runs:
-        doc = json.loads((workdir / other / "manifest.json").read_text())
+        doc = strict_json((workdir / other / "manifest.json").read_text())
         del doc["duration_seconds"]
         manifests.append(doc)
     assert manifests[1:] == manifests[:1] * 3
@@ -435,6 +467,10 @@ def test_usage_error_exits_2():
 SERIES_CSV = "t,dim_0,label\n" + "".join(f"{i},{i % 7},{int(i % 10 == 0)}\n" for i in range(40))
 DECOMPOSITION_CSV = "t,clean_0,outlier_0,score\n" + "".join(
     f"{i},{i / 2},0.0,0.0\n" for i in range(50)
+)
+# clean_0 runs from -1e200 to 1e200, so the squares of its fits' residuals overflow
+HUGE_DECOMPOSITION_CSV = "t,clean_0,outlier_0,score\n" + "".join(
+    f"{i},{(i - 25) * 4e198!r},0.0,0.0\n" for i in range(51)
 )
 QUICK_RAE = {"window_len": 8, "max_outer_iters": 2, "seed": 1}
 QUICK_RDAE = {"window_len": 8, "lagged_window": 4, "max_outer_iters": 1, "max_while_iters": 1}
@@ -628,6 +664,11 @@ def _write_files(directory, files):
                        ["explain", "--input", "d.csv", "--method", method, "--gamma", "0.1"],
                        2, "d.csv: no data rows", id=f"explain-{method}-header-only")
           for method in ("ssa", "prm")),
+        # an overflowed RMSE would print as Infinity, which is not JSON
+        *(pytest.param({"d.csv": HUGE_DECOMPOSITION_CSV},
+                       ["explain", "--input", "d.csv", "--method", method, "--gamma", "0.1"],
+                       3, "explain --normalize", id=f"explain-{method}-rmse-overflows")
+          for method in ("ssa", "prm")),
         # integer fields holding non-integers (refused, not truncated) and
         # negative or boolean seeds
         *(pytest.param({"s.csv": SERIES_CSV, "c.json": {**QUICK_RAE, key: value}}, TRAIN, 2,
@@ -745,7 +786,7 @@ def test_bad_input_exits_with_documented_code(
         _, outlier, _ = load_decomposition(tmp_path / "out" / "decomposition.csv")
         assert not outlier.values.any()
         return
-    assert err.startswith("i/o error: " if code == 4 else "error: ")
+    assert err.startswith({3: "numerical failure: ", 4: "i/o error: "}.get(code, "error: "))
     if says is not None:
         assert says in err
 
@@ -887,7 +928,7 @@ def test_explain_replay_keeps_normalize(tmp_path, monkeypatch, capsys, flags):
     assert run(EXPLAIN + flags + ["--out", "r.json", "--out-dir", "a"]) == 0
     assert run(["replay", "--manifest", "a/r.json.manifest.json", "--out-dir", "b"]) == 0
     assert (tmp_path / "a" / "r.json").read_bytes() == (tmp_path / "b" / "r.json").read_bytes()
-    manifest = json.loads((tmp_path / "b" / "r.json.manifest.json").read_text())
+    manifest = strict_json((tmp_path / "b" / "r.json.manifest.json").read_text())
     assert manifest["config"]["normalize"] is bool(flags)
 
 
@@ -896,12 +937,12 @@ def test_replay_keeps_an_integer_gamma_as_recorded(tmp_path, monkeypatch, capsys
     monkeypatch.chdir(tmp_path)
     assert run(EXPLAIN[:-1] + ["1", "--out", "r.json", "--out-dir", "a"]) == 0
     manifest = tmp_path / "a" / "r.json.manifest.json"
-    recorded = json.loads(manifest.read_text())
+    recorded = strict_json(manifest.read_text())
     recorded["config"]["gamma"] = 1
     manifest.write_text(json.dumps(recorded))
     assert run(["replay", "--manifest", manifest, "--out-dir", "b"]) == 0
     assert (tmp_path / "a" / "r.json").read_bytes() == (tmp_path / "b" / "r.json").read_bytes()
-    replayed = json.loads((tmp_path / "b" / "r.json.manifest.json").read_text())
+    replayed = strict_json((tmp_path / "b" / "r.json.manifest.json").read_text())
     for doc in (recorded, replayed):
         del doc["duration_seconds"]
     # 1 == 1.0 in Python, so compare the JSON text
@@ -950,6 +991,21 @@ def test_sweep_depth_and_width_keep_the_base_network_fields(tmp_path, monkeypatc
     for seed, ae in drawn:
         assert (ae.input_dim, ae.seed) == (8, seed)
         assert (ae.learning_rate, ae.inner_epochs, ae.activation) == (0.05, 3, "relu")
+
+
+def test_sweep_shape_keeps_the_bottleneck_narrower_than_the_input(tmp_path, monkeypatch, capsys):
+    assert cli._dims_from_shape(3, 16, 2) == (16, 1, 16)
+    # from input width 3 on, the bottleneck is floored at 2 as before
+    for input_dim in range(3, 40):
+        for width in (4, 8, 16, 64):
+            bottleneck = max(2, min(width // 4, input_dim - 1))
+            assert cli._dims_from_shape(3, width, input_dim)[1] == bottleneck
+    _write_files(tmp_path, {"s.csv": SERIES_CSV, "c.json": {
+        "base": {**QUICK_RAE, "window_len": 2}, "grid": {"depth": [1, 3], "width": [8]}}})
+    monkeypatch.chdir(tmp_path)
+    assert run(SWEEP[:-1] + ["2", "--out", "t.csv"]) == 0
+    with open(tmp_path / "t.csv") as fh:
+        assert [row["status"] for row in csv.DictReader(fh)] == ["ok", "ok"]
 
 
 @pytest.mark.parametrize("net", ["abc", 0, []], ids=repr)
@@ -1041,7 +1097,7 @@ def test_null_seed_runs_as_seed_0_and_replays(tmp_path, monkeypatch, capsys, com
     assert run(args + ["--out-dir", "a"]) == 0
     assert run(args + ["--out-dir", "b"]) == 0
     assert run(["replay", "--manifest", f"a/{manifest}", "--out-dir", "c"]) == 0
-    assert json.loads((tmp_path / "a" / manifest).read_text())["seed"] == 0
+    assert strict_json((tmp_path / "a" / manifest).read_text())["seed"] == 0
     for path in (tmp_path / "a").iterdir():
         if path.name != manifest:
             for other in ("b", "c"):

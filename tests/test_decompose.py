@@ -576,6 +576,35 @@ def test_column_batch_copies_the_lagged_view(dims):
     assert np.array_equal(batch, np.stack([ts.values[j : j + 6].ravel() for j in range(35)]))
 
 
+@pytest.mark.parametrize("method", TRAIN_METHODS)
+def test_default_networks_train_on_two_wide_inputs(method):
+    # window_len 2 and lagged_window 2 make every default network 2 wide
+    ts = quick_ts(length=40)
+    if method in ("rae", "nrae"):
+        cfg = RaeConfig(max_outer_iters=2, window_len=2, seed=3)
+    else:
+        cfg = RdaeConfig(lagged_window=2, max_outer_iters=1, max_while_iters=1, window_len=2, seed=3)
+    d = train(ts, method, cfg)
+    assert_constraint(ts, d)
+    assert d.models and all(m.config.input_dim == 2 for m in d.models.values())
+
+
+@pytest.mark.parametrize("length", [5, 6])
+def test_rdae_default_lagged_window_trains_a_short_series(length):
+    # default_window_len gives a 2-wide lagged window on 5 or 6 points
+    ts = TimeSeries(np.sin(0.3 * np.arange(length)))
+    d = train(ts, "rdae", RdaeConfig(max_outer_iters=1, max_while_iters=1, window_len=3))
+    assert_constraint(ts, d)
+    assert d.models["inner_ae"].config.layer_dims == (3, 1, 3)
+
+
+def test_thin_default_network_shape_is_unchanged_from_width_three():
+    assert decompose._network(None, 2, 0, thin=True).config.layer_dims == (1,)
+    for d in range(3, 300):
+        dims = decompose._network(None, d, 0, thin=True).config.layer_dims
+        assert dims == (max(2, round(0.75 * d)),)
+
+
 def test_default_network_shapes_derived():
     # leaving the network configs unset derives defaults from the widths
     ts = quick_ts(seed=7)

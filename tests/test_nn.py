@@ -472,6 +472,12 @@ def test_default_layer_dims_shape():
     dims = default_layer_dims(32)
     assert dims == (24, 8, 24)
     assert dims[1] < 32
+    # the bottleneck stays narrower than a 2-wide input
+    assert default_layer_dims(2) == (3, 1, 3)
+    # and is floored at 2 from width 3 on, as before the cap at input_dim - 1
+    for d in range(3, 300):
+        wide = max(3, round(0.75 * d))
+        assert default_layer_dims(d) == (wide, max(2, round(0.25 * d)), wide)
 
 
 @given(seed=st.integers(0, 2**32 - 1))
